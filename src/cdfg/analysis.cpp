@@ -5,6 +5,8 @@
 #include <unordered_map>
 #include <stdexcept>
 
+#include "obs/obs.h"
+
 namespace lwm::cdfg {
 
 std::vector<NodeId> topo_order(const Graph& g, EdgeFilter filter) {
@@ -116,6 +118,9 @@ CycleInfo find_cycle(const Graph& g, EdgeFilter filter) {
 }
 
 TimingInfo compute_timing(const Graph& g, int latency, EdgeFilter filter) {
+  // One relaxed add per O(V+E) pass: the work guard for callers that
+  // promise to reuse resident windows instead of re-timing.
+  LWM_COUNT("cdfg/timing_passes", 1);
   const std::size_t cap = g.node_capacity();
   TimingInfo t;
   t.asap.assign(cap, -1);

@@ -4,6 +4,7 @@
 #include <utility>
 #include <vector>
 
+#include "cdfg/analysis.h"
 #include "cdfg/serialize.h"
 #include "obs/obs.h"
 #include "sched/schedule_io.h"
@@ -23,8 +24,12 @@ StoredDesign::StoredDesign(std::uint64_t id_, std::size_t bytes, cdfg::Graph g)
     : id(id_),
       text_bytes(bytes),
       graph(std::move(g)),
-      timing(graph, -1, cdfg::EdgeFilter::specification()),
-      plan(wm::PlanContext::build(graph, wm::SchedWmOptions{})) {}
+      plan(wm::PlanContext::build(graph, wm::SchedWmOptions{})),
+      critical_path_min(graph.has_bounded_delays()
+                            ? cdfg::compute_timing_bounded(
+                                  graph, -1, cdfg::EdgeFilter::specification())
+                                  .critical_path_min
+                            : plan.timing.critical_path) {}
 
 DesignStore::DesignStore(DesignStoreOptions opts) : opts_(opts) {}
 

@@ -9,12 +9,13 @@
 //     hash of its exact serialized bytes.  Loading the same bytes twice
 //     yields the *same* shared StoredDesign instance (first insert
 //     wins); clients never coordinate ids.
-//   * **Immutability.**  A StoredDesign is frozen at load: the graph,
-//     its specification TimingCache (including the optimistic
-//     bounded-delay band when the design carries delay intervals), and
-//     the wm::PlanContext are built once and only ever read.  Requests
-//     that mutate (embed) copy the graph; NodeIds are preserved by
-//     copying, so the resident PlanContext remains valid for the copy.
+//   * **Immutability.**  A StoredDesign is frozen at load: the graph
+//     and its wm::PlanContext are built once and only ever read.  The
+//     context's `timing` is the design's one resident specification
+//     timing — planning, the load response and every P_c estimate read
+//     it, so no request re-times the whole graph.  Requests that mutate
+//     (embed) copy the graph; NodeIds are preserved by copying, so the
+//     resident PlanContext remains valid for the copy.
 //   * **Eviction never invalidates readers.**  Entries are
 //     shared_ptr<const ...>; eviction only drops the store's reference.
 //     A request holding the pointer keeps the design alive until it
@@ -35,7 +36,6 @@
 #include <unordered_map>
 
 #include "cdfg/graph.h"
-#include "cdfg/timing_cache.h"
 #include "io/parse_result.h"
 #include "sched/schedule.h"
 #include "wm/sched_constraints.h"
@@ -47,24 +47,22 @@ namespace lwm::serve {
 [[nodiscard]] std::uint64_t content_hash(std::string_view bytes) noexcept;
 
 /// One resident design: the parsed graph plus every piece of derived
-/// state worth amortizing.  Immutable after construction; `timing` and
-/// `plan` are built against *this* graph instance (TimingCache holds a
-/// pointer to it), which is why the struct is pinned (no copy/move).
+/// state worth amortizing.  Immutable after construction.
 struct StoredDesign {
   std::uint64_t id;        ///< content_hash of the source text
   std::size_t text_bytes;  ///< size of the source text (budget proxy)
   cdfg::Graph graph;
-  /// Specification timing (temporal edges excluded), latency = critical
-  /// path; carries the optimistic [lo_min, hi_min] band iff the design
-  /// has bounded delays.
-  cdfg::TimingCache timing;
   /// Whole-graph planning state for embed requests (avoid_k_worst == 0,
-  /// so it is valid for any per-request k/tau/epsilon).
+  /// so it is valid for any per-request k/tau/epsilon).  `plan.timing`
+  /// is the resident specification timing (temporal edges excluded,
+  /// latency = critical path) that P_c estimates read as their windows.
   wm::PlanContext plan;
+  /// Minimum schedule length if every delay realizes at its lower bound:
+  /// one compute_timing_bounded pass at load on a bounded-delay design,
+  /// plan.timing.critical_path otherwise.
+  int critical_path_min;
 
   StoredDesign(std::uint64_t id_, std::size_t bytes, cdfg::Graph g);
-  StoredDesign(const StoredDesign&) = delete;
-  StoredDesign& operator=(const StoredDesign&) = delete;
 };
 
 /// One resident suspect schedule, pinned to the design it was parsed

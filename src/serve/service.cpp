@@ -175,8 +175,8 @@ Frame Service::handle_load_design(const Frame& request) {
   w.put_u64(design->id);
   w.put_u32(static_cast<std::uint32_t>(design->graph.node_count()));
   w.put_u32(static_cast<std::uint32_t>(design->graph.operation_count()));
-  w.put_u32(static_cast<std::uint32_t>(design->timing.critical_path()));
-  w.put_u32(static_cast<std::uint32_t>(design->timing.critical_path_min()));
+  w.put_u32(static_cast<std::uint32_t>(design->plan.timing.critical_path));
+  w.put_u32(static_cast<std::uint32_t>(design->critical_path_min));
   w.put_u8(already ? 1 : 0);
   return Frame{MsgType::kDesignLoaded, std::move(w).take()};
 }
@@ -243,11 +243,12 @@ Frame Service::handle_embed(const Frame& request) {
       sched::schedule_with(periodic ? "modulo" : "enumerate", marked);
 
   // P_c over the schedule space the flow actually drew from: flat
-  // windows for a DAG, modulo-II windows at the achieved interval for a
-  // marked graph.
+  // windows for a DAG (the resident specification timing — temporal
+  // edges don't move them), modulo-II windows at the achieved interval
+  // for a marked graph.
   const wm::PcEstimate pc =
       periodic ? wm::sched_pc_periodic_poisson(marked, marks, br.ii)
-               : wm::sched_pc_window_model(marked, marks);
+               : wm::sched_pc_window_model(marked, marks, &design->plan.timing);
 
   PayloadWriter w;
   w.put_u32(static_cast<std::uint32_t>(marks.size()));
@@ -316,28 +317,22 @@ Frame Service::handle_pc(const Frame& request) {
                                           design->plan);
 
   // Per-mark size-dispatched estimate (exact psi enumeration on small
-  // designs, Poisson above the threshold); log-probabilities sum.  A
-  // marked graph's alternatives are periodic schedules, counted at its
-  // recurrence-minimum II (resources are unconstrained here, so RecMII
-  // is MinII — the interval an unconstrained flow would achieve).
+  // designs, Poisson above the threshold); log-probabilities sum.  Flat
+  // windows are the resident specification timing; a marked graph's
+  // alternatives are periodic schedules, counted at its recurrence-
+  // minimum II (resources are unconstrained here, so RecMII is MinII —
+  // the interval an unconstrained flow would achieve).
   wm::SchedPcAutoOptions auto_opts;
   if (marked.has_token_edges()) {
     auto_opts.ii = sched::recurrence_min_ii(marked);
   }
-  double log10_pc = 0.0;
-  bool exact = !marks.empty();
-  bool degenerate = false;
-  for (const wm::SchedWatermark& m : marks) {
-    const wm::PcEstimate e = wm::sched_pc_auto(marked, m, auto_opts);
-    log10_pc += e.log10_pc;
-    exact = exact && e.exact;
-    degenerate = degenerate || e.degenerate;
-  }
+  const wm::PcEstimate pc =
+      wm::sched_pc_auto(marked, marks, auto_opts, &design->plan.timing);
 
   PayloadWriter w;
-  w.put_f64(log10_pc);
-  w.put_u8(exact ? 1 : 0);
-  w.put_u8(degenerate ? 1 : 0);
+  w.put_f64(pc.log10_pc);
+  w.put_u8(pc.exact ? 1 : 0);
+  w.put_u8(pc.degenerate ? 1 : 0);
   w.put_u32(static_cast<std::uint32_t>(marks.size()));
   return Frame{MsgType::kPcEstimated, std::move(w).take()};
 }

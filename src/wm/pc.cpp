@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <random>
 #include <stdexcept>
 
@@ -21,8 +22,22 @@ double PcEstimate::proof_of_authorship() const {
   return 1.0 - std::pow(10.0, log10_pc);
 }
 
+namespace {
+
+/// The caller's specification windows, or a fresh pass into `own`.
+const cdfg::TimingInfo& spec_windows(const Graph& g,
+                                     const cdfg::TimingInfo* spec_timing,
+                                     std::optional<cdfg::TimingInfo>& own) {
+  if (spec_timing != nullptr) return *spec_timing;
+  own = cdfg::compute_timing(g, -1, cdfg::EdgeFilter::specification());
+  return *own;
+}
+
+}  // namespace
+
 PcEstimate sched_pc_exact(const Graph& g, const SchedWatermark& wm,
-                          const sched::EnumerationOptions& opts) {
+                          const sched::EnumerationOptions& opts,
+                          const cdfg::TimingInfo* spec_timing) {
   LWM_SPAN("wm/pc_exact");
   LWM_COUNT("wm/psi_evals", 2);  // denominator + numerator enumeration
   // Enumerate over the executable members of the carved subtree.
@@ -36,19 +51,23 @@ PcEstimate sched_pc_exact(const Graph& g, const SchedWatermark& wm,
   }
   sched::EnumerationOptions eopts = opts;
   eopts.filter = cdfg::EdgeFilter::specification();
+  // count_schedules' default bound is the specification critical path —
+  // exactly what resident windows already carry.
+  if (spec_timing != nullptr && eopts.latency < 0) {
+    eopts.latency = spec_timing->critical_path;
+  }
 
   const sched::EnumerationResult denom =
       sched::count_schedules(g, subset, {}, eopts);
   const sched::EnumerationResult numer =
       sched::count_schedules(g, subset, extra, eopts);
 
-  PcEstimate est;
   if (denom.saturated || numer.saturated || denom.count == 0) {
     // Too large to enumerate — approximate instead.
     const SchedWatermark marks[] = {wm};
-    est = sched_pc_window_model(g, marks);
-    return est;
+    return sched_pc_window_model(g, marks, spec_timing);
   }
+  PcEstimate est;
   est.exact = true;
   if (numer.count == 0) {
     est.degenerate = true;
@@ -94,10 +113,11 @@ double edge_order_probability(const cdfg::TimingInfo& timing, const Graph& g,
 }
 
 PcEstimate sched_pc_window_model(const Graph& g,
-                                 std::span<const SchedWatermark> marks) {
+                                 std::span<const SchedWatermark> marks,
+                                 const cdfg::TimingInfo* spec_timing) {
   LWM_SPAN("wm/pc_window");
-  const cdfg::TimingInfo timing =
-      cdfg::compute_timing(g, -1, cdfg::EdgeFilter::specification());
+  std::optional<cdfg::TimingInfo> own;
+  const cdfg::TimingInfo& timing = spec_windows(g, spec_timing, own);
   PcEstimate est;
   est.exact = false;
   for (const SchedWatermark& wm : marks) {
@@ -117,10 +137,11 @@ PcEstimate sched_pc_window_model(const Graph& g,
 }
 
 PcEstimate sched_pc_poisson(const Graph& g,
-                            std::span<const SchedWatermark> marks) {
+                            std::span<const SchedWatermark> marks,
+                            const cdfg::TimingInfo* spec_timing) {
   LWM_SPAN("wm/pc_poisson");
-  const cdfg::TimingInfo timing =
-      cdfg::compute_timing(g, -1, cdfg::EdgeFilter::specification());
+  std::optional<cdfg::TimingInfo> own;
+  const cdfg::TimingInfo& timing = spec_windows(g, spec_timing, own);
   PcEstimate est;
   est.exact = false;
   double lambda = 0.0;
@@ -140,26 +161,54 @@ PcEstimate sched_pc_poisson(const Graph& g,
   return est;
 }
 
-PcEstimate sched_pc_auto(const Graph& g, const SchedWatermark& wm,
-                         const SchedPcAutoOptions& opts) {
+PcEstimate sched_pc_auto(const Graph& g, std::span<const SchedWatermark> marks,
+                         const SchedPcAutoOptions& opts,
+                         const cdfg::TimingInfo* spec_timing) {
+  PcEstimate total;
+  total.exact = !marks.empty();
+  if (marks.empty()) return total;
+  const bool poisson = g.node_count() > opts.poisson_node_threshold;
+  const auto add = [&total](const PcEstimate& e) {
+    total.log10_pc += e.log10_pc;
+    total.exact = total.exact && e.exact;
+    total.degenerate = total.degenerate || e.degenerate;
+  };
   if (opts.ii > 0) {
     // Periodic schedule space: count modulo-II alternatives instead of
-    // flat ones (wm/periodic.h).
-    if (g.node_count() > opts.poisson_node_threshold) {
-      LWM_COUNT("wm/pc_auto_periodic_poisson", 1);
-      const SchedWatermark marks[] = {wm};
-      return sched_pc_periodic_poisson(g, marks, opts.ii);
+    // flat ones (wm/periodic.h), every mark against the same windows.
+    const PeriodicTiming windows = compute_periodic_timing(
+        g, opts.ii, -1, periodic_counting_filter());
+    for (const SchedWatermark& wm : marks) {
+      if (poisson) {
+        LWM_COUNT("wm/pc_auto_periodic_poisson", 1);
+        const SchedWatermark one[] = {wm};
+        add(sched_pc_periodic_poisson(g, one, opts.ii, &windows));
+      } else {
+        LWM_COUNT("wm/pc_auto_periodic_exact", 1);
+        add(sched_pc_periodic(g, wm, opts.ii, opts.enumeration, &windows));
+      }
     }
-    LWM_COUNT("wm/pc_auto_periodic_exact", 1);
-    return sched_pc_periodic(g, wm, opts.ii, opts.enumeration);
+    return total;
   }
-  if (g.node_count() > opts.poisson_node_threshold) {
-    LWM_COUNT("wm/pc_auto_poisson", 1);
-    const SchedWatermark marks[] = {wm};
-    return sched_pc_poisson(g, marks);
+  std::optional<cdfg::TimingInfo> own;
+  const cdfg::TimingInfo& windows = spec_windows(g, spec_timing, own);
+  for (const SchedWatermark& wm : marks) {
+    if (poisson) {
+      LWM_COUNT("wm/pc_auto_poisson", 1);
+      const SchedWatermark one[] = {wm};
+      add(sched_pc_poisson(g, one, &windows));
+    } else {
+      LWM_COUNT("wm/pc_auto_exact", 1);
+      add(sched_pc_exact(g, wm, opts.enumeration, &windows));
+    }
   }
-  LWM_COUNT("wm/pc_auto_exact", 1);
-  return sched_pc_exact(g, wm, opts.enumeration);
+  return total;
+}
+
+PcEstimate sched_pc_auto(const Graph& g, const SchedWatermark& wm,
+                         const SchedPcAutoOptions& opts) {
+  const SchedWatermark one[] = {wm};
+  return sched_pc_auto(g, one, opts);
 }
 
 PcEstimate sched_pc_sampled(const Graph& g,

@@ -39,20 +39,34 @@ struct PcEstimate {
   [[nodiscard]] double proof_of_authorship() const;
 };
 
+// Resident windows.  The flat estimators below read the specification
+// timing of `g` — compute_timing(g, -1, EdgeFilter::specification()) —
+// and each takes it as an optional trailing `spec_timing` argument.
+// When null they compute it themselves (one O(V+E) pass per call); when
+// given it must be the specification timing of a graph with the same
+// live nodes, NodeIds and delays as `g`.  Temporal edges may differ:
+// the specification filter ignores them, so the windows of a pristine
+// design serve every marked copy of it (serve::StoredDesign passes its
+// resident PlanContext::timing).  Results are bit-identical either way.
+
 /// Exact P_c of one scheduling watermark by exhaustive enumeration over
 /// the executable nodes of the carved subtree: schedules satisfying all
 /// constraints / all schedules.  Saturates at `opts.limit`; on saturation
-/// falls back to the window model (exact == false).
-[[nodiscard]] PcEstimate sched_pc_exact(const cdfg::Graph& g,
-                                        const SchedWatermark& wm,
-                                        const sched::EnumerationOptions& opts = {});
+/// falls back to the window model (exact == false).  With `spec_timing`
+/// the enumeration's default latency bound (the critical path) and the
+/// fallback both read it instead of re-timing the graph.
+[[nodiscard]] PcEstimate sched_pc_exact(
+    const cdfg::Graph& g, const SchedWatermark& wm,
+    const sched::EnumerationOptions& opts = {},
+    const cdfg::TimingInfo* spec_timing = nullptr);
 
 /// Window-model P_c of a set of scheduling watermarks: per temporal edge
 /// e(src -> dst), the probability that independent uniform draws from the
 /// two [ASAP, ALAP] windows put src's finish at or before dst's start;
 /// log-probabilities sum over all edges of all watermarks.
 [[nodiscard]] PcEstimate sched_pc_window_model(
-    const cdfg::Graph& g, std::span<const SchedWatermark> marks);
+    const cdfg::Graph& g, std::span<const SchedWatermark> marks,
+    const cdfg::TimingInfo* spec_timing = nullptr);
 
 /// Monte-Carlo P_c: samples `trials` random feasible schedules of the
 /// *unconstrained* specification (per node, a uniform start in its
@@ -81,14 +95,16 @@ struct PcEstimate {
 /// the window-model order probability of edge i, so P_c = P(0
 /// violations) = e^-lambda and log10_pc = -lambda / ln 10.  Compared to
 /// the full window model this never multiplies per-edge probabilities —
-/// only the O(E_wm) lambda sum and one O(V+E) timing pass — and it is
-/// the estimator sched_pc_auto switches to above its node threshold,
-/// where exhaustive psi enumeration is hopeless.  For edges with high
+/// only the O(E_wm) lambda sum and one O(V+E) timing pass (none with
+/// `spec_timing`) — and it is the estimator sched_pc_auto switches to
+/// above its node threshold, where exhaustive psi enumeration is
+/// hopeless.  For edges with high
 /// p_i the two agree to first order (e^-(1-p) ~ p near 1); an
 /// unsatisfiable edge (p_i = 0) adds a full expected violation and marks
 /// the estimate degenerate.
-[[nodiscard]] PcEstimate sched_pc_poisson(const cdfg::Graph& g,
-                                          std::span<const SchedWatermark> marks);
+[[nodiscard]] PcEstimate sched_pc_poisson(
+    const cdfg::Graph& g, std::span<const SchedWatermark> marks,
+    const cdfg::TimingInfo* spec_timing = nullptr);
 
 struct SchedPcAutoOptions {
   /// Above this many graph nodes, exhaustive psi enumeration is skipped
@@ -106,12 +122,29 @@ struct SchedPcAutoOptions {
   int ii = 0;
 };
 
-/// Size-dispatched P_c for one scheduling watermark: sched_pc_exact
-/// below the threshold, sched_pc_poisson above.  The dispatch is
-/// observable: `wm/pc_auto_exact` and `wm/pc_auto_poisson` count the
-/// branch taken (lwm::obs); with opts.ii > 0 the periodic estimators run
-/// instead and the counters are `wm/pc_auto_periodic_exact` /
-/// `wm/pc_auto_periodic_poisson`.
+/// Size-dispatched P_c of a set of scheduling watermarks, one mark at a
+/// time: sched_pc_exact below the threshold, sched_pc_poisson above.
+/// The per-mark estimates combine in mark order — log10_pc summed from
+/// +0.0, `exact` the AND over marks (false for an empty span),
+/// `degenerate` the OR — so the result is a pure function of the
+/// per-mark estimates.
+///
+/// The windows are built at most once per call, not once per mark: the
+/// flat path reads `spec_timing` (contract above) or makes one
+/// compute_timing pass when it is null; with opts.ii > 0 one
+/// compute_periodic_timing pass at opts.ii feeds every mark and
+/// `spec_timing` is unused.  An empty span builds nothing.
+///
+/// The dispatch is observable: `wm/pc_auto_exact` and
+/// `wm/pc_auto_poisson` count the branch taken per mark (lwm::obs); with
+/// opts.ii > 0 the periodic estimators run instead and the counters are
+/// `wm/pc_auto_periodic_exact` / `wm/pc_auto_periodic_poisson`.
+[[nodiscard]] PcEstimate sched_pc_auto(
+    const cdfg::Graph& g, std::span<const SchedWatermark> marks,
+    const SchedPcAutoOptions& opts = {},
+    const cdfg::TimingInfo* spec_timing = nullptr);
+
+/// The same dispatch for one watermark (a batch of one).
 [[nodiscard]] PcEstimate sched_pc_auto(const cdfg::Graph& g,
                                        const SchedWatermark& wm,
                                        const SchedPcAutoOptions& opts = {});

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <climits>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -54,17 +55,22 @@ std::vector<long long> longest_from(const Graph& g, NodeId src, int ii,
   return dist;
 }
 
-// The edge filter periodic counting uses: the unwatermarked marked
-// graph — specification edges plus loop-carried token edges, temporal
-// (watermark) edges excluded, exactly as specification() excludes them
-// in the flat counters.
-EdgeFilter counting_filter() {
+/// The caller's counting windows, or a fresh pass into `own`.
+const PeriodicTiming& counting_windows(const Graph& g, int ii,
+                                       const PeriodicTiming* windows,
+                                       std::optional<PeriodicTiming>& own) {
+  if (windows != nullptr) return *windows;
+  own = compute_periodic_timing(g, ii, -1, periodic_counting_filter());
+  return *own;
+}
+
+}  // namespace
+
+EdgeFilter periodic_counting_filter() {
   EdgeFilter f = EdgeFilter::specification();
   f.token = true;
   return f;
 }
-
-}  // namespace
 
 PeriodicTiming compute_periodic_timing(const Graph& g, int ii, int span,
                                        EdgeFilter filter) {
@@ -72,6 +78,7 @@ PeriodicTiming compute_periodic_timing(const Graph& g, int ii, int span,
     throw std::invalid_argument("compute_periodic_timing: ii must be >= 1, got " +
                                 std::to_string(ii));
   }
+  LWM_COUNT("cdfg/timing_passes", 1);
   PeriodicTiming t;
   t.ii = ii;
   const std::size_t cap = g.node_capacity();
@@ -151,11 +158,15 @@ PeriodicTiming compute_periodic_timing(const Graph& g, int ii, int span,
 }
 
 PeriodicPsi periodic_psi_counts(const Graph& g, const SchedWatermark& wm,
-                                int ii, const sched::EnumerationOptions& opts) {
+                                int ii, const sched::EnumerationOptions& opts,
+                                const PeriodicTiming* windows) {
   LWM_SPAN("wm/periodic_psi");
-  const EdgeFilter filter = counting_filter();
-  const PeriodicTiming timing =
-      compute_periodic_timing(g, ii, opts.latency, filter);
+  const EdgeFilter filter = periodic_counting_filter();
+  std::optional<PeriodicTiming> own;
+  const PeriodicTiming& timing =
+      opts.latency < 0
+          ? counting_windows(g, ii, windows, own)
+          : own.emplace(compute_periodic_timing(g, ii, opts.latency, filter));
 
   // Enumerate over the executable members of the carved subtree, the
   // same subset the flat counters use.
@@ -248,13 +259,14 @@ PeriodicPsi periodic_psi_counts(const Graph& g, const SchedWatermark& wm,
 }
 
 PcEstimate sched_pc_periodic(const Graph& g, const SchedWatermark& wm, int ii,
-                             const sched::EnumerationOptions& opts) {
+                             const sched::EnumerationOptions& opts,
+                             const PeriodicTiming* windows) {
   LWM_SPAN("wm/pc_periodic");
-  const PeriodicPsi psi = periodic_psi_counts(g, wm, ii, opts);
+  const PeriodicPsi psi = periodic_psi_counts(g, wm, ii, opts, windows);
   if (psi.saturated || psi.psi_n == 0) {
     // Too large to enumerate (or an empty space) — closed form instead.
     const SchedWatermark marks[] = {wm};
-    return sched_pc_periodic_poisson(g, marks, ii);
+    return sched_pc_periodic_poisson(g, marks, ii, windows);
   }
   PcEstimate est;
   est.exact = true;
@@ -272,22 +284,23 @@ PcEstimate sched_pc_periodic(const Graph& g, const SchedWatermark& wm, int ii,
 
 PcEstimate sched_pc_periodic_poisson(const Graph& g,
                                      std::span<const SchedWatermark> marks,
-                                     int ii) {
+                                     int ii, const PeriodicTiming* windows) {
   LWM_SPAN("wm/pc_periodic_poisson");
-  const PeriodicTiming pt = compute_periodic_timing(g, ii, -1, counting_filter());
+  std::optional<PeriodicTiming> own;
+  const PeriodicTiming& pt = counting_windows(g, ii, windows, own);
   // The closed-form order probability reads only [asap, alap] windows and
   // delays, so periodic windows slot straight in via a pseudo-TimingInfo.
-  cdfg::TimingInfo windows;
-  windows.asap = pt.estart;
-  windows.alap = pt.lstart;
-  windows.critical_path = pt.critical_span;
-  windows.latency = pt.span;
+  cdfg::TimingInfo flat;
+  flat.asap = pt.estart;
+  flat.alap = pt.lstart;
+  flat.critical_path = pt.critical_span;
+  flat.latency = pt.span;
   PcEstimate est;
   est.exact = false;
   double lambda = 0.0;
   for (const SchedWatermark& wm : marks) {
     for (const TemporalConstraint& c : wm.constraints) {
-      const double p = edge_order_probability(windows, g, c.src, c.dst);
+      const double p = edge_order_probability(flat, g, c.src, c.dst);
       if (p <= 0.0) {
         // Unsatisfiable by a free periodic schedule: a full expected
         // violation, same convention as the flat Poisson model.

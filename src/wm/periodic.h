@@ -58,12 +58,26 @@ struct PeriodicTiming {
     const cdfg::Graph& g, int ii, int span = -1,
     cdfg::EdgeFilter filter = cdfg::EdgeFilter::periodic());
 
+/// The edge filter periodic counting uses: the unwatermarked marked
+/// graph — specification edges plus loop-carried token edges, temporal
+/// (watermark) edges excluded, exactly as specification() excludes them
+/// in the flat counters.
+[[nodiscard]] cdfg::EdgeFilter periodic_counting_filter();
+
+// Resident windows.  The periodic estimators below read the counting
+// windows compute_periodic_timing(g, ii, -1, periodic_counting_filter())
+// and each takes them as an optional trailing `windows` argument: null
+// computes them per call; given, they must come from a graph with the
+// same live nodes, NodeIds, delays and non-temporal edges as `g`, at the
+// same `ii`.  Results are bit-identical either way.
+
 /// psi counts over the periodic schedule space at interval `ii`:
 /// psi_n — periodic schedules of the watermark's subtree (executable
 /// members, flat starts within their periodic windows, all pairwise
 /// token-weighted separations honored); psi_w — those additionally
 /// satisfying every temporal constraint of `wm` in the flat (modulo-II)
-/// sense.  Saturates at `opts.limit`.
+/// sense.  Saturates at `opts.limit`.  `windows` is read only when
+/// `opts.latency` < 0 (any other span bound needs its own windows).
 struct PeriodicPsi {
   std::uint64_t psi_w = 0;
   std::uint64_t psi_n = 0;
@@ -71,20 +85,23 @@ struct PeriodicPsi {
 };
 [[nodiscard]] PeriodicPsi periodic_psi_counts(
     const cdfg::Graph& g, const SchedWatermark& wm, int ii,
-    const sched::EnumerationOptions& opts = {});
+    const sched::EnumerationOptions& opts = {},
+    const PeriodicTiming* windows = nullptr);
 
 /// Exact periodic P_c of one watermark: psi_w / psi_n by enumeration;
 /// on saturation (or an empty denominator) falls back to the periodic
 /// Poisson model below.
 [[nodiscard]] PcEstimate sched_pc_periodic(
     const cdfg::Graph& g, const SchedWatermark& wm, int ii,
-    const sched::EnumerationOptions& opts = {});
+    const sched::EnumerationOptions& opts = {},
+    const PeriodicTiming* windows = nullptr);
 
 /// Periodic Poisson large-design model: per temporal edge, the window-
 /// model order probability computed over *periodic* windows (the same
 /// closed form as the flat model, fed with PeriodicTiming), and
 /// P_c = e^-lambda with lambda = sum (1 - p_i).
 [[nodiscard]] PcEstimate sched_pc_periodic_poisson(
-    const cdfg::Graph& g, std::span<const SchedWatermark> marks, int ii);
+    const cdfg::Graph& g, std::span<const SchedWatermark> marks, int ii,
+    const PeriodicTiming* windows = nullptr);
 
 }  // namespace lwm::wm

@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "cdfg/analysis.h"
 #include "cdfg/serialize.h"
 #include "dfglib/synth.h"
 #include "sched/schedule_io.h"
@@ -99,9 +100,48 @@ TEST(DesignStoreTest, ResidentStateIsBuiltOnce) {
   auto r = store.load_design(design_text(3));
   ASSERT_TRUE(r.ok());
   const auto& d = *r.value();
-  EXPECT_GT(d.timing.critical_path(), 0);
-  EXPECT_LE(d.timing.critical_path_min(), d.timing.critical_path());
+  // plan.timing is the one resident specification timing: exactly what
+  // a from-scratch pass over the graph produces.
+  const cdfg::TimingInfo fresh =
+      cdfg::compute_timing(d.graph, -1, cdfg::EdgeFilter::specification());
+  EXPECT_GT(d.plan.timing.critical_path, 0);
+  EXPECT_EQ(d.plan.timing.critical_path, fresh.critical_path);
+  EXPECT_EQ(d.plan.timing.latency, fresh.latency);
+  EXPECT_EQ(d.plan.timing.asap, fresh.asap);
+  EXPECT_EQ(d.plan.timing.alap, fresh.alap);
+  // Exact delays: the optimistic bound collapses onto the critical path.
+  ASSERT_FALSE(d.graph.has_bounded_delays());
+  EXPECT_EQ(d.critical_path_min, d.plan.timing.critical_path);
   EXPECT_FALSE(d.plan.ops.empty());
+}
+
+TEST(DesignStoreTest, BoundedDelayDesignCarriesItsOptimisticCriticalPath) {
+  // `dmin:dmax` delays: the resident critical_path_min is the bounded
+  // analysis's, strictly below the worst-case critical path.
+  constexpr std::string_view bounded =
+      "cdfg bounded\n"
+      "node in1 input\n"
+      "node a add 1:2\n"
+      "node m mul 2:5\n"
+      "node b add 1\n"
+      "node out1 output\n"
+      "edge in1 a\n"
+      "edge a m\n"
+      "edge in1 b\n"
+      "edge m out1\n"
+      "edge b out1\n";
+  DesignStore store;
+  auto r = store.load_design(bounded, "<bounded>");
+  ASSERT_TRUE(r.ok()) << r.diag().message;
+  const auto& d = *r.value();
+  ASSERT_TRUE(d.graph.has_bounded_delays());
+  const cdfg::BoundedTimingInfo t = cdfg::compute_timing_bounded(
+      d.graph, -1, cdfg::EdgeFilter::specification());
+  EXPECT_EQ(d.critical_path_min, t.critical_path_min);
+  EXPECT_EQ(d.plan.timing.critical_path, t.pess.critical_path);
+  EXPECT_EQ(d.plan.timing.critical_path, 7);
+  EXPECT_EQ(d.critical_path_min, 3);
+  EXPECT_LT(d.critical_path_min, d.plan.timing.critical_path);
 }
 
 TEST(DesignStoreTest, SchedulesAreKeyedByDesignAndText) {
@@ -138,10 +178,10 @@ TEST(DesignStoreTest, EvictionNeverInvalidatesInFlightReaders) {
   ASSERT_TRUE(d.ok());
   const std::shared_ptr<const StoredDesign> held = d.value();
   ASSERT_TRUE(store.evict_design(held->id));
-  // The held pointer keeps the design (graph + timing + plan) alive and
-  // fully usable after eviction — the no-use-after-evict guarantee.
+  // The held pointer keeps the design (graph + plan) alive and fully
+  // usable after eviction — the no-use-after-evict guarantee.
   EXPECT_GT(held->graph.operation_count(), 0u);
-  EXPECT_GT(held->timing.critical_path(), 0);
+  EXPECT_GT(held->plan.timing.critical_path, 0);
   EXPECT_FALSE(held->plan.ops.empty());
 }
 
@@ -192,7 +232,7 @@ TEST(DesignStoreTest, MarkedGraphDesignsAreResidentCitizens) {
   auto r = store.load_design(marked, "<marked>");
   ASSERT_TRUE(r.ok()) << r.diag().message;
   EXPECT_TRUE(r.value()->graph.has_token_edges());
-  EXPECT_GT(r.value()->timing.critical_path(), 0);
+  EXPECT_GT(r.value()->plan.timing.critical_path, 0);
 }
 
 TEST(DesignStoreTest, EvictionAccountingSurvivesConcurrentChurn) {

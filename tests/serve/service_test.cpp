@@ -4,15 +4,23 @@
 // exception or a crash.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <string>
+#include <vector>
 
+#include "cdfg/analysis.h"
 #include "cdfg/serialize.h"
+#include "crypto/signature.h"
 #include "dfglib/iir4.h"
 #include "dfglib/kernels.h"
 #include "dfglib/synth.h"
+#include "obs/obs.h"
 #include "serve/frame.h"
 #include "serve/service.h"
+#include "wm/pc.h"
+#include "wm/sched_constraints.h"
 
 namespace lwm::serve {
 namespace {
@@ -384,6 +392,175 @@ TEST(ServiceTest, DetectIsDeterministicAcrossRepeats) {
     EXPECT_EQ(again.type, first.type);
     EXPECT_EQ(again.payload, first.payload);
   }
+}
+
+// ---- Resident windows ------------------------------------------------------
+//
+// embed and pc read the design's resident specification timing instead
+// of re-timing the marked copy.  Their answers must not move by a bit,
+// and the work they skip must stay skipped.
+
+std::uint64_t load_id(Service& service, std::string_view text) {
+  const Frame loaded = service.handle(load_design_frame(text));
+  EXPECT_EQ(loaded.type, MsgType::kDesignLoaded);
+  PayloadReader lr(loaded.payload);
+  return lr.get_u64();
+}
+
+/// The marks an embed/pc request with embed_frame's default tau, k and
+/// epsilon places, rebuilt from scratch: the design text parsed afresh
+/// and marked through the context-building overload (bit-identical to
+/// the resident one).
+struct Rebuilt {
+  cdfg::Graph marked;
+  std::vector<wm::SchedWatermark> marks;
+};
+
+Rebuilt rebuild(std::string_view text, std::string_view key,
+                std::uint32_t marks) {
+  auto parsed = cdfg::parse_cdfg(text, "<design>");
+  EXPECT_TRUE(parsed.ok());
+  Rebuilt r{std::move(parsed).value(), {}};
+  wm::SchedWmOptions opts;
+  opts.domain.tau = 8;
+  opts.k = 3;
+  opts.epsilon = 0.25;
+  r.marks = wm::embed_local_watermarks_parallel(
+      r.marked, crypto::Signature("serve-client", std::string(key)),
+      static_cast<int>(marks), opts, nullptr);
+  return r;
+}
+
+TEST(ServiceTest, EmbedAndPcMatchFromScratchEstimatorsBitForBit) {
+  // 300 ops stays on the exact-enumeration path; 3000 ops crosses the
+  // Poisson threshold, with enough marks that summing them in another
+  // order moves the last bit.
+  for (const int ops : {300, 3000}) {
+    SCOPED_TRACE(ops);
+    const std::uint32_t count = ops == 300 ? 3 : 24;
+    Service service;
+    const std::string text = fixture_text(ops);
+    const std::uint64_t id = load_id(service, text);
+    const Rebuilt r = rebuild(text, "alice-key", count);
+    ASSERT_FALSE(r.marks.empty());
+    const bool poisson =
+        r.marked.node_count() > wm::SchedPcAutoOptions{}.poisson_node_threshold;
+    EXPECT_EQ(poisson, ops == 3000);
+
+    const Frame embedded = service.handle(embed_frame(id, "alice-key", count));
+    ASSERT_EQ(embedded.type, MsgType::kEmbedded);
+    PayloadReader er(embedded.payload);
+    EXPECT_EQ(er.get_u32(), r.marks.size());
+    std::uint32_t edges = 0;
+    for (const wm::SchedWatermark& m : r.marks) {
+      edges += static_cast<std::uint32_t>(m.constraints.size());
+    }
+    EXPECT_EQ(er.get_u32(), edges);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(er.get_f64()),
+              std::bit_cast<std::uint64_t>(
+                  wm::sched_pc_window_model(r.marked, r.marks).log10_pc));
+
+    Frame req = embed_frame(id, "alice-key", count);
+    req.type = MsgType::kPc;
+    const Frame pc = service.handle(req);
+    ASSERT_EQ(pc.type, MsgType::kPcEstimated);
+    // The handler's former per-mark loop, every estimator timing the
+    // marked graph itself.
+    double log10_pc = 0.0;
+    bool exact = true;
+    bool degenerate = false;
+    for (const wm::SchedWatermark& m : r.marks) {
+      const wm::SchedWatermark one[] = {m};
+      const wm::PcEstimate e = poisson ? wm::sched_pc_poisson(r.marked, one)
+                                       : wm::sched_pc_exact(r.marked, m);
+      log10_pc += e.log10_pc;
+      exact = exact && e.exact;
+      degenerate = degenerate || e.degenerate;
+    }
+    PayloadReader pr(pc.payload);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(pr.get_f64()),
+              std::bit_cast<std::uint64_t>(log10_pc));
+    EXPECT_EQ(pr.get_u8(), exact ? 1 : 0);
+    EXPECT_EQ(pr.get_u8(), degenerate ? 1 : 0);
+    EXPECT_EQ(pr.get_u32(), r.marks.size());
+    EXPECT_TRUE(pr.complete());
+  }
+}
+
+TEST(ServiceTest, LoadDesignReportsBoundedCriticalPaths) {
+  constexpr std::string_view bounded =
+      "cdfg bounded\n"
+      "node in1 input\n"
+      "node a add 1:2\n"
+      "node m mul 2:5\n"
+      "node out1 output\n"
+      "edge in1 a\n"
+      "edge a m\n"
+      "edge m out1\n";
+  auto parsed = cdfg::parse_cdfg(bounded, "<design>");
+  ASSERT_TRUE(parsed.ok());
+  const cdfg::BoundedTimingInfo t = cdfg::compute_timing_bounded(
+      parsed.value(), -1, cdfg::EdgeFilter::specification());
+  Service service;
+  const Frame loaded = service.handle(load_design_frame(bounded));
+  ASSERT_EQ(loaded.type, MsgType::kDesignLoaded);
+  PayloadReader r(loaded.payload);
+  (void)r.get_u64();  // id
+  (void)r.get_u32();  // nodes
+  (void)r.get_u32();  // operations
+  EXPECT_EQ(r.get_u32(), static_cast<std::uint32_t>(t.pess.critical_path));
+  EXPECT_EQ(r.get_u32(), static_cast<std::uint32_t>(t.critical_path_min));
+  EXPECT_LT(t.critical_path_min, t.pess.critical_path);
+}
+
+TEST(ServiceTest, WmRequestsReuseResidentWindows) {
+#if LWM_OBS_ENABLED
+  // Work guard: every compute_timing / compute_periodic_timing pass
+  // bumps cdfg/timing_passes.  A flat pc request reads the resident
+  // windows at any mark count; embed's one pass is its witness schedule.
+  obs::Counter& passes = obs::Registry::instance().counter("cdfg/timing_passes");
+  Service service;
+  const std::string text = fixture_text(3000);
+  const std::uint64_t id = load_id(service, text);
+  ASSERT_GT(service.store().find_design(id)->graph.node_count(),
+            wm::SchedPcAutoOptions{}.poisson_node_threshold);
+  for (const std::uint32_t marks : {4u, 64u}) {
+    Frame req = embed_frame(id, "alice-key", marks);
+    req.type = MsgType::kPc;
+    const std::uint64_t before = passes.total();
+    const Frame pc = service.handle(req);
+    ASSERT_EQ(pc.type, MsgType::kPcEstimated);
+    EXPECT_EQ(passes.total() - before, 0u) << marks << " marks";
+    PayloadReader pr(pc.payload);
+    (void)pr.get_f64();
+    (void)pr.get_u8();
+    (void)pr.get_u8();
+    EXPECT_EQ(pr.get_u32(), marks) << "every requested mark must embed";
+  }
+  std::uint64_t before = passes.total();
+  ASSERT_EQ(service.handle(embed_frame(id, "alice-key", 4)).type,
+            MsgType::kEmbedded);
+  EXPECT_EQ(passes.total() - before, 1u);
+
+  // A marked graph's P_c counts periodic schedules: one periodic timing
+  // pass per request, shared by every mark.
+  cdfg::Graph g = dfglib::make_fft(8);
+  (void)dfglib::add_feedback(g, 2);
+  const std::uint64_t marked_id = load_id(service, cdfg::to_text(g));
+  Frame req = embed_frame(marked_id, "alice-key", 4, 6);
+  req.type = MsgType::kPc;
+  before = passes.total();
+  const Frame pc = service.handle(req);
+  ASSERT_EQ(pc.type, MsgType::kPcEstimated);
+  EXPECT_LE(passes.total() - before, 1u);
+  PayloadReader pr(pc.payload);
+  (void)pr.get_f64();
+  (void)pr.get_u8();
+  (void)pr.get_u8();
+  EXPECT_GE(pr.get_u32(), 2u) << "the shared pass must serve several marks";
+#else
+  GTEST_SKIP() << "pass counting needs LWM_OBS=ON";
+#endif
 }
 
 }  // namespace

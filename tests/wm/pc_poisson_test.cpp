@@ -15,7 +15,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -25,6 +28,8 @@
 #include "dfglib/mediabench.h"
 #include "dfglib/synth.h"
 #include "obs/obs.h"
+#include "sched/modulo.h"
+#include "wm/periodic.h"
 
 namespace lwm::wm {
 namespace {
@@ -204,6 +209,197 @@ TEST(SchedPcAutoTest, DispatchesBySizeAndLogsTheBranch) {
   EXPECT_EQ(obs::Registry::instance().counter("wm/pc_auto_exact").total(), 1u);
   EXPECT_EQ(obs::Registry::instance().counter("wm/pc_auto_poisson").total(),
             2u);
+#endif
+}
+
+// ---- Resident windows ------------------------------------------------------
+//
+// Every estimator that takes the caller's windows must return the same
+// bits as when it times the graph itself.  The windows come from the
+// *pristine* design while the estimators run on the marked copy, whose
+// temporal edges the counting filters ignore — the exact situation of a
+// resident serve::StoredDesign.
+
+void expect_same_bits(const PcEstimate& a, const PcEstimate& b,
+                      const std::string& what) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.log10_pc),
+            std::bit_cast<std::uint64_t>(b.log10_pc))
+      << what << ": " << a.log10_pc << " vs " << b.log10_pc;
+  EXPECT_EQ(a.exact, b.exact) << what;
+  EXPECT_EQ(a.degenerate, b.degenerate) << what;
+}
+
+/// The per-mark loop the span sched_pc_auto replaces: each mark's
+/// estimator run from scratch, log10 summed from +0.0 in mark order.
+template <typename PerMark>
+PcEstimate per_mark_reference(std::span<const SchedWatermark> marks,
+                              PerMark&& one) {
+  PcEstimate total;
+  total.exact = !marks.empty();
+  for (const SchedWatermark& m : marks) {
+    const PcEstimate e = one(m);
+    total.log10_pc += e.log10_pc;
+    total.exact = total.exact && e.exact;
+    total.degenerate = total.degenerate || e.degenerate;
+  }
+  return total;
+}
+
+struct MarkedDesign {
+  Graph pristine;
+  Graph marked;  ///< pristine + the marks' temporal edges
+  std::vector<SchedWatermark> marks;
+};
+
+MarkedDesign mark(Graph g, int count, const SchedWmOptions& opts) {
+  MarkedDesign d{g, std::move(g), {}};
+  d.marks = embed_local_watermarks(d.marked, alice(), count, opts);
+  return d;
+}
+
+TEST(ResidentWindowsTest, FlatEstimatorsAreBitIdenticalAboveThreshold) {
+  dfglib::MegaConfig cfg;
+  cfg.name = "resident_mega";
+  cfg.operations = 4000;
+  cfg.width = 32;
+  cfg.seed = 23;
+  SchedWmOptions opts;
+  opts.domain.tau = 4;
+  opts.k = 3;
+  // Enough marks that summing them in another order moves the last bit.
+  const MarkedDesign d = mark(dfglib::make_mega_design(cfg), 24, opts);
+  ASSERT_GE(d.marks.size(), 16u);
+  ASSERT_GT(d.marked.node_count(), SchedPcAutoOptions{}.poisson_node_threshold);
+  const cdfg::TimingInfo spec = cdfg::compute_timing(
+      d.pristine, -1, cdfg::EdgeFilter::specification());
+
+  expect_same_bits(sched_pc_window_model(d.marked, d.marks, &spec),
+                   sched_pc_window_model(d.marked, d.marks), "window");
+  expect_same_bits(sched_pc_poisson(d.marked, d.marks, &spec),
+                   sched_pc_poisson(d.marked, d.marks), "poisson");
+
+  const PcEstimate reference = per_mark_reference(
+      d.marks, [&](const SchedWatermark& m) {
+        const SchedWatermark one[] = {m};
+        return sched_pc_poisson(d.marked, one);
+      });
+  EXPECT_FALSE(reference.exact);
+  expect_same_bits(sched_pc_auto(d.marked, d.marks, {}, &spec), reference,
+                   "auto, resident windows");
+  expect_same_bits(sched_pc_auto(d.marked, d.marks), reference,
+                   "auto, own windows");
+}
+
+TEST(ResidentWindowsTest, FlatEstimatorsAreBitIdenticalBelowThreshold) {
+  const MarkedDesign d = mark(dfglib::iir4_parallel(), 2, suite_options());
+  ASSERT_GE(d.marks.size(), 2u);
+  ASSERT_LE(d.marked.node_count(), SchedPcAutoOptions{}.poisson_node_threshold);
+  const cdfg::TimingInfo spec = cdfg::compute_timing(
+      d.pristine, -1, cdfg::EdgeFilter::specification());
+
+  // Exact enumeration, and the saturation fallback (a limit of 1
+  // saturates every count) into the window model.
+  sched::EnumerationOptions saturate;
+  saturate.limit = 1;
+  for (const SchedWatermark& m : d.marks) {
+    const PcEstimate exact = sched_pc_exact(d.marked, m, {}, &spec);
+    EXPECT_TRUE(exact.exact);
+    expect_same_bits(exact, sched_pc_exact(d.marked, m), "exact");
+    const PcEstimate fallback = sched_pc_exact(d.marked, m, saturate, &spec);
+    EXPECT_FALSE(fallback.exact) << "the limit must force the fallback";
+    expect_same_bits(fallback, sched_pc_exact(d.marked, m, saturate),
+                     "exact fallback");
+  }
+
+  SchedPcAutoOptions auto_opts;
+  const PcEstimate reference = per_mark_reference(
+      d.marks,
+      [&](const SchedWatermark& m) { return sched_pc_exact(d.marked, m); });
+  EXPECT_TRUE(reference.exact);
+  expect_same_bits(sched_pc_auto(d.marked, d.marks, auto_opts, &spec),
+                   reference, "auto exact, resident windows");
+  expect_same_bits(sched_pc_auto(d.marked, d.marks, auto_opts), reference,
+                   "auto exact, own windows");
+
+  auto_opts.enumeration = saturate;
+  const PcEstimate fallback_reference = per_mark_reference(
+      d.marks, [&](const SchedWatermark& m) {
+        return sched_pc_exact(d.marked, m, saturate);
+      });
+  EXPECT_FALSE(fallback_reference.exact);
+  expect_same_bits(sched_pc_auto(d.marked, d.marks, auto_opts, &spec),
+                   fallback_reference, "auto fallback, resident windows");
+}
+
+TEST(ResidentWindowsTest, PeriodicEstimatorsAreBitIdentical) {
+  MarkedDesign d = mark(dfglib::iir4_parallel(), 2, suite_options());
+  ASSERT_FALSE(d.marks.empty());
+  (void)dfglib::add_feedback(d.marked, 2);
+  d.pristine = d.marked;
+  d.pristine.strip_temporal_edges();
+  ASSERT_TRUE(d.pristine.has_token_edges());
+  const int ii = sched::recurrence_min_ii(d.marked);
+  ASSERT_GT(ii, 0);
+  const PeriodicTiming windows = compute_periodic_timing(
+      d.pristine, ii, -1, periodic_counting_filter());
+
+  expect_same_bits(sched_pc_periodic_poisson(d.marked, d.marks, ii, &windows),
+                   sched_pc_periodic_poisson(d.marked, d.marks, ii),
+                   "periodic poisson");
+  sched::EnumerationOptions saturate;
+  saturate.limit = 1;
+  for (const SchedWatermark& m : d.marks) {
+    const PcEstimate exact = sched_pc_periodic(d.marked, m, ii, {}, &windows);
+    EXPECT_TRUE(exact.exact);
+    expect_same_bits(exact, sched_pc_periodic(d.marked, m, ii),
+                     "periodic exact");
+    const PcEstimate fallback =
+        sched_pc_periodic(d.marked, m, ii, saturate, &windows);
+    EXPECT_FALSE(fallback.exact);
+    expect_same_bits(fallback, sched_pc_periodic(d.marked, m, ii, saturate),
+                     "periodic fallback");
+  }
+
+  SchedPcAutoOptions auto_opts;
+  auto_opts.ii = ii;
+  expect_same_bits(sched_pc_auto(d.marked, d.marks, auto_opts),
+                   per_mark_reference(d.marks,
+                                      [&](const SchedWatermark& m) {
+                                        return sched_pc_periodic(d.marked, m, ii);
+                                      }),
+                   "auto periodic exact");
+  auto_opts.poisson_node_threshold = 4;
+  expect_same_bits(sched_pc_auto(d.marked, d.marks, auto_opts),
+                   per_mark_reference(d.marks,
+                                      [&](const SchedWatermark& m) {
+                                        const SchedWatermark one[] = {m};
+                                        return sched_pc_periodic_poisson(
+                                            d.marked, one, ii);
+                                      }),
+                   "auto periodic poisson");
+}
+
+TEST(ResidentWindowsTest, SpanAutoTimesTheGraphAtMostOnce) {
+#if LWM_OBS_ENABLED
+  const MarkedDesign d = mark(dfglib::iir4_parallel(), 2, suite_options());
+  ASSERT_GE(d.marks.size(), 2u);
+  const cdfg::TimingInfo spec = cdfg::compute_timing(
+      d.pristine, -1, cdfg::EdgeFilter::specification());
+  obs::Counter& passes = obs::Registry::instance().counter("cdfg/timing_passes");
+  SchedPcAutoOptions tiny;
+  tiny.poisson_node_threshold = 4;
+  for (const SchedPcAutoOptions& o : {SchedPcAutoOptions{}, tiny}) {
+    const std::uint64_t before = passes.total();
+    (void)sched_pc_auto(d.marked, d.marks, o, &spec);
+    EXPECT_EQ(passes.total() - before, 0u) << "resident windows: no pass";
+    (void)sched_pc_auto(d.marked, d.marks, o);
+    EXPECT_EQ(passes.total() - before, 1u) << "own windows: one pass";
+  }
+  const std::uint64_t before = passes.total();
+  (void)sched_pc_auto(d.marked, std::span<const SchedWatermark>{}, tiny);
+  EXPECT_EQ(passes.total() - before, 0u) << "no marks, no windows";
+#else
+  GTEST_SKIP() << "pass counting needs LWM_OBS=ON";
 #endif
 }
 
