@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -30,6 +31,10 @@ struct Vector {
   const char* plaintext;
   const char* cipher_hex;
 };
+
+// Names each instance by its key, so test names do not carry the (randomised)
+// pointer bytes gtest would print for the struct by default.
+void PrintTo(const Vector& v, std::ostream* os) { *os << v.key; }
 
 class Rc4KnownAnswerTest : public ::testing::TestWithParam<Vector> {};
 
