@@ -1,5 +1,6 @@
 #include "serve/service.h"
 
+#include <algorithm>
 #include <exception>
 #include <sstream>
 #include <string>
@@ -276,6 +277,12 @@ Frame Service::handle_detect(const Frame& request) {
   auto parsed = wm::parse_records(records_text, "<records>");
   if (!parsed.ok()) return error_frame(kErrParse, parsed.diag());
   const wm::RecordArchive archive = std::move(parsed).value();
+  // Detect cost grows with each record's tau, so it takes embed's bound.
+  if (std::ranges::any_of(archive.sched, [&](const wm::SchedRecord& rec) {
+        return static_cast<std::uint32_t>(rec.domain.tau) > opts_.max_tau;
+      })) {
+    return error_text(kErrTooLarge, "tau out of range");
+  }
 
   const crypto::Signature sig("serve-client", key);
   const std::vector<wm::SchedDetectionReport> reports =

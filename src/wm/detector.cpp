@@ -1,6 +1,7 @@
 #include "wm/detector.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "exec/parallel.h"
 #include "exec/thread_pool.h"
@@ -33,6 +34,38 @@ bool root_may_match(const SchedRecord& record, int root_fid) {
   return !record.subtree_ops.empty() && record.subtree_ops.back() == root_fid;
 }
 
+/// Every position indexes the memorized subtree.  Checked once per record
+/// before the scan: a record that fails can never hit.
+bool well_formed(const SchedRecord& record) {
+  const auto in_subtree = [&](int pos) {
+    return pos >= 0 && static_cast<std::size_t>(pos) < record.subtree_ops.size();
+  };
+  return std::ranges::all_of(record.positions, [&](const auto& pair) {
+    return in_subtree(pair.first) && in_subtree(pair.second);
+  });
+}
+
+/// The §IV-A check at one carved root: nothing unless the carve is the
+/// memorized subtree, else the constraints counted against `schedule`.
+std::optional<SchedHit> gate(const Graph& suspect,
+                             const sched::Schedule& schedule, const Domain& d,
+                             const SchedRecord& record) {
+  if (!subtree_matches(suspect, d, record.subtree_ops)) return std::nullopt;
+  SchedHit hit;
+  hit.root = d.root;
+  for (const auto& [src_pos, dst_pos] : record.positions) {
+    const NodeId src = d.selected[static_cast<std::size_t>(src_pos)];
+    const NodeId dst = d.selected[static_cast<std::size_t>(dst_pos)];
+    ++hit.total;
+    if (schedule.is_scheduled(src) && schedule.is_scheduled(dst) &&
+        schedule.start_of(src) + suspect.node(src).delay <=
+            schedule.start_of(dst)) {
+      ++hit.satisfied;
+    }
+  }
+  return hit;
+}
+
 }  // namespace
 
 SchedRecord SchedRecord::from(const SchedWatermark& wm, const cdfg::Graph& g) {
@@ -48,105 +81,6 @@ SchedRecord SchedRecord::from(const SchedWatermark& wm, const cdfg::Graph& g) {
   return r;
 }
 
-SchedHit verify_sched_watermark_at(const Graph& suspect,
-                                   const sched::Schedule& schedule,
-                                   const crypto::Signature& sig,
-                                   const SchedRecord& record, NodeId root) {
-  SchedHit hit;
-  hit.root = root;
-  const Domain d = select_domain(suspect, root, sig, record.domain);
-
-  // Structural gate: the signature-carved subtree at this root must be
-  // the memorized subtree (same size, same operations in unique order).
-  if (d.selected.size() != record.subtree_ops.size()) {
-    return hit;
-  }
-  for (std::size_t i = 0; i < d.selected.size(); ++i) {
-    if (cdfg::functional_id(suspect.node(d.selected[i]).kind) !=
-        record.subtree_ops[i]) {
-      return hit;
-    }
-  }
-
-  int max_pos = -1;
-  for (const auto& [s, t] : record.positions) {
-    max_pos = std::max({max_pos, s, t});
-  }
-  if (max_pos >= static_cast<int>(d.selected.size())) {
-    return hit;  // locality too small here: 0/0, no match
-  }
-  for (const auto& [src_pos, dst_pos] : record.positions) {
-    const NodeId src = d.selected[static_cast<std::size_t>(src_pos)];
-    const NodeId dst = d.selected[static_cast<std::size_t>(dst_pos)];
-    ++hit.total;
-    if (!schedule.is_scheduled(src) || !schedule.is_scheduled(dst)) continue;
-    if (schedule.start_of(src) + suspect.node(src).delay <=
-        schedule.start_of(dst)) {
-      ++hit.satisfied;
-    }
-  }
-  return hit;
-}
-
-SchedDetectionReport detect_sched_watermark(const Graph& suspect,
-                                            const sched::Schedule& schedule,
-                                            const crypto::Signature& sig,
-                                            const SchedRecord& record,
-                                            exec::ThreadPool* pool) {
-  LWM_SPAN("wm/detect_scan");
-  const std::vector<NodeId> roots = executable_roots(suspect);
-  LWM_COUNT("wm/roots_scanned", roots.size());
-  const std::size_t shards = exec::suggested_chunks(pool, roots.size());
-  LWM_COUNT("wm/detect_root_shards", shards);
-
-  // One partial scan per chunk of roots; merging in chunk order keeps the
-  // serial semantics: best_root is the earliest root with the strictly
-  // greatest satisfied count.
-  struct Part {
-    std::vector<SchedHit> hits;
-    int best_satisfied = -1;
-    NodeId best_root{};
-  };
-  const Part merged = exec::parallel_reduce(
-      pool, roots.size(), shards, Part{},
-      [&](std::size_t begin, std::size_t end) {
-        Part part;
-        for (std::size_t i = begin; i < end; ++i) {
-          SchedHit hit;
-          if (root_may_match(record,
-                             cdfg::functional_id(suspect.node(roots[i]).kind))) {
-            hit = verify_sched_watermark_at(suspect, schedule, sig, record,
-                                            roots[i]);
-          } else {
-            // Same zero-hit verify_sched_watermark_at returns on a failed
-            // structural gate, minus the carve.
-            hit.root = roots[i];
-            LWM_COUNT("wm/detect_prefilter_skips", 1);
-          }
-          if (hit.full()) part.hits.push_back(hit);
-          if (hit.satisfied > part.best_satisfied) {
-            part.best_satisfied = hit.satisfied;
-            part.best_root = roots[i];
-          }
-        }
-        return part;
-      },
-      [](Part acc, Part next) {
-        acc.hits.insert(acc.hits.end(), next.hits.begin(), next.hits.end());
-        if (next.best_satisfied > acc.best_satisfied) {
-          acc.best_satisfied = next.best_satisfied;
-          acc.best_root = next.best_root;
-        }
-        return acc;
-      });
-
-  SchedDetectionReport report;
-  report.hits = merged.hits;
-  report.best_root = merged.best_root;
-  report.roots_scanned = static_cast<int>(roots.size());
-  return report;
-}
-
 std::vector<SchedDetectionReport> detect_sched_watermarks(
     const Graph& suspect, const sched::Schedule& schedule,
     const crypto::Signature& sig, std::span<const SchedRecord> records,
@@ -155,27 +89,20 @@ std::vector<SchedDetectionReport> detect_sched_watermarks(
   std::vector<SchedDetectionReport> reports(records.size());
   if (records.empty()) return reports;
 
-  // Group records by domain key — one carve per (root, key).
+  // Group well-formed records by domain key — one carve per (root, key).
   struct Group {
     DomainKey key;
     std::vector<std::size_t> record_idx;
   };
   std::vector<Group> groups;
   for (std::size_t i = 0; i < records.size(); ++i) {
-    const DomainKey& k = records[i].domain;
-    Group* home = nullptr;
-    for (Group& grp : groups) {
-      if (grp.key.tau == k.tau && grp.key.keep_num == k.keep_num &&
-          grp.key.keep_den == k.keep_den) {
-        home = &grp;
-        break;
-      }
+    if (!well_formed(records[i])) continue;
+    const auto home = std::ranges::find(groups, records[i].domain, &Group::key);
+    if (home == groups.end()) {
+      groups.push_back(Group{records[i].domain, {i}});
+    } else {
+      home->record_idx.push_back(i);
     }
-    if (home == nullptr) {
-      groups.push_back(Group{k, {}});
-      home = &groups.back();
-    }
-    home->record_idx.push_back(i);
   }
 
   const std::vector<NodeId> roots = executable_roots(suspect);
@@ -183,99 +110,65 @@ std::vector<SchedDetectionReport> detect_sched_watermarks(
   const std::size_t shards = exec::suggested_chunks(pool, roots.size());
   LWM_COUNT("wm/detect_root_shards", shards);
 
-  // Per-chunk partials, one slot per record; merged in chunk order so the
-  // per-record hits and best-root tie-breaks match the serial scan.
-  struct Part {
-    std::vector<std::vector<SchedHit>> hits;
-    std::vector<int> best_satisfied;
-    std::vector<NodeId> best_root;
+  // Per-chunk partials, one per record; merged in chunk order so hits and
+  // the best-root tie-break match the serial scan.
+  struct Partial {
+    std::vector<SchedHit> hits;
+    int best_satisfied = -1;
+    NodeId best_root;
   };
-  Part init;
-  init.hits.resize(records.size());
-  init.best_satisfied.assign(records.size(), -1);
-  init.best_root.resize(records.size());
-  const Part merged = exec::parallel_reduce(
-      pool, roots.size(), shards, init,
+  using Part = std::vector<Partial>;
+  Part merged = exec::parallel_reduce(
+      pool, roots.size(), shards, Part(records.size()),
       [&](std::size_t begin, std::size_t end) {
-        Part part;
-        part.hits.resize(records.size());
-        part.best_satisfied.assign(records.size(), -1);
-        part.best_root.resize(records.size());
+        Part part(records.size());
+        [[maybe_unused]] std::size_t skips = 0;
         for (std::size_t r = begin; r < end; ++r) {
           const NodeId n = roots[r];
           const int root_fid = cdfg::functional_id(suspect.node(n).kind);
+          const auto candidate = [&](std::size_t i) {
+            return root_may_match(records[i], root_fid);
+          };
           for (const Group& grp : groups) {
-            // Prefilter before the carve: a record whose memorized
-            // subtree doesn't end in this root's operation cannot pass
-            // the structural gate (the root always sorts last).  If no
-            // record in the group survives, the carve itself is skipped.
-            bool any_candidate = false;
-            for (const std::size_t i : grp.record_idx) {
-              if (root_may_match(records[i], root_fid)) {
-                any_candidate = true;
-                break;
-              }
-            }
-            if (!any_candidate) {
-              LWM_COUNT("wm/detect_prefilter_skips", 1);
+            // If no record in the group survives the prefilter, the carve
+            // itself is skipped.
+            if (std::ranges::none_of(grp.record_idx, candidate)) {
+              ++skips;
               continue;
             }
             const Domain d = select_domain(suspect, n, sig, grp.key);
             for (const std::size_t i : grp.record_idx) {
-              const SchedRecord& record = records[i];
-              if (!root_may_match(record, root_fid)) continue;
-              // Structural gate (same checks as verify_sched_watermark_at).
-              if (d.selected.size() != record.subtree_ops.size()) continue;
-              bool structural = true;
-              for (std::size_t p = 0; p < d.selected.size(); ++p) {
-                if (cdfg::functional_id(suspect.node(d.selected[p]).kind) !=
-                    record.subtree_ops[p]) {
-                  structural = false;
-                  break;
-                }
-              }
-              if (!structural) continue;
-              SchedHit hit;
-              hit.root = n;
-              for (const auto& [src_pos, dst_pos] : record.positions) {
-                if (src_pos >= static_cast<int>(d.selected.size()) ||
-                    dst_pos >= static_cast<int>(d.selected.size())) {
-                  continue;
-                }
-                ++hit.total;
-                const NodeId src = d.selected[static_cast<std::size_t>(src_pos)];
-                const NodeId dst = d.selected[static_cast<std::size_t>(dst_pos)];
-                if (schedule.is_scheduled(src) && schedule.is_scheduled(dst) &&
-                    schedule.start_of(src) + suspect.node(src).delay <=
-                        schedule.start_of(dst)) {
-                  ++hit.satisfied;
-                }
-              }
-              if (hit.full()) part.hits[i].push_back(hit);
-              if (hit.satisfied > part.best_satisfied[i]) {
-                part.best_satisfied[i] = hit.satisfied;
-                part.best_root[i] = n;
+              if (!candidate(i)) continue;
+              const std::optional<SchedHit> hit =
+                  gate(suspect, schedule, d, records[i]);
+              if (!hit) continue;
+              Partial& p = part[i];
+              if (hit->full()) p.hits.push_back(*hit);
+              if (hit->satisfied > p.best_satisfied) {
+                p.best_satisfied = hit->satisfied;
+                p.best_root = n;
               }
             }
           }
         }
+        LWM_COUNT("wm/detect_prefilter_skips", skips);
         return part;
       },
-      [&](Part acc, Part next) {
-        for (std::size_t i = 0; i < records.size(); ++i) {
-          acc.hits[i].insert(acc.hits[i].end(), next.hits[i].begin(),
-                             next.hits[i].end());
-          if (next.best_satisfied[i] > acc.best_satisfied[i]) {
-            acc.best_satisfied[i] = next.best_satisfied[i];
-            acc.best_root[i] = next.best_root[i];
+      [](Part acc, Part next) {
+        for (std::size_t i = 0; i < acc.size(); ++i) {
+          acc[i].hits.insert(acc[i].hits.end(), next[i].hits.begin(),
+                             next[i].hits.end());
+          if (next[i].best_satisfied > acc[i].best_satisfied) {
+            acc[i].best_satisfied = next[i].best_satisfied;
+            acc[i].best_root = next[i].best_root;
           }
         }
         return acc;
       });
 
   for (std::size_t i = 0; i < records.size(); ++i) {
-    reports[i].hits = merged.hits[i];
-    reports[i].best_root = merged.best_root[i];
+    reports[i].hits = std::move(merged[i].hits);
+    reports[i].best_root = merged[i].best_root;
     reports[i].roots_scanned = static_cast<int>(roots.size());
   }
   return reports;

@@ -59,43 +59,41 @@ struct SchedHit {
 
 struct SchedDetectionReport {
   std::vector<SchedHit> hits;       ///< full matches only
-  cdfg::NodeId best_root;           ///< root of the strongest hit
+  cdfg::NodeId best_root;           ///< strongest gated root; see below
   int roots_scanned = 0;
 
   [[nodiscard]] bool detected() const { return !hits.empty(); }
 };
 
-/// Scans every executable node of `suspect` as a candidate root.  A hit
-/// requires all `record.positions` to map inside the carved subtree and
-/// every mapped constraint to hold in `schedule`.  With a pool the roots
-/// are scanned across its lanes; partial results merge in root order, so
-/// hits, best_root, and every tie-break are identical at any thread
-/// count (best_root = the earliest root attaining the maximum satisfied
-/// count, exactly as the serial scan picks it).
-[[nodiscard]] SchedDetectionReport detect_sched_watermark(
-    const cdfg::Graph& suspect, const sched::Schedule& schedule,
-    const crypto::Signature& sig, const SchedRecord& record,
-    exec::ThreadPool* pool = nullptr);
-
-/// Verifies a specific already-known locality (fast path when the
-/// suspect is believed to be the unmodified design): maps positions at
-/// `root` and counts satisfied constraints.
-[[nodiscard]] SchedHit verify_sched_watermark_at(const cdfg::Graph& suspect,
-                                                 const sched::Schedule& schedule,
-                                                 const crypto::Signature& sig,
-                                                 const SchedRecord& record,
-                                                 cdfg::NodeId root);
-
-/// Batch detection: evaluates many records in one scan.  The expensive
-/// step of detection is the per-root signature carve (ordering the
-/// locality and replaying the keyed BFS); it depends only on the domain
-/// key, not on the record, so an archive sharing one key costs one carve
-/// per root instead of one per (root, record).  Results are index-aligned
-/// with `records`.
+/// Scans every executable node of `suspect` as a candidate root for
+/// every record at once.  The expensive step of detection is the
+/// per-root signature carve (ordering the locality and replaying the
+/// keyed BFS); it depends only on the domain key, not on the record, so
+/// an archive sharing one key costs one carve per root instead of one per
+/// (root, record).  Results are index-aligned with `records`.
+///
+/// A root passes the structural gate for a record when the carve there
+/// is the memorized subtree (`subtree_matches`); it is a hit when every
+/// recorded constraint then holds in `schedule`.  `best_root` is the
+/// earliest root, among those passing the gate, with the greatest
+/// satisfied count; it is invalid when no root passes.  A record with a
+/// position outside [0, subtree_ops.size()) is malformed and never
+/// passes.  With a pool the roots are scanned across its lanes and
+/// partial results merge in root order, so every report is identical at
+/// any thread count.
 [[nodiscard]] std::vector<SchedDetectionReport> detect_sched_watermarks(
     const cdfg::Graph& suspect, const sched::Schedule& schedule,
     const crypto::Signature& sig, std::span<const SchedRecord> records,
     exec::ThreadPool* pool = nullptr);
+
+/// Single-record detection: a batch of one.
+[[nodiscard]] inline SchedDetectionReport detect_sched_watermark(
+    const cdfg::Graph& suspect, const sched::Schedule& schedule,
+    const crypto::Signature& sig, const SchedRecord& record,
+    exec::ThreadPool* pool = nullptr) {
+  return detect_sched_watermarks(suspect, schedule, sig, {&record, 1}, pool)
+      .front();
+}
 
 /// Template-matching detection: re-plans the watermark on the suspect
 /// graph with the author's signature and checks that every enforced

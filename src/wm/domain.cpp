@@ -226,6 +226,13 @@ Domain select_domain(const Graph& g, NodeId root, const crypto::Signature& sig,
   return d;
 }
 
+bool subtree_matches(const Graph& g, const Domain& d,
+                     std::span<const int> subtree_ops) {
+  return std::ranges::equal(d.selected, subtree_ops, {}, [&g](NodeId n) {
+    return cdfg::functional_id(g.node(n).kind);
+  });
+}
+
 NodeId pick_root(const Graph& g, crypto::Bitstream& stream) {
   std::vector<NodeId> ops;
   for (NodeId n : g.nodes()) {

@@ -21,6 +21,7 @@
 // insertion order through serialization, extraction, and embedding.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "cdfg/analysis.h"
@@ -40,6 +41,8 @@ struct DomainKey {
   std::uint32_t keep_den = 2;
   /// Purpose tag for the carving bitstream.
   static constexpr const char* kCarveTag = "lwm/carve";
+
+  friend bool operator==(const DomainKey&, const DomainKey&) = default;
 };
 
 /// A selected and uniquely identified locality.
@@ -62,6 +65,12 @@ struct Domain {
 [[nodiscard]] Domain select_domain(const cdfg::Graph& g, cdfg::NodeId root,
                                    const crypto::Signature& sig,
                                    const DomainKey& key);
+
+/// The structural gate of detection (paper §IV-A): true when the carved
+/// subtree `d.selected` is the memorized subtree — same size, and the
+/// functional id at every unique identifier equals `subtree_ops`.
+[[nodiscard]] bool subtree_matches(const cdfg::Graph& g, const Domain& d,
+                                   std::span<const int> subtree_ops);
 
 /// Picks a pseudo-random executable root from `stream` (used when
 /// embedding; detection scans all candidate roots instead).

@@ -1,5 +1,7 @@
 #include "wm/fingerprint.h"
 
+#include <algorithm>
+
 #include "sched/list_sched.h"
 
 namespace lwm::wm {
@@ -43,25 +45,28 @@ LeakReport identify_leak(const cdfg::Graph& suspect,
                          const sched::Schedule& schedule,
                          const crypto::Signature& vendor,
                          const std::vector<FingerprintedCopy>& copies) {
+  const auto detected = [](const SchedDetectionReport& r) {
+    return r.detected();
+  };
   LeakReport report;
+  // Ownership: vendor-keyed marks are shared across copies; checking
+  // any archive suffices, so scan all of them in one batch.
+  std::vector<SchedRecord> ownership;
   for (const FingerprintedCopy& copy : copies) {
-    // Ownership: vendor-keyed marks are shared across copies; checking
-    // any archive suffices, so accumulate over all.
-    for (const SchedRecord& rec : copy.ownership_records) {
-      if (detect_sched_watermark(suspect, schedule, vendor, rec).detected()) {
-        report.ownership_established = true;
-      }
-    }
+    ownership.insert(ownership.end(), copy.ownership_records.begin(),
+                     copy.ownership_records.end());
+  }
+  report.ownership_established = std::ranges::any_of(
+      detect_sched_watermarks(suspect, schedule, vendor, ownership), detected);
+  for (const FingerprintedCopy& copy : copies) {
     LeakScore score;
     score.recipient = copy.recipient;
     score.marks_total = static_cast<int>(copy.copy_records.size());
-    const crypto::Signature recipient_sig = vendor.derive(copy.recipient);
-    for (const SchedRecord& rec : copy.copy_records) {
-      if (detect_sched_watermark(suspect, schedule, recipient_sig, rec)
-              .detected()) {
-        ++score.marks_found;
-      }
-    }
+    score.marks_found = static_cast<int>(std::ranges::count_if(
+        detect_sched_watermarks(suspect, schedule,
+                                vendor.derive(copy.recipient),
+                                copy.copy_records),
+        detected));
     report.scores.push_back(std::move(score));
   }
   return report;

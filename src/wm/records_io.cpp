@@ -198,10 +198,12 @@ io::ParseResult<RecordArchive> parse_records(std::string_view text,
       if (!s) return err(lineno, lx.column(), "pos needs two integers");
       const auto sv = io::to_int(s->text);
       if (!sv) return err(lineno, s->column, "pos needs two integers");
+      if (*sv < 0) return err(lineno, s->column, "pos must be non-negative");
       const auto t = lx.next();
       if (!t) return err(lineno, lx.column(), "pos needs two integers");
       const auto tv = io::to_int(t->text);
       if (!tv) return err(lineno, t->column, "pos needs two integers");
+      if (*tv < 0) return err(lineno, t->column, "pos must be non-negative");
       if (!lx.at_end()) {
         return err(lineno, lx.column(), "trailing garbage after pos pair");
       }

@@ -161,13 +161,7 @@ RegHit verify_reg_at(const Graph& suspect,
   hit.root = root;
   // Cheap structural prefilter before the full re-derivation.
   const Domain d = select_domain(suspect, root, sig, record.domain);
-  if (d.selected.size() != record.subtree_ops.size()) return hit;
-  for (std::size_t i = 0; i < d.selected.size(); ++i) {
-    if (cdfg::functional_id(suspect.node(d.selected[i]).kind) !=
-        record.subtree_ops[i]) {
-      return hit;
-    }
-  }
+  if (!subtree_matches(suspect, d, record.subtree_ops)) return hit;
 
   // Authorship binding: re-run the marking process with the claimant's
   // signature and demand it reproduce the record's positions exactly.

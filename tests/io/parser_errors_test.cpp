@@ -92,6 +92,9 @@ const BadInput kBadRecords[] = {
      "missing ops line"},
     {"truncated", "lwm-records v1\nsched tau=6 keep=1/2 pairs=2\npos 1 2", 3,
      "expected 2 pos lines, saw 1"},
+    {"bug-pos-negative",
+     "lwm-records v1\nsched tau=6 keep=1/2 pairs=1\npos -1 2\nops 1 2 3\n", 3,
+     "pos must be non-negative"},
     {"pos-garbage", "lwm-records v1\nsched tau=6 keep=1/2 pairs=1\npos 1 2 x\n",
      3, "trailing garbage"},
     {"ops-garbage",

@@ -208,6 +208,26 @@ TEST(ServiceTest, WrongKeyDoesNotDetect) {
   }
 }
 
+TEST(ServiceTest, DetectRefusesHostileRecords) {
+  Service service;
+  const LoadedFixture fx = load_and_embed(service, "alice-key");
+  // A tau past embed's bound would make the scan's cost grow with tau.
+  LoadedFixture hostile = fx;
+  hostile.records += "sched tau=100000 keep=1/2 pairs=0\nops 1\n";
+  const Frame refused = service.handle(detect_frame(hostile, "alice-key"));
+  EXPECT_EQ(error_code(refused), kErrTooLarge);
+  ErrorInfo info;
+  ASSERT_TRUE(parse_error_frame(refused, info));
+  EXPECT_NE(info.diag.message.find("tau out of range"), std::string::npos);
+  // A negative position is refused where the records are parsed.
+  hostile.records =
+      fx.records + "sched tau=6 keep=1/2 pairs=1\npos 0 -1\nops 1 2\n";
+  EXPECT_EQ(error_code(service.handle(detect_frame(hostile, "alice-key"))),
+            kErrParse);
+  EXPECT_EQ(service.handle(detect_frame(fx, "alice-key")).type,
+            MsgType::kDetected);
+}
+
 TEST(ServiceTest, ParameterBoundsAreEnforced) {
   Service service;
   const Frame loaded = service.handle(load_design_frame(fixture_text()));

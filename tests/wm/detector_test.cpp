@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "cdfg/subgraph.h"
 #include "cdfg/validate.h"
+#include "detect_oracle.h"
 #include "dfglib/iir4.h"
 #include "dfglib/synth.h"
 #include "sched/list_sched.h"
@@ -83,10 +86,17 @@ TEST(DetectorTest, WrongSignatureFindsNothing) {
 
 TEST(DetectorTest, VerifyAtRootFastPath) {
   const MarkedDesign d = make_marked_design();
-  const SchedHit hit = verify_sched_watermark_at(d.graph, d.schedule, alice(),
-                                                 d.record, d.wm.root);
-  EXPECT_TRUE(hit.full());
-  EXPECT_EQ(hit.total, static_cast<int>(d.wm.constraints.size()));
+  const std::optional<SchedHit> hit =
+      oracle::hit_at(d.graph, d.schedule, alice(), d.record, d.wm.root);
+  ASSERT_TRUE(hit.has_value()) << "structural gate passes on the true root";
+  EXPECT_TRUE(hit->full());
+  EXPECT_EQ(hit->total, static_cast<int>(d.wm.constraints.size()));
+  const SchedDetectionReport report =
+      detect_sched_watermark(d.graph, d.schedule, alice(), d.record);
+  EXPECT_TRUE(std::ranges::any_of(report.hits, [&](const SchedHit& h) {
+    return h.root == d.wm.root && h.satisfied == hit->satisfied &&
+           h.total == hit->total;
+  })) << "the scan reports the oracle's hit at the true root";
 }
 
 TEST(DetectorTest, UnwatermarkedScheduleFailsVerification) {
@@ -106,8 +116,9 @@ TEST(DetectorTest, UnwatermarkedScheduleFailsVerification) {
           .filter = cdfg::EdgeFilter::specification()});
   int broken = 0;
   for (const auto& wm : marks) {
-    const SchedHit hit = verify_sched_watermark_at(
-        g, s, alice(), SchedRecord::from(wm, marked), wm.root);
+    const SchedHit hit =
+        oracle::hit_at(g, s, alice(), SchedRecord::from(wm, marked), wm.root)
+            .value_or(SchedHit{wm.root});
     EXPECT_GT(hit.total, 0) << "structural gate passes on the true root";
     if (hit.satisfied < hit.total) ++broken;
   }
