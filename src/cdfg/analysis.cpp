@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <unordered_map>
 #include <stdexcept>
 
 #include "obs/obs.h"
@@ -212,31 +211,32 @@ BoundedTimingInfo compute_timing_bounded(const Graph& g, int latency,
   return t;
 }
 
+void NodeMarks::begin(std::size_t node_capacity) {
+  if (slots.size() < node_capacity) slots.resize(node_capacity);
+  if (++current == 0) {  // wrapped: stale stamps would alias the new epoch
+    std::fill(slots.begin(), slots.end(), Slot{});
+    current = 1;
+  }
+}
+
 std::vector<ConeNode> fanin_cone(const Graph& g, NodeId root, int max_distance,
-                                 EdgeFilter filter) {
+                                 EdgeFilter filter, NodeMarks* caller_marks) {
   if (!g.is_live(root)) {
     throw std::out_of_range("fanin_cone: dead root node");
   }
-  // Distances live in a hash map sized to the cone, not a dense O(V)
-  // array: a bounded cone is tiny, and detection carves one cone per
-  // scanned root — an O(node_capacity) zero-fill per carve is minutes of
-  // pure memset on a 1M-node design.
-  std::unordered_map<std::uint32_t, int> dist;
-  std::deque<NodeId> queue;
-  dist.emplace(root.value, 0);
-  queue.push_back(root);
-  std::vector<ConeNode> cone;
-  while (!queue.empty()) {
-    const NodeId n = queue.front();
-    queue.pop_front();
-    const int dn = dist.at(n.value);
-    cone.push_back(ConeNode{n, dn});
+  thread_local NodeMarks own_marks;
+  NodeMarks& marks = caller_marks != nullptr ? *caller_marks : own_marks;
+  // The result doubles as the BFS queue.
+  marks.begin(g.node_capacity());
+  marks.mark(root);
+  std::vector<ConeNode> cone{ConeNode{root, 0}};
+  for (std::size_t head = 0; head < cone.size(); ++head) {
+    const auto [n, dn] = cone[head];
     if (max_distance >= 0 && dn >= max_distance) continue;
     for (EdgeId e : g.fanin(n)) {
       const Edge& ed = g.edge(e);
-      if (!filter.accepts(ed)) continue;
-      if (dist.emplace(ed.src.value, dn + 1).second) {
-        queue.push_back(ed.src);
+      if (filter.accepts(ed) && marks.mark(ed.src)) {
+        cone.push_back(ConeNode{ed.src, dn + 1});
       }
     }
   }

@@ -157,17 +157,39 @@ struct BoundedTimingInfo {
 [[nodiscard]] int critical_path_length(const Graph& g,
                                        EdgeFilter filter = EdgeFilter::all());
 
+/// Dense NodeId-keyed marks for repeated bounded walks: begin() opens a new
+/// epoch in O(1) and storage is zero-filled only when it grows, so a walk
+/// costs what it touches, never O(node_capacity).
+struct NodeMarks {
+  struct Slot {
+    std::uint32_t epoch = 0, value = 0;  ///< value: the caller's datum
+  };
+  std::vector<Slot> slots;  ///< by NodeId::value
+  std::uint32_t current = 0;
+
+  void begin(std::size_t node_capacity);
+  [[nodiscard]] bool has(NodeId n) const { return slots[n.value].epoch == current; }
+  /// Marks `n`; false when it was already marked this epoch.
+  bool mark(NodeId n) {
+    if (has(n)) return false;
+    slots[n.value].epoch = current;
+    return true;
+  }
+};
+
 /// Transitive fan-in cone of `root` truncated at `max_distance` edges
 /// (BFS over fan-in edges; distance = minimum edge count from `root`).
 /// `max_distance < 0` means unbounded.  The result includes `root` at
-/// distance 0 and is ordered by (distance, NodeId).
+/// distance 0 and is ordered by (distance, NodeId).  Caller-owned `marks`
+/// hold exactly the cone on return, to index it without a second walk.
 struct ConeNode {
   NodeId node;
   int distance = 0;
 };
 [[nodiscard]] std::vector<ConeNode> fanin_cone(const Graph& g, NodeId root,
                                                int max_distance = -1,
-                                               EdgeFilter filter = EdgeFilter::specification());
+                                               EdgeFilter filter = EdgeFilter::specification(),
+                                               NodeMarks* marks = nullptr);
 
 /// K_i(x): number of nodes (excluding n_i itself) in the transitive
 /// fan-in tree of n_i within distance x — ordering criterion C2.

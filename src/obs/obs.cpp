@@ -202,6 +202,27 @@ void Histogram::record(std::uint64_t v) noexcept {
   }
 }
 
+void Histogram::Snapshot::add(std::uint64_t v) noexcept {
+  ++count;
+  sum += v;
+  max = std::max(max, v);
+  ++buckets[std::bit_width(v)];
+}
+
+void Histogram::record(const Snapshot& batch) noexcept {
+  if (batch.count == 0) return;
+  Shard& s = shards_[tls_state().shard];
+  s.count.fetch_add(batch.count, std::memory_order_relaxed);
+  s.sum.fetch_add(batch.sum, std::memory_order_relaxed);
+  for (int b = 0; b < kBuckets; ++b) {
+    s.buckets[b].fetch_add(batch.buckets[b], std::memory_order_relaxed);
+  }
+  std::uint64_t cur = s.max.load(std::memory_order_relaxed);
+  while (batch.max > cur &&
+         !s.max.compare_exchange_weak(cur, batch.max, std::memory_order_relaxed)) {
+  }
+}
+
 Histogram::Snapshot Histogram::snapshot() const noexcept {
   Snapshot snap;
   for (const Shard& s : shards_) {

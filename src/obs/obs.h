@@ -96,7 +96,12 @@ class Histogram {
     std::uint64_t sum = 0;
     std::uint64_t max = 0;
     std::uint64_t buckets[kBuckets] = {};
+
+    /// Tallies one sample locally (no atomics) for a later batch record.
+    void add(std::uint64_t v) noexcept;
   };
+  /// Merges a locally tallied batch: one shard update for many samples.
+  void record(const Snapshot& batch) noexcept;
   [[nodiscard]] Snapshot snapshot() const noexcept;
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }

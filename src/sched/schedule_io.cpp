@@ -2,7 +2,10 @@
 
 #include <istream>
 #include <ostream>
+#include <bit>
+#include <functional>
 #include <sstream>
+#include <vector>
 
 #include "io/source.h"
 #include "io/text.h"
@@ -27,6 +30,18 @@ io::ParseResult<Schedule> parse_schedule(const cdfg::Graph& g,
                                          std::string_view text,
                                          std::string_view source_name) {
   Schedule s(g);
+  // One open-addressed name index per parse keeps the parse linear; the
+  // first live node wins a duplicated name, as in Graph::find.
+  std::vector<cdfg::NodeId> by_name(std::bit_ceil(2 * g.node_count() + 1));
+  const auto slot_of = [&](std::string_view name) -> cdfg::NodeId& {
+    for (std::size_t i = std::hash<std::string_view>{}(name);; ++i) {
+      cdfg::NodeId& slot = by_name[i & (by_name.size() - 1)];
+      if (!slot.valid() || g.node(slot).name == name) return slot;
+    }
+  };
+  for (const cdfg::NodeId n : g.nodes()) {
+    if (cdfg::NodeId& slot = slot_of(g.node(n).name); !slot.valid()) slot = n;
+  }
   io::LineCursor lines(text);
   bool saw_header = false;
   const auto err = [&](int line, int col, std::string msg) {
@@ -66,7 +81,7 @@ io::ParseResult<Schedule> parse_schedule(const cdfg::Graph& g,
       if (!lx.at_end()) {
         return err(lineno, lx.column(), "trailing garbage after step");
       }
-      const cdfg::NodeId n = g.find(name->text);
+      const cdfg::NodeId n = slot_of(name->text);
       if (!n.valid()) {
         return err(lineno, name->column,
                    "unknown node '" + std::string(name->text) + "'");

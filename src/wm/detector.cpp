@@ -105,6 +105,7 @@ std::vector<SchedDetectionReport> detect_sched_watermarks(
     }
   }
 
+  const crypto::Bitstream carve = sig.stream(DomainKey::kCarveTag);
   const std::vector<NodeId> roots = executable_roots(suspect);
   LWM_COUNT("wm/roots_scanned", roots.size() * records.size());
   const std::size_t shards = exec::suggested_chunks(pool, roots.size());
@@ -123,6 +124,8 @@ std::vector<SchedDetectionReport> detect_sched_watermarks(
       [&](std::size_t begin, std::size_t end) {
         Part part(records.size());
         [[maybe_unused]] std::size_t skips = 0;
+        std::vector<std::size_t> carved;
+        CarveScratch scratch;
         for (std::size_t r = begin; r < end; ++r) {
           const NodeId n = roots[r];
           const int root_fid = cdfg::functional_id(suspect.node(n).kind);
@@ -136,7 +139,8 @@ std::vector<SchedDetectionReport> detect_sched_watermarks(
               ++skips;
               continue;
             }
-            const Domain d = select_domain(suspect, n, sig, grp.key);
+            const Domain d = select_domain(suspect, n, carve, grp.key, &scratch);
+            carved.push_back(d.selected.size());
             for (const std::size_t i : grp.record_idx) {
               if (!candidate(i)) continue;
               const std::optional<SchedHit> hit =
@@ -152,6 +156,7 @@ std::vector<SchedDetectionReport> detect_sched_watermarks(
           }
         }
         LWM_COUNT("wm/detect_prefilter_skips", skips);
+        record_carves(carved);
         return part;
       },
       [](Part acc, Part next) {

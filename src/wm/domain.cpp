@@ -1,10 +1,8 @@
 #include "wm/domain.h"
 
 #include <algorithm>
-#include <deque>
+#include <numeric>
 #include <stdexcept>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "obs/obs.h"
 
@@ -16,214 +14,186 @@ using cdfg::NodeId;
 
 namespace {
 
-/// Per-node ordering features inside a locality.
-struct Features {
-  NodeId node;
-  int discovery = 0;              ///< BFS discovery position (final tie-break)
-  int level = 0;                  ///< C1
-  std::vector<int> cone_size;     ///< C2: K(x) for x = 1..tau
-  std::vector<long long> cone_phi;  ///< C3: phi(x) for x = 1..tau
-};
+/// The carve's edge predicate, for the cone walk and every input list:
+/// specification() drops temporal and token edges alike, so a marked graph
+/// carves like its acyclic skeleton and earlier marks stay detectable.
+const cdfg::EdgeFilter kCarveFilter = cdfg::EdgeFilter::specification();
 
-/// The edge predicate of the carve: must match the fanin_cone filter
-/// exactly, or a locality would order differently from how it was
-/// discovered.  specification() excludes temporal (watermark) edges and
-/// loop-carried token edges alike — a marked graph carves identically
-/// to its acyclic skeleton, so marks embedded before the feedback edges
-/// were closed stay detectable after.
-bool carve_accepts(const cdfg::Edge& e) {
-  return cdfg::EdgeFilter::specification().accepts(e);
+/// Working memory of one-off carves: one per thread, kept for reuse.
+CarveScratch& thread_scratch() {
+  thread_local CarveScratch s;
+  return s;
 }
 
-/// In-cone data/control producers of `n`, first-occurrence order.
-std::vector<NodeId> cone_inputs(const Graph& g, NodeId n,
-                                const std::unordered_set<NodeId>& cone) {
-  std::vector<NodeId> inputs;
-  for (EdgeId e : g.fanin(n)) {
-    const cdfg::Edge& ed = g.edge(e);
-    if (!carve_accepts(ed)) continue;
-    if (cone.count(ed.src) == 0) continue;
-    if (std::find(inputs.begin(), inputs.end(), ed.src) == inputs.end()) {
-      inputs.push_back(ed.src);
+/// Orders the cone of `root` into `s.order` by C1 → C2 → C3 → discovery.
+void order_cone(const Graph& g, NodeId root, int tau, CarveScratch& s) {
+  if (tau <= 0) {
+    throw std::invalid_argument("order_locality: tau must be positive");
+  }
+  s.cone = cdfg::fanin_cone(g, root, tau, kCarveFilter, &s.marks);
+  const auto c = static_cast<std::uint32_t>(s.cone.size());
+  for (std::uint32_t i = 0; i < c; ++i) s.marks.slots[s.cone[i].node.value].value = i;
+
+  s.in_begin.resize(c + 1);
+  s.in.clear();
+  for (std::uint32_t i = 0; i < c; ++i) {
+    s.in_begin[i] = static_cast<std::uint32_t>(s.in.size());
+    for (EdgeId e : g.fanin(s.cone[i].node)) {
+      const cdfg::Edge& ed = g.edge(e);
+      if (!kCarveFilter.accepts(ed) || !s.marks.has(ed.src)) continue;
+      const std::uint32_t j = s.marks.slots[ed.src.value].value;
+      if (std::find(s.in.begin() + s.in_begin[i], s.in.end(), j) == s.in.end()) {
+        s.in.push_back(j);
+      }
     }
   }
-  return inputs;
+  s.in_begin[c] = static_cast<std::uint32_t>(s.in.size());
+
+  // C1: levels — longest path from the root (local 0) inside the cone,
+  // by a Kahn pass over the transposed induced subgraph: a node is
+  // finalized once every in-cone consumer has been.
+  s.level.assign(c, 0);
+  s.pending.assign(c, 0);
+  for (const std::uint32_t j : s.in) ++s.pending[j];
+  s.queue.assign(1, 0);
+  for (std::size_t head = 0; head < s.queue.size(); ++head) {
+    const std::uint32_t i = s.queue[head];
+    for (const std::uint32_t j : s.inputs_of(i)) {
+      s.level[j] = std::max(s.level[j], s.level[i] + 1);
+      if (--s.pending[j] == 0) s.queue.push_back(j);
+    }
+  }
+  if (s.queue.size() != c) {
+    throw std::invalid_argument("order_locality: locality has a token-free cycle");
+  }
+
+  // C2/C3: one stamped BFS per node over the local CSR buckets every
+  // reached node by its distance; a prefix sum over x turns the buckets
+  // into K(x) and phi(x) (phi counts the node itself at every x).
+  const auto t = static_cast<std::size_t>(tau);
+  s.fid.resize(c);
+  for (std::uint32_t i = 0; i < c; ++i) {
+    s.fid[i] = cdfg::functional_id(g.node(s.cone[i].node).kind);
+  }
+  s.cone_size.assign(c * t, 0);
+  s.cone_phi.assign(c * t, 0);
+  s.seen.assign(c, 0);
+  s.dist.resize(c);
+  for (std::uint32_t i = 0; i < c; ++i) {
+    int* size = s.cone_size.data() + i * t;
+    long long* phi = s.cone_phi.data() + i * t;
+    s.seen[i] = i + 1;
+    s.dist[i] = 0;
+    s.queue.assign(1, i);
+    for (std::size_t head = 0; head < s.queue.size(); ++head) {
+      const std::uint32_t m = s.queue[head];
+      const std::uint32_t dm = s.dist[m];
+      if (dm >= t) continue;
+      for (const std::uint32_t p : s.inputs_of(m)) {
+        if (s.seen[p] == i + 1) continue;
+        s.seen[p] = i + 1;
+        s.dist[p] = dm + 1;
+        s.queue.push_back(p);
+        ++size[dm];
+        phi[dm] += s.fid[p];
+      }
+    }
+    for (std::size_t x = 1; x < t; ++x) {
+      size[x] += size[x - 1];
+      phi[x] += phi[x - 1];
+    }
+    for (std::size_t x = 0; x < t; ++x) phi[x] += s.fid[i];
+  }
+
+  s.order.resize(c);
+  std::iota(s.order.begin(), s.order.end(), 0u);
+  std::sort(s.order.begin(), s.order.end(), [&s, t](std::uint32_t a, std::uint32_t b) {
+    if (s.level[a] != s.level[b]) return s.level[a] > s.level[b];  // C1: deeper first
+    const int* sa = s.cone_size.data() + a * t;
+    const int* sb = s.cone_size.data() + b * t;
+    for (std::size_t x = 0; x < t; ++x) {  // C2 at growing x
+      if (sa[x] != sb[x]) return sa[x] > sb[x];
+    }
+    const long long* pa = s.cone_phi.data() + a * t;
+    const long long* pb = s.cone_phi.data() + b * t;
+    for (std::size_t x = 0; x < t; ++x) {  // C3 at growing x
+      if (pa[x] != pb[x]) return pa[x] > pb[x];
+    }
+    return a < b;  // structural tie-break: discovery position
+  });
 }
 
 }  // namespace
 
 std::vector<NodeId> order_locality(const Graph& g, NodeId root, int tau) {
-  if (tau <= 0) {
-    throw std::invalid_argument("order_locality: tau must be positive");
-  }
-  const std::vector<cdfg::ConeNode> cone_nodes =
-      cdfg::fanin_cone(g, root, tau, cdfg::EdgeFilter::specification());
-
-  std::unordered_set<NodeId> cone;
-  for (const cdfg::ConeNode& c : cone_nodes) cone.insert(c.node);
-
-  // C1: levels — longest path from root over in-cone fan-in edges.
-  // Computed entirely inside the cone: a Kahn pass over the transposed
-  // induced subgraph (edges consumer -> producer, rooted at n_o) visits
-  // every node after all of its in-cone consumers, which is exactly the
-  // order the old reverse-global-topo sweep established — but without
-  // walking the whole CDFG per candidate root, which detection cannot
-  // afford at mega-design scale (one carve per scanned root).
-  std::unordered_map<NodeId, int> level;
-  level.reserve(cone_nodes.size());
-  std::unordered_map<NodeId, int> pending;  // unprocessed in-cone consumers
-  pending.reserve(cone_nodes.size());
-  for (const cdfg::ConeNode& c : cone_nodes) pending[c.node] = 0;
-  // Count in-cone consumer edges from the fan-in side: cone members have
-  // bounded fan-in, but a hub node (a broadcast value in a mega-design)
-  // can have fan-out in the thousands, and iterating it once per carve
-  // at every scanned root dominated detection.
-  for (const cdfg::ConeNode& c : cone_nodes) {
-    for (EdgeId e : g.fanin(c.node)) {
-      const cdfg::Edge& ed = g.edge(e);
-      if (!carve_accepts(ed)) continue;
-      const auto it = pending.find(ed.src);
-      if (it != pending.end()) ++it->second;
-    }
-  }
-  // The root is the unique transposed source: a cone member consuming the
-  // root would close a cycle, and every other cone node has at least one
-  // in-cone consumer (its BFS parent toward the root).
-  std::deque<NodeId> ready{root};
-  level[root] = 0;
-  while (!ready.empty()) {
-    const NodeId n = ready.front();
-    ready.pop_front();
-    const int next = level.at(n) + 1;
-    for (EdgeId e : g.fanin(n)) {
-      const cdfg::Edge& ed = g.edge(e);
-      if (!carve_accepts(ed)) continue;
-      if (cone.count(ed.src) == 0) continue;
-      const auto li = level.find(ed.src);
-      if (li == level.end()) {
-        level[ed.src] = next;
-      } else if (next > li->second) {
-        li->second = next;
-      }
-      if (--pending.at(ed.src) == 0) ready.push_back(ed.src);
-    }
-  }
-
-  // C2/C3: bounded in-cone fan-in sweeps per node.
-  auto sweep = [&](NodeId n, std::vector<int>& sizes,
-                   std::vector<long long>& phis) {
-    std::unordered_map<NodeId, int> dist;
-    dist[n] = 0;
-    std::deque<NodeId> queue{n};
-    sizes.assign(static_cast<std::size_t>(tau), 0);
-    phis.assign(static_cast<std::size_t>(tau), 0);
-    long long phi_self = cdfg::functional_id(g.node(n).kind);
-    while (!queue.empty()) {
-      const NodeId m = queue.front();
-      queue.pop_front();
-      const int dm = dist[m];
-      if (dm >= tau) continue;
-      for (const NodeId p : cone_inputs(g, m, cone)) {
-        if (dist.count(p) != 0) continue;
-        dist[p] = dm + 1;
-        queue.push_back(p);
-      }
-    }
-    for (const auto& [m, dm] : dist) {
-      if (m == n) continue;
-      for (int x = dm; x <= tau; ++x) {
-        ++sizes[static_cast<std::size_t>(x - 1)];
-        phis[static_cast<std::size_t>(x - 1)] += cdfg::functional_id(g.node(m).kind);
-      }
-    }
-    for (int x = 1; x <= tau; ++x) {
-      phis[static_cast<std::size_t>(x - 1)] += phi_self;
-    }
-  };
-
-  std::vector<Features> feats;
-  feats.reserve(cone_nodes.size());
-  for (std::size_t i = 0; i < cone_nodes.size(); ++i) {
-    Features f;
-    f.node = cone_nodes[i].node;
-    f.discovery = static_cast<int>(i);
-    f.level = level.at(f.node);
-    sweep(f.node, f.cone_size, f.cone_phi);
-    feats.push_back(std::move(f));
-  }
-
-  std::sort(feats.begin(), feats.end(), [tau](const Features& a, const Features& b) {
-    if (a.level != b.level) return a.level > b.level;  // C1: deeper first
-    for (int x = 0; x < tau; ++x) {                    // C2 at growing x
-      const auto xi = static_cast<std::size_t>(x);
-      if (a.cone_size[xi] != b.cone_size[xi]) return a.cone_size[xi] > b.cone_size[xi];
-    }
-    for (int x = 0; x < tau; ++x) {                    // C3 at growing x
-      const auto xi = static_cast<std::size_t>(x);
-      if (a.cone_phi[xi] != b.cone_phi[xi]) return a.cone_phi[xi] > b.cone_phi[xi];
-    }
-    return a.discovery < b.discovery;                  // structural tie-break
-  });
-
+  CarveScratch& s = thread_scratch();
+  order_cone(g, root, tau, s);
   std::vector<NodeId> out;
-  out.reserve(feats.size());
-  for (const Features& f : feats) out.push_back(f.node);
+  out.reserve(s.order.size());
+  for (const std::uint32_t i : s.order) out.push_back(s.cone[i].node);
   return out;
 }
 
-Domain select_domain(const Graph& g, NodeId root, const crypto::Signature& sig,
-                     const DomainKey& key) {
+Domain select_domain(const Graph& g, NodeId root, const crypto::Bitstream& carve,
+                     const DomainKey& key, CarveScratch* scratch) {
+  CarveScratch& s = scratch != nullptr ? *scratch : thread_scratch();
+  order_cone(g, root, key.tau, s);
+  const std::size_t c = s.order.size();
   Domain d;
   d.root = root;
-  d.ordered = order_locality(g, root, key.tau);
-
-  std::unordered_set<NodeId> cone(d.ordered.begin(), d.ordered.end());
-  std::unordered_set<NodeId> selected{root};
+  d.ordered.reserve(c);
+  s.rank.resize(c);
+  for (std::size_t pos = 0; pos < c; ++pos) {
+    d.ordered.push_back(s.cone[s.order[pos]].node);
+    s.rank[s.order[pos]] = static_cast<std::uint32_t>(pos);
+  }
 
   // Inputs are identified by their unique (C1-C3) rank in the ordered
   // locality — "the selection process cannot be misinterpreted because
   // of the unique identification of each node input."  Ranking, unlike
   // raw fan-in list order, is invariant under edge re-insertion (e.g. a
   // detector that collapsed decoy operations out of a tampered design).
-  std::unordered_map<NodeId, int> rank;
-  for (std::size_t i = 0; i < d.ordered.size(); ++i) {
-    rank[d.ordered[i]] = static_cast<int>(i);
-  }
-  auto ranked_inputs = [&](NodeId n) {
-    std::vector<NodeId> inputs = cone_inputs(g, n, cone);
-    std::sort(inputs.begin(), inputs.end(),
-              [&](NodeId a, NodeId b) { return rank.at(a) < rank.at(b); });
-    return inputs;
-  };
-
-  crypto::Bitstream stream = sig.stream(DomainKey::kCarveTag);
+  crypto::Bitstream stream = carve;
+  s.selected.assign(c, 0);
+  s.selected[0] = 1;
 
   // Top-down breadth-first carving: "at least one input to include in the
   // next level ... whether each of the remaining inputs should be
   // included".
-  std::deque<NodeId> queue{root};
-  while (!queue.empty()) {
-    const NodeId n = queue.front();
-    queue.pop_front();
-    const std::vector<NodeId> inputs = ranked_inputs(n);
-    if (inputs.empty()) continue;
+  s.queue.assign(1, 0);
+  for (std::size_t head = 0; head < s.queue.size(); ++head) {
+    const std::span<const std::uint32_t> in = s.inputs_of(s.queue[head]);
+    if (in.empty()) continue;
+    s.inputs.assign(in.begin(), in.end());
+    std::sort(s.inputs.begin(), s.inputs.end(),
+              [&s](std::uint32_t a, std::uint32_t b) { return s.rank[a] < s.rank[b]; });
     const std::uint32_t mandatory =
-        stream.next_uint(static_cast<std::uint32_t>(inputs.size()));
-    for (std::uint32_t i = 0; i < inputs.size(); ++i) {
+        stream.next_uint(static_cast<std::uint32_t>(s.inputs.size()));
+    for (std::uint32_t i = 0; i < s.inputs.size(); ++i) {
       bool include = (i == mandatory);
       if (!include) include = stream.bernoulli(key.keep_num, key.keep_den);
-      if (include && selected.insert(inputs[i]).second) {
-        queue.push_back(inputs[i]);
+      if (include && s.selected[s.inputs[i]] == 0) {
+        s.selected[s.inputs[i]] = 1;
+        s.queue.push_back(s.inputs[i]);
       }
     }
   }
 
-  for (const NodeId n : d.ordered) {
-    if (selected.count(n) != 0) d.selected.push_back(n);
+  for (const std::uint32_t i : s.order) {
+    if (s.selected[i] != 0) d.selected.push_back(s.cone[i].node);
   }
-  LWM_COUNT("wm/domains_carved", 1);
-  LWM_HIST("wm/domain_size", d.selected.size());
   return d;
+}
+
+void record_carves([[maybe_unused]] std::span<const std::size_t> selected_sizes) {
+#if LWM_OBS_ENABLED
+  if (selected_sizes.empty()) return;
+  obs::Histogram::Snapshot batch;
+  for (const std::size_t size : selected_sizes) batch.add(size);
+  LWM_COUNT("wm/domains_carved", selected_sizes.size());
+  static obs::Histogram& sizes = obs::Registry::instance().histogram("wm/domain_size");
+  sizes.record(batch);
+#endif
 }
 
 bool subtree_matches(const Graph& g, const Domain& d,

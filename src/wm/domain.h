@@ -54,6 +54,29 @@ struct Domain {
   std::vector<cdfg::NodeId> selected;
 };
 
+/// Working memory of the flat carve kernel: dense NodeId marks reset by an
+/// epoch bump, and arrays over cone-local indices 0..c-1 (discovery order)
+/// that only grow.  A batch caller (detector chunk, embed wave chunk) owns
+/// one, so it lives no longer than the batch; one-off carves reuse a
+/// per-thread instance.
+struct CarveScratch {
+  cdfg::NodeMarks marks;  ///< cone membership; value = local index
+  std::vector<cdfg::ConeNode> cone;
+  /// Local CSR: deduplicated in-cone inputs, first-occurrence order.
+  std::vector<std::uint32_t> in_begin, in;
+  std::vector<int> level, pending, fid;
+  /// C2 K(x) and C3 phi(x) keys, row-major c x tau.
+  std::vector<int> cone_size;
+  std::vector<long long> cone_phi;
+  std::vector<std::uint32_t> seen, dist, queue;
+  std::vector<std::uint32_t> order, rank, inputs;  ///< order: by identifier
+  std::vector<char> selected;
+
+  [[nodiscard]] std::span<const std::uint32_t> inputs_of(std::uint32_t i) const {
+    return {in.data() + in_begin[i], in.data() + in_begin[i + 1]};
+  }
+};
+
 /// Orders the fan-in cone of `root` (max-distance `tau`) by criteria
 /// C1 → C2 → C3 → discovery position.  Deterministic, signature-free.
 [[nodiscard]] std::vector<cdfg::NodeId> order_locality(const cdfg::Graph& g,
@@ -61,10 +84,24 @@ struct Domain {
 
 /// Full domain selection: ordering plus signature-keyed carving of T.
 /// A pure function of (graph structure reachable from root, key, sig) —
-/// embedding and detection call this identically.
+/// embedding and detection call this identically.  `carve` is the
+/// signature's fresh `DomainKey::kCarveTag` stream; the carve draws from
+/// a copy, so a caller carving many roots keys RC4 once.  A null
+/// `scratch` uses the calling thread's.
 [[nodiscard]] Domain select_domain(const cdfg::Graph& g, cdfg::NodeId root,
-                                   const crypto::Signature& sig,
-                                   const DomainKey& key);
+                                   const crypto::Bitstream& carve,
+                                   const DomainKey& key,
+                                   CarveScratch* scratch = nullptr);
+
+[[nodiscard]] inline Domain select_domain(const cdfg::Graph& g, cdfg::NodeId root,
+                                          const crypto::Signature& sig,
+                                          const DomainKey& key) {
+  return select_domain(g, root, sig.stream(DomainKey::kCarveTag), key);
+}
+
+/// Publishes a batch of carves (a detector chunk, an embed wave, one plan)
+/// as one `wm/domains_carved` add and one `wm/domain_size` merge.
+void record_carves(std::span<const std::size_t> selected_sizes);
 
 /// The structural gate of detection (paper §IV-A): true when the carved
 /// subtree `d.selected` is the memorized subtree — same size, and the

@@ -1,6 +1,7 @@
 #include "wm/reg_constraints.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <stdexcept>
 #include <unordered_map>
@@ -31,6 +32,7 @@ std::optional<RegWatermark> plan_reg_watermark(
     throw std::invalid_argument("plan_reg_watermark: need m > 0");
   }
   const Domain domain = select_domain(g, root, sig, opts.domain);
+  record_carves(std::array{domain.selected.size()});
   const auto lt_of = by_producer(lifetimes);
 
   // Candidate variables: produced inside the carved subtree.
@@ -161,6 +163,7 @@ RegHit verify_reg_at(const Graph& suspect,
   hit.root = root;
   // Cheap structural prefilter before the full re-derivation.
   const Domain d = select_domain(suspect, root, sig, record.domain);
+  record_carves(std::array{d.selected.size()});
   if (!subtree_matches(suspect, d, record.subtree_ops)) return hit;
 
   // Authorship binding: re-run the marking process with the claimant's

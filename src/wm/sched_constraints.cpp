@@ -1,6 +1,7 @@
 #include "wm/sched_constraints.h"
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -43,15 +44,25 @@ PlanContext PlanContext::build(const Graph& g, const SchedWmOptions& opts) {
 
 namespace {
 
+/// Plans one locality from the kCarveTag stream `carve`; the carve size
+/// goes to `carved` for the caller's batch tally, or is recorded here.
 std::optional<SchedWatermark> plan_impl(const Graph& g, NodeId root,
                                         const crypto::Signature& sig,
                                         const SchedWmOptions& opts,
-                                        const PlanContext* ctx) {
+                                        const PlanContext* ctx,
+                                        const crypto::Bitstream& carve,
+                                        std::size_t* carved = nullptr,
+                                        CarveScratch* scratch = nullptr) {
   if (opts.k <= 0 || opts.epsilon <= 0.0) {
     throw std::invalid_argument("plan_sched_watermark: need k > 0 and epsilon > 0");
   }
   LWM_SPAN("wm/plan");
-  const Domain domain = select_domain(g, root, sig, opts.domain);
+  const Domain domain = select_domain(g, root, carve, opts.domain, scratch);
+  if (carved != nullptr) {
+    *carved = domain.selected.size();
+  } else {
+    record_carves(std::array{domain.selected.size()});
+  }
 
   // Timing of the *original specification*: the filters of Fig. 2 are
   // evaluated before any constraint is added.  With a context this is
@@ -179,14 +190,14 @@ std::optional<SchedWatermark> plan_impl(const Graph& g, NodeId root,
 std::optional<SchedWatermark> plan_sched_watermark(const Graph& g, NodeId root,
                                                    const crypto::Signature& sig,
                                                    const SchedWmOptions& opts) {
-  return plan_impl(g, root, sig, opts, nullptr);
+  return plan_impl(g, root, sig, opts, nullptr, sig.stream(DomainKey::kCarveTag));
 }
 
 std::optional<SchedWatermark> plan_sched_watermark(const Graph& g, NodeId root,
                                                    const crypto::Signature& sig,
                                                    const SchedWmOptions& opts,
                                                    const PlanContext& ctx) {
-  return plan_impl(g, root, sig, opts, &ctx);
+  return plan_impl(g, root, sig, opts, &ctx, sig.stream(DomainKey::kCarveTag));
 }
 
 std::optional<SchedWatermark> embed_sched_watermark(Graph& g, NodeId root,
@@ -264,7 +275,9 @@ std::vector<SchedWatermark> embed_local_watermarks_parallel(
   // at every thread count.
   const std::size_t wave_size =
       std::max<std::size_t>(64, 2 * static_cast<std::size_t>(count));
+  const crypto::Bitstream carve = sig.stream(DomainKey::kCarveTag);
   std::vector<std::optional<SchedWatermark>> planned;
+  std::vector<std::size_t> carved;
   for (std::size_t base = 0;
        base < candidates.size() && static_cast<int>(marks.size()) < count;
        base += wave_size) {
@@ -272,10 +285,17 @@ std::vector<SchedWatermark> embed_local_watermarks_parallel(
     LWM_COUNT("wm/embed_plan_waves", 1);
     LWM_COUNT("wm/embed_plan_candidates", n);
     planned.assign(n, std::nullopt);
-    exec::parallel_for(pool, n, [&](std::size_t i) {
-      planned[i] =
-          plan_sched_watermark(g, candidates[base + i], sig, opts, ctx);
-    });
+    carved.assign(n, 0);
+    exec::parallel_for_ranges(
+        pool, n, exec::suggested_chunks(pool, n),
+        [&](std::size_t begin, std::size_t end) {
+          CarveScratch scratch;  // freed with the chunk
+          for (std::size_t i = begin; i < end; ++i) {
+            planned[i] = plan_impl(g, candidates[base + i], sig, opts, &ctx,
+                                   carve, &carved[i], &scratch);
+          }
+        });
+    record_carves(carved);
     for (std::size_t i = 0;
          i < n && static_cast<int>(marks.size()) < count; ++i) {
       if (!planned[i]) continue;

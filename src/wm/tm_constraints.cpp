@@ -1,6 +1,7 @@
 #include "wm/tm_constraints.h"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "cdfg/analysis.h"
@@ -24,6 +25,7 @@ std::optional<TmWatermark> plan_tm_watermark(const Graph& g,
   std::unordered_set<NodeId> t_nodes;
   if (opts.subtree_root.valid()) {
     const Domain d = select_domain(g, opts.subtree_root, sig, opts.domain);
+    record_carves(std::array{d.selected.size()});
     t_nodes.insert(d.selected.begin(), d.selected.end());
   } else {
     for (NodeId n : g.nodes()) t_nodes.insert(n);

@@ -79,6 +79,27 @@ TEST(ObsHistogram, MaxIsExactUnderThreads) {
   EXPECT_EQ(s.max, 7999u);
 }
 
+TEST(ObsHistogram, BatchMergeEqualsPerSampleRecords) {
+  Registry::instance().reset();
+  const std::vector<std::uint64_t> samples = {0, 1, 3, 3, 17, 1024, 5};
+  lwm::obs::Histogram::Snapshot batch;
+  for (const std::uint64_t v : samples) {
+    LWM_HIST("test/hist_each", v);
+    batch.add(v);
+  }
+  lwm::obs::Histogram& merged_hist = Registry::instance().histogram("test/hist_batch");
+  merged_hist.record(batch);
+  merged_hist.record(lwm::obs::Histogram::Snapshot{});
+  const auto each = Registry::instance().histogram("test/hist_each").snapshot();
+  const auto merged = merged_hist.snapshot();
+  EXPECT_EQ(merged.count, each.count);
+  EXPECT_EQ(merged.sum, each.sum);
+  EXPECT_EQ(merged.max, each.max);
+  for (int b = 0; b < lwm::obs::Histogram::kBuckets; ++b) {
+    EXPECT_EQ(merged.buckets[b], each.buckets[b]) << "bucket " << b;
+  }
+}
+
 TEST(ObsSpan, RecordsCountAndNonNegativeTime) {
   Registry::instance().reset();
   for (int i = 0; i < 3; ++i) {

@@ -3,14 +3,15 @@
 // Paper §IV-A stated directly: carve every executable root with the
 // author's signature, compare the carve with the memorized fingerprint,
 // count the constraints.  No prefilter, no key grouping, no chunking and
-// no code shared with the detector's gate, so the scan's reports can be
+// no code shared with the detector's gate or its carve (the carve is the
+// reference one of locality_oracle.h), so the scan's reports can be
 // checked against it.
 #pragma once
 
 #include <optional>
 
+#include "locality_oracle.h"
 #include "wm/detector.h"
-#include "wm/domain.h"
 
 namespace lwm::wm::oracle {
 
@@ -21,7 +22,7 @@ inline std::optional<SchedHit> hit_at(const cdfg::Graph& g,
                                       const crypto::Signature& sig,
                                       const SchedRecord& rec,
                                       cdfg::NodeId root) {
-  const Domain d = select_domain(g, root, sig, rec.domain);
+  const Domain d = oracle::select_domain(g, root, sig, rec.domain);
   if (d.selected.size() != rec.subtree_ops.size()) return std::nullopt;
   for (std::size_t i = 0; i < d.selected.size(); ++i) {
     if (cdfg::functional_id(g.node(d.selected[i]).kind) != rec.subtree_ops[i]) {
