@@ -9,8 +9,8 @@
 //     thread-count invariant;
 //   * detect — detect_sched_watermarks over every executable root
 //     against all records (root prefilter + shared carve per root);
-//   * streaming parse — cdfg::parse_cdfg_stream over the serialized
-//     text, the path that carries >16 MiB graph files;
+//   * streaming parse — cdfg::parse_cdfg over an istream of the
+//     serialized text, the path that carries >16 MiB graph files;
 //   * P_c — sched_pc_poisson over all embedded marks (the large-design
 //     estimator sched_pc_auto dispatches to at this scale).
 // The suspect schedule is the ASAP schedule of the watermarked graph
@@ -104,7 +104,7 @@ int main(int argc, char** argv) {
     const std::string text = cdfg::to_text(g);
     std::istringstream in(text);
     const bench::Stopwatch sw_parse;
-    auto parsed = cdfg::parse_cdfg_stream(in, cfg.name);
+    auto parsed = cdfg::parse_cdfg(io::LineCursor(in), cfg.name);
     const double parse_ms = sw_parse.elapsed_ms();
     if (!parsed.ok()) {
       std::fprintf(stderr, "bench_scale: streaming parse failed: %s\n",

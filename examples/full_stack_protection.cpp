@@ -74,7 +74,7 @@ int main() {
   // --- years later: detection from the reloaded archive ------------------------
   cdfg::Graph shipped = design;
   shipped.strip_temporal_edges();
-  const wm::RecordArchive reloaded = wm::records_from_text(archive_text);
+  const wm::RecordArchive reloaded = wm::parse_records(archive_text).value();
 
   int sched_found = 0;
   for (const auto& rec : reloaded.sched) {

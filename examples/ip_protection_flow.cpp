@@ -50,7 +50,7 @@ int main() {
   // ---- 3. counterfeiter side ----------------------------------------------
   // Re-import (the thief reverse-engineered the netlist), cut out the
   // second half of the dataflow, and splice it into their own system.
-  const cdfg::Graph reimported = cdfg::from_text(shipped_text.str());
+  const cdfg::Graph reimported = cdfg::parse_cdfg(shipped_text.str()).value();
   std::vector<cdfg::NodeId> half;
   const auto ids = reimported.node_ids();
   for (std::size_t i = ids.size() / 2; i < ids.size(); ++i) {

@@ -14,7 +14,9 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "cdfg/serialize.h"
 #include "io/source.h"
@@ -32,13 +34,20 @@ using namespace lwm;
 
 // All user-supplied artifacts enter through the lwm::io front door:
 // open failures and oversized files become diagnostics naming the path,
-// and the parse cores locate errors as "<path> line L, col C: why".
+// and the parsers locate errors as "<path> line L, col C: why".  The
+// tool reports the first diagnostic and exits 1.
+template <typename T>
+T unwrap(io::ParseResult<T> r) {
+  if (!r.ok()) throw std::runtime_error(r.diag().to_string());
+  return std::move(r).value();
+}
+
 std::string slurp(const std::string& path) {
-  return io::read_file(path).take_or_throw();
+  return unwrap(io::read_file(path));
 }
 
 cdfg::Graph load_cdfg(const std::string& path) {
-  return cdfg::parse_cdfg(slurp(path), path).take_or_throw();
+  return unwrap(cdfg::parse_cdfg(slurp(path), path));
 }
 
 void spit(const std::string& path, const std::string& text) {
@@ -122,9 +131,11 @@ int cmd_detect(int argc, char** argv) {
     throw std::runtime_error("detect: need <design> <schedule> <key> <records>");
   }
   const cdfg::Graph g = load_cdfg(argv[0]);
-  const sched::Schedule s = sched::parse_schedule(g, slurp(argv[1]), argv[1]).take_or_throw();
+  const sched::Schedule s =
+      unwrap(sched::parse_schedule(g, slurp(argv[1]), argv[1]));
   const crypto::Signature sig("lwm_tool", argv[2]);
-  const wm::RecordArchive archive = wm::parse_records(slurp(argv[3]), argv[3]).take_or_throw();
+  const wm::RecordArchive archive =
+      unwrap(wm::parse_records(slurp(argv[3]), argv[3]));
 
   const auto reports = wm::detect_sched_watermarks(g, s, sig, archive.sched);
   int found = 0;

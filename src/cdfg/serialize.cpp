@@ -1,8 +1,9 @@
 #include "cdfg/serialize.h"
 
+#include <algorithm>
 #include <cctype>
-#include <fstream>
-#include <istream>
+#include <cstdint>
+#include <limits>
 #include <optional>
 #include <ostream>
 #include <sstream>
@@ -10,8 +11,6 @@
 #include <unordered_map>
 
 #include "cdfg/analysis.h"
-#include "io/source.h"
-#include "io/stream_text.h"
 #include "io/text.h"
 
 namespace lwm::cdfg {
@@ -52,46 +51,25 @@ std::string to_text(const Graph& g) {
   return os.str();
 }
 
-namespace {
-
-/// The per-line parse core shared by the in-memory and streaming entry
-/// points: feed() consumes one line, finish() validates the epilogue.
-/// Keeping one core guarantees the streaming parser accepts exactly the
-/// language parse_cdfg does, with identical diagnostics.
-class CdfgLineParser {
- public:
-  explicit CdfgLineParser(std::string_view source_name)
-      : source_(source_name) {}
-
-  /// Parses one line; returns the located Diagnostic on error.
-  std::optional<io::Diagnostic> feed(std::string_view line, int lineno);
-
-  /// Ends the parse: fails if no 'cdfg' header was ever seen.
-  io::ParseResult<Graph> finish();
-
- private:
-  io::Diagnostic err(int line, int col, std::string msg) const {
-    return io::Diagnostic{std::string(source_), line, col, std::move(msg)};
-  }
-
-  std::string source_;
-  Graph g_;
-  std::unordered_map<std::string, NodeId> by_name_;
-  /// Source line of every parsed edge, indexed by EdgeId::value — lets
-  /// finish() locate the back-edge that closes an unintended cycle.
-  std::vector<int> edge_lines_;
-  bool saw_header_ = false;
-};
-
-std::optional<io::Diagnostic> CdfgLineParser::feed(std::string_view line,
-                                                   int lineno) {
-  Graph& g = g_;
-  auto& by_name = by_name_;
-  bool& saw_header = saw_header_;
-  {
-    io::LineLexer lx(line);
+io::ParseResult<Graph> parse_cdfg(io::LineCursor lines,
+                                  std::string_view source_name) {
+  const auto err = [&](int line, int col, std::string msg) {
+    return io::Diagnostic{std::string(source_name), line, col, std::move(msg)};
+  };
+  Graph g;
+  std::unordered_map<std::string, NodeId> by_name;
+  // Source line of every parsed edge, indexed by EdgeId::value — locates
+  // the back-edge that closes an unintended cycle.
+  std::vector<int> edge_lines;
+  // Every path length is at most the sum of all d_max, so keeping the
+  // sum within int keeps every ASAP/ALAP value downstream within int.
+  std::int64_t total_delay = 0;
+  bool saw_header = false;
+  while (const auto line = lines.next()) {
+    const int lineno = lines.line_number();
+    io::LineLexer lx(*line);
     const auto tok = lx.next();
-    if (!tok || tok->text[0] == '#') return std::nullopt;
+    if (!tok || tok->text[0] == '#') continue;
     if (tok->text == "cdfg") {
       if (saw_header) return err(lineno, tok->column, "duplicate 'cdfg' header");
       const auto name = lx.next();
@@ -122,8 +100,10 @@ std::optional<io::Diagnostic> CdfgLineParser::feed(std::string_view line,
       // `dmin:dmax` (the dynamically bounded delay model).
       int delay = -1;      // sentinel: add_node substitutes default_delay(kind)
       int delay_min = -1;  // sentinel: exact interval (delay_min == delay)
+      int delay_col = op->column;
       if (const auto d = lx.next()) {
         const std::string_view text = d->text;
+        delay_col = d->column;
         const std::size_t colon = text.find(':');
         if (colon == std::string_view::npos) {
           const auto v = io::to_int(text);
@@ -155,6 +135,13 @@ std::optional<io::Diagnostic> CdfgLineParser::feed(std::string_view line,
         }
       }
       const NodeId id = g.add_node(*kind, std::string(name->text), delay);
+      total_delay += g.node(id).delay;
+      if (total_delay > std::numeric_limits<int>::max()) {
+        return err(lineno, delay_col,
+                   "total node delay exceeds " +
+                       std::to_string(std::numeric_limits<int>::max()) +
+                       ", so path lengths would overflow");
+      }
       if (delay_min >= 0) {
         g.set_delay_bounds(id, delay_min, delay);
       }
@@ -198,14 +185,14 @@ std::optional<io::Diagnostic> CdfgLineParser::feed(std::string_view line,
         } else if (!third->text.empty() &&
                    (std::isdigit(static_cast<unsigned char>(third->text[0])) != 0 ||
                     third->text[0] == '-' || third->text[0] == '+')) {
-          if (auto d = parse_tokens(*third)) return d;
+          if (auto d = parse_tokens(*third)) return std::move(*d);
         } else {
           return err(lineno, third->column,
                      "unknown edge kind '" + std::string(third->text) + "'");
         }
         if (tokens == 0) {
           if (const auto fourth = lx.next()) {
-            if (auto d = parse_tokens(*fourth)) return d;
+            if (auto d = parse_tokens(*fourth)) return std::move(*d);
           }
         }
         if (!lx.at_end()) {
@@ -217,17 +204,14 @@ std::optional<io::Diagnostic> CdfgLineParser::feed(std::string_view line,
       } catch (const std::invalid_argument& e) {
         return err(lineno, tok->column, e.what());
       }
-      edge_lines_.push_back(lineno);
+      edge_lines.push_back(lineno);
     } else {
       return err(lineno, tok->column,
                  "unknown directive '" + std::string(tok->text) + "'");
     }
   }
-  return std::nullopt;
-}
-
-io::ParseResult<Graph> CdfgLineParser::finish() {
-  if (!saw_header_) {
+  if (const auto& e = lines.error()) return err(e->line, e->column, e->message);
+  if (!saw_header) {
     return err(0, 0, "missing 'cdfg <name>' header");
   }
   // Reject unintended cycles at the trust boundary: every DAG analysis
@@ -236,67 +220,20 @@ io::ParseResult<Graph> CdfgLineParser::finish() {
   // diagnostic, not hang or throw deep inside a scheduler.  Cycles
   // through token-carrying back-edges are legal marked-graph structure
   // and pass (EdgeFilter::all() excludes them).
-  const CycleInfo cycle = find_cycle(g_, EdgeFilter::all());
+  const CycleInfo cycle = find_cycle(g, EdgeFilter::all());
   if (cycle.found()) {
     // Blame the cycle edge declared last in the file — the most recently
     // added constraint is the one that closed the cycle.
     int line = 0;
     for (EdgeId e : cycle.edges) {
-      line = std::max(line, edge_lines_[e.value]);
+      line = std::max(line, edge_lines[e.value]);
     }
     return err(line, 1,
-               "edge closes a token-free cycle: " + cycle.describe(g_) +
+               "edge closes a token-free cycle: " + cycle.describe(g) +
                    " (a loop-carried dependence needs an initial-token "
                    "count: 'edge <src> <dst> [kind] <tokens>')");
   }
-  return std::move(g_);
-}
-
-}  // namespace
-
-io::ParseResult<Graph> parse_cdfg(std::string_view text,
-                                  std::string_view source_name) {
-  CdfgLineParser parser(source_name);
-  io::LineCursor lines(text);
-  while (const auto line = lines.next()) {
-    if (auto d = parser.feed(*line, lines.line_number())) return std::move(*d);
-  }
-  return parser.finish();
-}
-
-io::ParseResult<Graph> parse_cdfg_stream(std::istream& is,
-                                         std::string_view source_name,
-                                         const io::StreamLimits& limits) {
-  CdfgLineParser parser(source_name);
-  io::StreamLineCursor lines(is, limits);
-  while (const auto line = lines.next()) {
-    if (auto d = parser.feed(*line, lines.line_number())) return std::move(*d);
-  }
-  if (lines.error()) {
-    io::Diagnostic d = *lines.error();
-    d.file = std::string(source_name);
-    return d;
-  }
-  return parser.finish();
-}
-
-io::ParseResult<Graph> read_cdfg_file(const std::string& path,
-                                      const io::StreamLimits& limits) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return io::Diagnostic{path, 0, 0, "cannot open file"};
-  }
-  return parse_cdfg_stream(in, path, limits);
-}
-
-Graph read_text(std::istream& is) {
-  auto text = io::read_stream(is, "<cdfg>");
-  if (!text) throw io::ParseError(text.diag());
-  return parse_cdfg(text.value(), "<cdfg>").take_or_throw();
-}
-
-Graph from_text(const std::string& text) {
-  return parse_cdfg(text, "<cdfg>").take_or_throw();
+  return g;
 }
 
 }  // namespace lwm::cdfg

@@ -22,7 +22,7 @@
 
 #include "cdfg/graph.h"
 #include "io/parse_result.h"
-#include "io/stream_text.h"
+#include "io/text.h"
 
 namespace lwm::cdfg {
 
@@ -33,33 +33,16 @@ void write_text(const Graph& g, std::ostream& os);
 /// Serializes to a string.
 [[nodiscard]] std::string to_text(const Graph& g);
 
-/// Non-throwing parse core: syntax errors, unknown ops, duplicate
-/// nodes, unknown endpoints, bad delays, and trailing garbage all come
-/// back as a located Diagnostic.  This is the entry point for untrusted
-/// input (and the fuzz targets).
+/// Parses the text format from text or a stream (see io::LineCursor):
+///
+///   parse_cdfg(text, "design.cdfg");
+///   parse_cdfg(io::LineCursor(in, limits), path);  // past the read cap
+///
+/// Syntax errors, unknown ops, duplicate nodes, unknown endpoints, bad
+/// delays, a total d_max past INT_MAX, unintended cycles, trailing
+/// garbage and cursor failures all come back as a located Diagnostic.
+/// Both sources accept the same language with identical diagnostics.
 [[nodiscard]] io::ParseResult<Graph> parse_cdfg(
-    std::string_view text, std::string_view source_name = "<cdfg>");
-
-/// Streaming parse: consumes the stream in fixed-size chunks through a
-/// line window, so memory stays O(chunk + longest line) no matter how
-/// large the file — this is the entry point for mega-design graph files
-/// past the io::read_file 16 MiB cap.  Accepts exactly the language
-/// parse_cdfg accepts (shared per-line core) with identical
-/// file:line:col diagnostics.
-[[nodiscard]] io::ParseResult<Graph> parse_cdfg_stream(
-    std::istream& is, std::string_view source_name = "<cdfg>",
-    const io::StreamLimits& limits = {});
-
-/// Opens `path` and streaming-parses it; open failure comes back as a
-/// Diagnostic naming the path.
-[[nodiscard]] io::ParseResult<Graph> read_cdfg_file(
-    const std::string& path, const io::StreamLimits& limits = {});
-
-/// Parses the text format.  Throws io::ParseError (a std::runtime_error
-/// carrying the Diagnostic) on any malformed input.
-[[nodiscard]] Graph read_text(std::istream& is);
-
-/// Parses from a string.
-[[nodiscard]] Graph from_text(const std::string& text);
+    io::LineCursor lines, std::string_view source_name = "<cdfg>");
 
 }  // namespace lwm::cdfg

@@ -5,13 +5,9 @@
 // adversary) and must never crash the detector.  Every parser therefore
 // returns a ParseResult<T>: either the parsed value or a Diagnostic
 // locating the first error (source name, 1-based line, 1-based column,
-// message).  Parse cores never throw; the legacy throwing entry points
-// (`from_text` & friends) are thin wrappers that convert the Diagnostic
-// into a ParseError, which still derives from std::runtime_error so
-// existing catch sites keep working.
+// message).  Parsers never throw.
 #pragma once
 
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <variant>
@@ -32,19 +28,6 @@ struct Diagnostic {
   [[nodiscard]] std::string to_string() const;
 };
 
-/// Thrown by the legacy throwing wrappers; carries the full Diagnostic
-/// so callers that want structure can still get it from an exception.
-class ParseError : public std::runtime_error {
- public:
-  explicit ParseError(Diagnostic d)
-      : std::runtime_error(d.to_string()), diag_(std::move(d)) {}
-
-  [[nodiscard]] const Diagnostic& diag() const noexcept { return diag_; }
-
- private:
-  Diagnostic diag_;
-};
-
 /// Value-or-diagnostic. Implicitly constructible from either, so parse
 /// cores just `return value;` or `return Diagnostic{...};`.
 template <typename T>
@@ -62,12 +45,6 @@ class [[nodiscard]] ParseResult {
 
   /// Precondition: !ok().
   [[nodiscard]] const Diagnostic& diag() const { return std::get<1>(state_); }
-
-  /// Bridge to the legacy API: unwrap or throw ParseError.
-  T take_or_throw() && {
-    if (!ok()) throw ParseError(std::get<1>(std::move(state_)));
-    return std::get<0>(std::move(state_));
-  }
 
  private:
   std::variant<T, Diagnostic> state_;

@@ -1,34 +1,8 @@
 #include "io/source.h"
 
 #include <fstream>
-#include <istream>
 
 namespace lwm::io {
-
-ParseResult<std::string> read_stream(std::istream& is,
-                                     std::string_view source_name,
-                                     const ReadLimits& limits) {
-  std::string out;
-  char buf[64 * 1024];
-  while (is) {
-    is.read(buf, sizeof buf);
-    const std::size_t got = static_cast<std::size_t>(is.gcount());
-    if (got > limits.max_bytes - out.size()) {
-      return Diagnostic{
-          std::string(source_name), 0, 0,
-          "input exceeds the " + std::to_string(limits.max_bytes) +
-              "-byte whole-file cap (io::ReadLimits::max_bytes); large CDFG "
-              "graph files should use the streaming parser "
-              "(cdfg::read_cdfg_file / cdfg::parse_cdfg_stream), which reads "
-              "a line window instead of buffering the file"};
-    }
-    out.append(buf, got);
-  }
-  if (is.bad()) {
-    return Diagnostic{std::string(source_name), 0, 0, "read error"};
-  }
-  return out;
-}
 
 ParseResult<std::string> read_file(const std::string& path,
                                    const ReadLimits& limits) {
@@ -36,7 +10,26 @@ ParseResult<std::string> read_file(const std::string& path,
   if (!in) {
     return Diagnostic{path, 0, 0, "cannot open file"};
   }
-  return read_stream(in, path, limits);
+  std::string out;
+  char buf[64 * 1024];
+  while (in) {
+    in.read(buf, sizeof buf);
+    const std::size_t got = static_cast<std::size_t>(in.gcount());
+    if (got > limits.max_bytes - out.size()) {
+      return Diagnostic{
+          path, 0, 0,
+          "input exceeds the " + std::to_string(limits.max_bytes) +
+              "-byte whole-file cap (io::ReadLimits::max_bytes); parse large "
+              "files from a stream instead (e.g. "
+              "cdfg::parse_cdfg(io::LineCursor(in, limits), path)), which "
+              "reads a line window instead of buffering the file"};
+    }
+    out.append(buf, got);
+  }
+  if (in.bad()) {
+    return Diagnostic{path, 0, 0, "read error"};
+  }
+  return out;
 }
 
 }  // namespace lwm::io

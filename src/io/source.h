@@ -1,17 +1,17 @@
-// source.h — the one front door untrusted bytes come through.
+// source.h — the one front door untrusted files come through.
 //
-// Every parser in this repo consumes a string that arrived via
-// read_file/read_stream (or was built in-process, which is trusted by
-// construction).  The front door enforces the only global policy the
-// parsers themselves cannot: a size limit, so a multi-gigabyte "records
-// file" is refused before it is buffered, and I/O failures become
-// located Diagnostics instead of half-read garbage.
+// A parser consumes a LineCursor over text that arrived via read_file
+// (or was built in-process, which is trusted by construction), or over
+// a stream the caller opened.  The front door enforces the only global
+// policy the parsers themselves cannot: a size limit, so a
+// multi-gigabyte "records file" is refused before it is buffered, and
+// I/O failures become located Diagnostics instead of half-read garbage.
+// Inputs past the cap are parsed from a stream, whose line window keeps
+// memory bounded instead.
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
 #include <string>
-#include <string_view>
 
 #include "io/parse_result.h"
 
@@ -24,14 +24,9 @@ struct ReadLimits {
   std::size_t max_bytes = std::size_t{16} << 20;
 };
 
-/// Reads the whole stream, refusing input past limits.max_bytes with a
-/// Diagnostic (file = source_name, line 0) rather than buffering it.
-[[nodiscard]] ParseResult<std::string> read_stream(std::istream& is,
-                                                   std::string_view source_name,
-                                                   const ReadLimits& limits = {});
-
-/// Opens and reads a file; open failure, read failure, and oversize all
-/// come back as Diagnostics naming the path.
+/// Opens and reads a whole file, refusing input past limits.max_bytes
+/// rather than buffering it; open failure, read failure, and oversize
+/// all come back as Diagnostics naming the path (line 0).
 [[nodiscard]] ParseResult<std::string> read_file(const std::string& path,
                                                  const ReadLimits& limits = {});
 

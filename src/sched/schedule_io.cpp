@@ -1,14 +1,10 @@
 #include "sched/schedule_io.h"
 
-#include <istream>
-#include <ostream>
 #include <bit>
 #include <functional>
+#include <ostream>
 #include <sstream>
 #include <vector>
-
-#include "io/source.h"
-#include "io/text.h"
 
 namespace lwm::sched {
 
@@ -27,7 +23,7 @@ std::string schedule_to_text(const cdfg::Graph& g, const Schedule& s) {
 }
 
 io::ParseResult<Schedule> parse_schedule(const cdfg::Graph& g,
-                                         std::string_view text,
+                                         io::LineCursor lines,
                                          std::string_view source_name) {
   Schedule s(g);
   // One open-addressed name index per parse keeps the parse linear; the
@@ -42,7 +38,6 @@ io::ParseResult<Schedule> parse_schedule(const cdfg::Graph& g,
   for (const cdfg::NodeId n : g.nodes()) {
     if (cdfg::NodeId& slot = slot_of(g.node(n).name); !slot.valid()) slot = n;
   }
-  io::LineCursor lines(text);
   bool saw_header = false;
   const auto err = [&](int line, int col, std::string msg) {
     return io::Diagnostic{std::string(source_name), line, col, std::move(msg)};
@@ -96,20 +91,11 @@ io::ParseResult<Schedule> parse_schedule(const cdfg::Graph& g,
                  "unknown directive '" + std::string(tok->text) + "'");
     }
   }
+  if (const auto& e = lines.error()) return err(e->line, e->column, e->message);
   if (!saw_header) {
     return err(0, 0, "missing 'schedule' header");
   }
   return s;
-}
-
-Schedule read_schedule(const cdfg::Graph& g, std::istream& is) {
-  auto text = io::read_stream(is, "<schedule>");
-  if (!text) throw io::ParseError(text.diag());
-  return parse_schedule(g, text.value(), "<schedule>").take_or_throw();
-}
-
-Schedule schedule_from_text(const cdfg::Graph& g, const std::string& text) {
-  return parse_schedule(g, text, "<schedule>").take_or_throw();
 }
 
 }  // namespace lwm::sched

@@ -15,6 +15,7 @@
 
 #include "cdfg/graph.h"
 #include "io/parse_result.h"
+#include "io/text.h"
 #include "sched/schedule.h"
 
 namespace lwm::sched {
@@ -22,17 +23,12 @@ namespace lwm::sched {
 void write_schedule(const cdfg::Graph& g, const Schedule& s, std::ostream& os);
 [[nodiscard]] std::string schedule_to_text(const cdfg::Graph& g, const Schedule& s);
 
-/// Non-throwing parse core against `g` (names must resolve): syntax
-/// errors, unknown or twice-scheduled nodes, negative steps, and
-/// trailing garbage come back as a located Diagnostic.
+/// Parses against `g` (names must resolve) from text or a stream (see
+/// io::LineCursor).  Syntax errors, unknown or twice-scheduled nodes,
+/// negative steps, trailing garbage and cursor failures come back as a
+/// located Diagnostic.
 [[nodiscard]] io::ParseResult<Schedule> parse_schedule(
-    const cdfg::Graph& g, std::string_view text,
+    const cdfg::Graph& g, io::LineCursor lines,
     std::string_view source_name = "<schedule>");
-
-/// Parses against `g` (names must resolve).  Throws io::ParseError
-/// with a line number on syntax errors or unknown nodes.
-[[nodiscard]] Schedule read_schedule(const cdfg::Graph& g, std::istream& is);
-[[nodiscard]] Schedule schedule_from_text(const cdfg::Graph& g,
-                                          const std::string& text);
 
 }  // namespace lwm::sched

@@ -1,13 +1,9 @@
 #include "tmatch/library_io.h"
 
-#include <istream>
 #include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
-
-#include "io/source.h"
-#include "io/text.h"
 
 namespace lwm::tmatch {
 
@@ -30,16 +26,18 @@ std::string library_to_text(const TemplateLibrary& lib) {
   return os.str();
 }
 
-io::ParseResult<TemplateLibrary> parse_library(std::string_view text,
+io::ParseResult<TemplateLibrary> parse_library(io::LineCursor lines,
                                                std::string_view source_name) {
   TemplateLibrary lib;
-  io::LineCursor lines(text);
   const auto err = [&](int line, int col, std::string msg) {
     return io::Diagnostic{std::string(source_name), line, col, std::move(msg)};
   };
 
   {
     const auto header = lines.next();
+    if (const auto& e = lines.error()) {
+      return err(e->line, e->column, e->message);
+    }
     if (!header || *header != "templates v1") {
       return err(header ? 1 : 0, 0, "missing 'templates v1' header");
     }
@@ -111,18 +109,9 @@ io::ParseResult<TemplateLibrary> parse_library(std::string_view text,
                  "unknown directive '" + std::string(tok->text) + "'");
     }
   }
+  if (const auto& e = lines.error()) return err(e->line, e->column, e->message);
   if (const auto d = flush(lines.line_number())) return *d;
   return lib;
-}
-
-TemplateLibrary read_library(std::istream& is) {
-  auto text = io::read_stream(is, "<library>");
-  if (!text) throw io::ParseError(text.diag());
-  return parse_library(text.value(), "<library>").take_or_throw();
-}
-
-TemplateLibrary library_from_text(const std::string& text) {
-  return parse_library(text, "<library>").take_or_throw();
 }
 
 }  // namespace lwm::tmatch

@@ -13,6 +13,7 @@
 #include <string_view>
 
 #include "io/parse_result.h"
+#include "io/text.h"
 #include "tmatch/template_lib.h"
 
 namespace lwm::tmatch {
@@ -20,15 +21,10 @@ namespace lwm::tmatch {
 void write_library(const TemplateLibrary& lib, std::ostream& os);
 [[nodiscard]] std::string library_to_text(const TemplateLibrary& lib);
 
-/// Non-throwing parse core: malformed input, invalid template trees,
-/// bad areas/child indices, and trailing garbage come back as a located
-/// Diagnostic.
+/// Parses from text or a stream (see io::LineCursor).  Malformed input,
+/// invalid template trees, bad areas/child indices, trailing garbage and
+/// cursor failures come back as a located Diagnostic.
 [[nodiscard]] io::ParseResult<TemplateLibrary> parse_library(
-    std::string_view text, std::string_view source_name = "<library>");
-
-/// Throws io::ParseError with a line number on malformed input or
-/// invalid template trees.
-[[nodiscard]] TemplateLibrary read_library(std::istream& is);
-[[nodiscard]] TemplateLibrary library_from_text(const std::string& text);
+    io::LineCursor lines, std::string_view source_name = "<library>");
 
 }  // namespace lwm::tmatch

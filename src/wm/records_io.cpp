@@ -1,12 +1,8 @@
 #include "wm/records_io.h"
 
-#include <istream>
 #include <optional>
 #include <ostream>
 #include <sstream>
-
-#include "io/source.h"
-#include "io/text.h"
 
 namespace lwm::wm {
 
@@ -56,16 +52,18 @@ std::string to_text(const RecordArchive& archive) {
   return os.str();
 }
 
-io::ParseResult<RecordArchive> parse_records(std::string_view text,
+io::ParseResult<RecordArchive> parse_records(io::LineCursor lines,
                                              std::string_view source_name) {
   RecordArchive archive;
-  io::LineCursor lines(text);
   const auto err = [&](int line, int col, std::string msg) {
     return io::Diagnostic{std::string(source_name), line, col, std::move(msg)};
   };
 
   {
     const auto header = lines.next();
+    if (const auto& e = lines.error()) {
+      return err(e->line, e->column, e->message);
+    }
     if (!header || *header != "lwm-records v1") {
       return err(header ? 1 : 0, 0, "missing 'lwm-records v1' header");
     }
@@ -217,6 +215,7 @@ io::ParseResult<RecordArchive> parse_records(std::string_view text,
       if (mode == Mode::kNone) {
         return err(lineno, tok->column, "ops before record header");
       }
+      if (seen_ops) return err(lineno, tok->column, "duplicate ops line");
       std::vector<int>& target =
           mode == Mode::kSched ? cur_sched.subtree_ops : cur_reg.subtree_ops;
       while (const auto id = lx.next()) {
@@ -235,18 +234,9 @@ io::ParseResult<RecordArchive> parse_records(std::string_view text,
                  "unknown directive '" + std::string(tok->text) + "'");
     }
   }
+  if (const auto& e = lines.error()) return err(e->line, e->column, e->message);
   if (const auto d = flush(lines.line_number())) return *d;
   return archive;
-}
-
-RecordArchive read_records(std::istream& is) {
-  auto text = io::read_stream(is, "<records>");
-  if (!text) throw io::ParseError(text.diag());
-  return parse_records(text.value(), "<records>").take_or_throw();
-}
-
-RecordArchive records_from_text(const std::string& text) {
-  return parse_records(text, "<records>").take_or_throw();
 }
 
 }  // namespace lwm::wm

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "io/parse_result.h"
+#include "io/text.h"
 #include "wm/detector.h"
 #include "wm/reg_constraints.h"
 
@@ -36,14 +37,11 @@ struct RecordArchive {
 void write_records(const RecordArchive& archive, std::ostream& os);
 [[nodiscard]] std::string to_text(const RecordArchive& archive);
 
-/// Non-throwing parse core: malformed fields (non-numeric tau, empty
-/// keep denominator, keep_den == 0, out-of-range values), bad structure,
-/// and trailing garbage all come back as a located Diagnostic.
+/// Parses from text or a stream (see io::LineCursor).  Malformed fields
+/// (non-numeric tau, empty keep denominator, keep_den == 0, out-of-range
+/// values), bad structure (a second ops line in a record), trailing
+/// garbage and cursor failures all come back as a located Diagnostic.
 [[nodiscard]] io::ParseResult<RecordArchive> parse_records(
-    std::string_view text, std::string_view source_name = "<records>");
-
-/// Throws io::ParseError with a line number on malformed input.
-[[nodiscard]] RecordArchive read_records(std::istream& is);
-[[nodiscard]] RecordArchive records_from_text(const std::string& text);
+    io::LineCursor lines, std::string_view source_name = "<records>");
 
 }  // namespace lwm::wm

@@ -151,7 +151,7 @@ TEST(DelayModelTest, TimingCacheExposesOptimisticWindows) {
 TEST(DelayModelTest, AnnotatedGraphRoundTripsThroughText) {
   Graph g = dfglib::make_fir(16);
   DelayModel::dyno(8).annotate(g);
-  const Graph h = from_text(to_text(g));
+  const Graph h = parse_cdfg(to_text(g)).value();
   for (NodeId n : g.node_ids()) {
     const NodeId hn = h.find(g.node(n).name);
     EXPECT_EQ(h.node(hn).delay, g.node(n).delay) << g.node(n).name;

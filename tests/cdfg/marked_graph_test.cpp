@@ -97,9 +97,9 @@ TEST(MarkedGraphTest, TokensRoundTripThroughText) {
   const Graph g2 = parse_ok(text);
   EXPECT_EQ(to_text(g2), text);
 
-  // The streaming parser accepts the identical language.
+  // The stream form accepts the identical language.
   std::istringstream is(text);
-  auto streamed = parse_cdfg_stream(is, "<stream>");
+  auto streamed = parse_cdfg(io::LineCursor(is), "<stream>");
   ASSERT_TRUE(streamed.ok()) << streamed.diag().message;
   EXPECT_EQ(to_text(streamed.value()), text);
 }

@@ -65,7 +65,7 @@ TEST_P(MegaDesignTest, StreamingRoundTripIsByteExact) {
   const Graph g = make_mega_design(cfg);
   const std::string text = cdfg::to_text(g);
   std::istringstream in(text);
-  auto parsed = cdfg::parse_cdfg_stream(in, "mega.cdfg");
+  auto parsed = cdfg::parse_cdfg(io::LineCursor(in), "mega.cdfg");
   ASSERT_TRUE(parsed.ok()) << parsed.diag().to_string();
   EXPECT_EQ(cdfg::to_text(parsed.value()), text);
 }

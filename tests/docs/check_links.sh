@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# docs-check: fail on dead *relative* links in the repo's markdown.
+# docs-check: fail on dead *relative* links in the repo's markdown, and
+# (check_api_names.sh) on backticked API names that left src/.
 # Scans every tracked-location .md (skipping build trees and .git),
 # extracts [text](target) links, and requires each relative target to
 # exist on disk, resolved against the file's own directory.  External
@@ -41,4 +42,5 @@ done < <(find "$ROOT" -name '*.md' \
 if [ "$status" -eq 0 ]; then
   echo "PASS: no dead relative links"
 fi
+bash "$(dirname "$0")/check_api_names.sh" "$ROOT" || status=1
 exit $status

@@ -35,7 +35,7 @@ TEST(EndToEnd, MarkScheduleShipDetect) {
 
   // 2. The shipped artifact: stripped spec + schedule, via serialization.
   design.strip_temporal_edges();
-  const Graph shipped = cdfg::from_text(cdfg::to_text(design));
+  const Graph shipped = cdfg::parse_cdfg(cdfg::to_text(design)).value();
 
   // 3. Rebase the schedule onto the re-parsed graph by name.
   sched::Schedule shipped_sched(shipped);

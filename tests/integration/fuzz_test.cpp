@@ -1,8 +1,8 @@
 // Parser robustness: mutated/truncated serialized artifacts must either
-// parse to something valid or throw std::runtime_error — never crash,
-// hang, or corrupt memory.  (Run under ASan/UBSan builds for full value;
-// in a plain build these still catch logic-level non-termination and
-// unexpected exception types.)
+// parse to something valid or come back as a Diagnostic — never throw,
+// crash, hang, or corrupt memory.  (Run under ASan/UBSan builds for full
+// value; in a plain build these still catch logic-level non-termination
+// and escaping exceptions.)
 #include <gtest/gtest.h>
 
 #include <random>
@@ -25,13 +25,7 @@ crypto::Signature alice() { return {"alice", "alice-design-key-2001"}; }
 
 template <typename ParseFn>
 void expect_graceful(const std::string& text, ParseFn&& parse) {
-  try {
-    parse(text);
-  } catch (const std::runtime_error&) {
-    // expected failure mode
-  } catch (const std::exception& e) {
-    FAIL() << "unexpected exception type: " << e.what() << "\ninput:\n" << text;
-  }
+  EXPECT_NO_THROW(parse(text)) << "input:\n" << text;
 }
 
 class FuzzSeeds : public ::testing::TestWithParam<std::uint64_t> {};
@@ -42,7 +36,7 @@ TEST_P(FuzzSeeds, TruncatedCdfgNeverCrashes) {
   for (int i = 0; i < 50; ++i) {
     const std::size_t cut = rng() % (text.size() + 1);
     expect_graceful(text.substr(0, cut),
-                    [](const std::string& t) { (void)cdfg::from_text(t); });
+                    [](const std::string& t) { (void)cdfg::parse_cdfg(t); });
   }
 }
 
@@ -57,7 +51,7 @@ TEST_P(FuzzSeeds, MutatedCdfgNeverCrashes) {
       text[rng() % text.size()] = charset[rng() % charset.size()];
     }
     expect_graceful(text,
-                    [](const std::string& t) { (void)cdfg::from_text(t); });
+                    [](const std::string& t) { (void)cdfg::parse_cdfg(t); });
   }
 }
 
@@ -71,7 +65,7 @@ TEST_P(FuzzSeeds, MutatedScheduleNeverCrashes) {
     const std::size_t cut = rng() % (text.size() + 1);
     text = text.substr(0, cut) + "\nat bogus 1 2 3";
     expect_graceful(text, [&g](const std::string& t) {
-      (void)sched::schedule_from_text(g, t);
+      (void)sched::parse_schedule(g, t);
     });
   }
 }
@@ -96,28 +90,25 @@ TEST_P(FuzzSeeds, MutatedRecordsNeverCrash) {
       text[rng() % text.size()] = charset[rng() % charset.size()];
     }
     expect_graceful(text, [](const std::string& t) {
-      (void)wm::records_from_text(t);
+      (void)wm::parse_records(t);
     });
   }
 }
 
 TEST_P(FuzzSeeds, ParsedGarbageStillUsableOrRejected) {
   // When a mutated design happens to parse, downstream analysis must not
-  // crash either (it may throw runtime_error for cyclic graphs).
+  // crash either.
   const std::string original = cdfg::to_text(dfglib::iir4_parallel());
   std::mt19937_64 rng(GetParam() ^ 0xabcdef);
   for (int i = 0; i < 25; ++i) {
     std::string text = original;
     text[rng() % text.size()] = static_cast<char>('a' + rng() % 26);
-    try {
-      const cdfg::Graph g = cdfg::from_text(text);
-      (void)cdfg::validate(g);
-      try {
-        (void)cdfg::critical_path_length(g);
-      } catch (const std::runtime_error&) {
-      }
-    } catch (const std::runtime_error&) {
-    }
+    auto parsed = cdfg::parse_cdfg(text);
+    if (!parsed.ok()) continue;
+    const cdfg::Graph g = std::move(parsed).value();
+    (void)cdfg::validate(g);
+    // The parser refuses token-free cycles, so timing cannot throw.
+    EXPECT_NO_THROW((void)cdfg::critical_path_length(g)) << text;
   }
 }
 

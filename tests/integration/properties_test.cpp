@@ -67,7 +67,7 @@ TEST_P(RandomDagProperties, SchedulersProduceVerifiableSchedules) {
 
 TEST_P(RandomDagProperties, SerializationRoundTrip) {
   const Graph g = make();
-  const Graph h = cdfg::from_text(cdfg::to_text(g));
+  const Graph h = cdfg::parse_cdfg(cdfg::to_text(g)).value();
   EXPECT_EQ(cdfg::to_text(h), cdfg::to_text(g));
   EXPECT_EQ(cdfg::critical_path_length(h), cdfg::critical_path_length(g));
 }

@@ -1,11 +1,10 @@
 // Unit tests for the lwm::io trust-boundary primitives: Diagnostic
-// rendering, ParseResult/ParseError bridging, line/token scanning with
-// columns, strict numeric conversion, and the size-limited front door.
+// rendering, ParseResult, line/token scanning with columns, strict
+// numeric conversion, and the size-limited front door.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 
 #include "io/parse_result.h"
@@ -38,18 +37,6 @@ TEST(ParseResultTest, HoldsValueOrDiagnostic) {
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.diag().line, 1);
   EXPECT_EQ(bad.diag().message, "nope");
-}
-
-TEST(ParseResultTest, TakeOrThrowRaisesParseErrorWithDiagnostic) {
-  EXPECT_EQ((ParseResult<std::string>{std::string("v")}).take_or_throw(), "v");
-  try {
-    (void)ParseResult<int>(Diagnostic{"f.txt", 7, 3, "bad"}).take_or_throw();
-    FAIL() << "expected ParseError";
-  } catch (const ParseError& e) {
-    EXPECT_EQ(e.diag().line, 7);
-    EXPECT_EQ(e.diag().column, 3);
-    EXPECT_STREQ(e.what(), "f.txt line 7, col 3: bad");
-  }
 }
 
 TEST(LineCursorTest, CountsLinesAndStripsCr) {
@@ -106,23 +93,27 @@ TEST(StrictNumbersTest, WholeTokenOrNothing) {
   EXPECT_FALSE(to_double("nan"));
 }
 
-TEST(SourceTest, ReadStreamEnforcesSizeLimit) {
-  std::istringstream small("hello world");
-  const auto ok = read_stream(small, "<test>");
+TEST(SourceTest, ReadFileEnforcesSizeLimit) {
+  const std::string path = testing::TempDir() + "/lwm_io_size_limit_test.txt";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << std::string(1024, 'x');
+  }
+  const auto ok = read_file(path, ReadLimits{1024});
   ASSERT_TRUE(ok.ok());
-  EXPECT_EQ(ok.value(), "hello world");
+  EXPECT_EQ(ok.value(), std::string(1024, 'x'));
 
-  std::istringstream big(std::string(1024, 'x'));
-  const auto refused = read_stream(big, "<test>", ReadLimits{100});
+  const auto refused = read_file(path, ReadLimits{100});
   ASSERT_FALSE(refused.ok());
-  EXPECT_EQ(refused.diag().file, "<test>");
+  EXPECT_EQ(refused.diag().file, path);
   EXPECT_NE(refused.diag().message.find("100-byte whole-file cap"),
             std::string::npos);
   // The refusal must teach the fix: name the cap's knob and the
-  // streaming alternative.
+  // stream form.
   EXPECT_NE(refused.diag().message.find("max_bytes"), std::string::npos);
-  EXPECT_NE(refused.diag().message.find("parse_cdfg_stream"),
+  EXPECT_NE(refused.diag().message.find("io::LineCursor(in"),
             std::string::npos);
+  std::remove(path.c_str());
 }
 
 TEST(SourceTest, ReadFileReportsOpenFailureAndRoundTrips) {

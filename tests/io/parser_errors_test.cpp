@@ -73,6 +73,21 @@ TEST(ParserErrorsTest, CdfgValidTextRoundTripsUnchanged) {
   EXPECT_EQ(cdfg::to_text(r.value()), canonical);
 }
 
+TEST(ParserErrorsTest, CdfgDelaySumPastIntMaxIsRejected) {
+  // Each delay fits in int, but a path through both would not: ASAP
+  // arithmetic downstream would overflow.
+  const auto r = cdfg::parse_cdfg(
+      "cdfg t\nnode a add 2147483000\nnode b add 2147483000\nedge a b\n",
+      "bad.cdfg");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.diag().file, "bad.cdfg");
+  EXPECT_EQ(r.diag().line, 3);
+  EXPECT_EQ(r.diag().column, 12);
+  EXPECT_NE(r.diag().message.find("total node delay exceeds"),
+            std::string::npos)
+      << r.diag().to_string();
+}
+
 // ------------------------------------------------------------- records
 
 const BadInput kBadRecords[] = {
@@ -128,12 +143,24 @@ TEST(ParserErrorsTest, RecordsValidTextRoundTripsUnchanged) {
   EXPECT_EQ(wm::to_text(r.value()), canonical);
 }
 
+TEST(ParserErrorsTest, RecordsSecondOpsLineIsRejected) {
+  const auto r = wm::parse_records(
+      "lwm-records v1\nsched tau=2 keep=1/1 pairs=0\nops 1 2\nops 3\n",
+      "bad.lwm");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.diag().file, "bad.lwm");
+  EXPECT_EQ(r.diag().line, 4);
+  EXPECT_EQ(r.diag().column, 1);
+  EXPECT_NE(r.diag().message.find("duplicate ops line"), std::string::npos)
+      << r.diag().to_string();
+}
+
 // ------------------------------------------------------------ schedule
 
 cdfg::Graph schedule_fixture() {
-  return cdfg::from_text(
+  return cdfg::parse_cdfg(
       "cdfg fix\nnode in1 input\nnode a add\nnode b mul\nnode out1 output\n"
-      "edge in1 a\nedge a b\nedge b out1\n");
+      "edge in1 a\nedge a b\nedge b out1\n").value();
 }
 
 const BadInput kBadSchedule[] = {

@@ -20,7 +20,7 @@ TEST(ScheduleIoTest, RoundTripExact) {
   const Graph g = lwm::dfglib::iir4_parallel();
   const Schedule s = list_schedule(g);
   const std::string text = schedule_to_text(g, s);
-  const Schedule back = schedule_from_text(g, text);
+  const Schedule back = parse_schedule(g, text).value();
   for (cdfg::NodeId n : g.node_ids()) {
     EXPECT_EQ(back.is_scheduled(n), s.is_scheduled(n)) << g.node(n).name;
     if (s.is_scheduled(n)) {
@@ -35,34 +35,32 @@ TEST(ScheduleIoTest, SurvivesGraphReserialization) {
   const Graph g = lwm::dfglib::iir4_parallel();
   const Schedule s = list_schedule(g);
   const std::string sched_text = schedule_to_text(g, s);
-  const Graph h = cdfg::from_text(cdfg::to_text(g));
-  const Schedule rebased = schedule_from_text(h, sched_text);
+  const Graph h = cdfg::parse_cdfg(cdfg::to_text(g)).value();
+  const Schedule rebased = parse_schedule(h, sched_text).value();
   EXPECT_TRUE(verify_schedule(h, rebased).ok);
   EXPECT_EQ(rebased.length(h), s.length(g));
 }
 
 TEST(ScheduleIoTest, MalformedInputRejected) {
   const Graph g = lwm::dfglib::iir4_parallel();
-  EXPECT_THROW((void)schedule_from_text(g, ""), std::runtime_error);
-  EXPECT_THROW((void)schedule_from_text(g, "at A1 0\n"), std::runtime_error)
+  EXPECT_FALSE(parse_schedule(g, "").ok());
+  EXPECT_FALSE(parse_schedule(g, "at A1 0\n").ok())
       << "missing header";
-  EXPECT_THROW((void)schedule_from_text(g, "schedule x\nat nope 0\n"),
-               std::runtime_error)
+  EXPECT_FALSE(parse_schedule(g, "schedule x\nat nope 0\n").ok())
       << "unknown node";
-  EXPECT_THROW((void)schedule_from_text(g, "schedule x\nat A1\n"),
-               std::runtime_error)
+  EXPECT_FALSE(parse_schedule(g, "schedule x\nat A1\n").ok())
       << "missing step";
-  EXPECT_THROW((void)schedule_from_text(g, "schedule x\nfrobnicate\n"),
-               std::runtime_error);
+  EXPECT_FALSE(parse_schedule(g, "schedule x\nfrobnicate\n").ok());
 }
 
 TEST(ScheduleIoTest, CommentsAndPartialSchedulesOk) {
   const Graph g = lwm::dfglib::iir4_parallel();
-  const Schedule s = schedule_from_text(g,
-                                        "schedule iir\n"
-                                        "# only two ops pinned\n"
-                                        "at A1 3\n"
-                                        "at C1 0\n");
+  const Schedule s = parse_schedule(g,
+                                    "schedule iir\n"
+                                    "# only two ops pinned\n"
+                                    "at A1 3\n"
+                                    "at C1 0\n")
+                         .value();
   EXPECT_EQ(s.start_of(g.find("A1")), 3);
   EXPECT_EQ(s.start_of(g.find("C1")), 0);
   EXPECT_FALSE(s.is_scheduled(g.find("A9")));
@@ -72,11 +70,12 @@ TEST(ScheduleIoTest, DuplicateNameResolvesToFirstLiveNode) {
   Graph g("dup");
   const cdfg::NodeId first = g.add_node(cdfg::OpKind::kAdd, "x");
   const cdfg::NodeId second = g.add_node(cdfg::OpKind::kAdd, "x");
-  const Schedule s = schedule_from_text(g, "schedule dup\nat x 4\n");
+  const Schedule s = parse_schedule(g, "schedule dup\nat x 4\n").value();
   EXPECT_EQ(s.start_of(first), 4);
   EXPECT_FALSE(s.is_scheduled(second));
   g.remove_node(first);
-  EXPECT_EQ(schedule_from_text(g, "schedule dup\nat x 2\n").start_of(second), 2);
+  EXPECT_EQ(
+      parse_schedule(g, "schedule dup\nat x 2\n").value().start_of(second), 2);
 }
 
 /// A design of `ops` operations and the text of its ASAP schedule.

@@ -34,7 +34,7 @@ TEST(OrderLocalityTest, DeterministicAcrossCalls) {
 
 TEST(OrderLocalityTest, SurvivesSerializationRoundTrip) {
   const Graph g = lwm::dfglib::iir4_parallel();
-  const Graph h = cdfg::from_text(cdfg::to_text(g));
+  const Graph h = cdfg::parse_cdfg(cdfg::to_text(g)).value();
   const auto og = order_locality(g, g.find("A9"), 4);
   const auto oh = order_locality(h, h.find("A9"), 4);
   ASSERT_EQ(og.size(), oh.size());

@@ -37,7 +37,7 @@ TEST(RecordsIoTest, RoundTripIsExact) {
   ASSERT_FALSE(a.sched.empty());
   ASSERT_FALSE(a.reg.empty());
   const std::string text = to_text(a);
-  const RecordArchive b = records_from_text(text);
+  const RecordArchive b = parse_records(text).value();
 
   ASSERT_EQ(b.sched.size(), a.sched.size());
   for (std::size_t i = 0; i < a.sched.size(); ++i) {
@@ -70,7 +70,7 @@ TEST(RecordsIoTest, ReloadedRecordsStillDetect) {
   const sched::Schedule s = sched::list_schedule(g);
   g.strip_temporal_edges();
 
-  const RecordArchive reloaded = records_from_text(to_text(archive));
+  const RecordArchive reloaded = parse_records(to_text(archive)).value();
   for (const SchedRecord& rec : reloaded.sched) {
     EXPECT_TRUE(detect_sched_watermark(g, s, alice(), rec).detected());
   }
@@ -78,18 +78,18 @@ TEST(RecordsIoTest, ReloadedRecordsStillDetect) {
 
 TEST(RecordsIoTest, EmptyArchiveRoundTrips) {
   const RecordArchive empty;
-  const RecordArchive back = records_from_text(to_text(empty));
+  const RecordArchive back = parse_records(to_text(empty)).value();
   EXPECT_TRUE(back.sched.empty());
   EXPECT_TRUE(back.reg.empty());
 }
 
 TEST(RecordsIoTest, CommentsIgnored) {
-  const RecordArchive a = records_from_text(
+  const RecordArchive a = parse_records(
       "lwm-records v1\n"
       "# archive for project X\n"
       "sched tau=5 keep=1/2 pairs=1\n"
       "pos 2 4\n"
-      "ops 4 4 6 1\n");
+      "ops 4 4 6 1\n").value();
   ASSERT_EQ(a.sched.size(), 1u);
   EXPECT_EQ(a.sched[0].domain.tau, 5);
   EXPECT_EQ(a.sched[0].positions[0], (std::pair<int, int>{2, 4}));
@@ -97,32 +97,28 @@ TEST(RecordsIoTest, CommentsIgnored) {
 }
 
 TEST(RecordsIoTest, MalformedInputRejectedWithLineNumbers) {
-  EXPECT_THROW((void)records_from_text(""), std::runtime_error);
-  EXPECT_THROW((void)records_from_text("wrong header\n"), std::runtime_error);
+  EXPECT_FALSE(parse_records("").ok());
+  EXPECT_FALSE(parse_records("wrong header\n").ok());
   // pos before any record.
-  EXPECT_THROW((void)records_from_text("lwm-records v1\npos 1 2\n"),
-               std::runtime_error);
+  EXPECT_FALSE(parse_records("lwm-records v1\npos 1 2\n").ok());
   // pair-count mismatch.
-  EXPECT_THROW((void)records_from_text("lwm-records v1\n"
-                                       "sched tau=5 keep=1/2 pairs=2\n"
-                                       "pos 1 2\n"
-                                       "ops 1 2 3\n"),
-               std::runtime_error);
+  EXPECT_FALSE(parse_records("lwm-records v1\n"
+                             "sched tau=5 keep=1/2 pairs=2\n"
+                             "pos 1 2\n"
+                             "ops 1 2 3\n")
+                   .ok());
   // missing ops.
-  EXPECT_THROW((void)records_from_text("lwm-records v1\n"
-                                       "sched tau=5 keep=1/2 pairs=0\n"),
-               std::runtime_error);
+  EXPECT_FALSE(parse_records("lwm-records v1\n"
+                             "sched tau=5 keep=1/2 pairs=0\n")
+                   .ok());
   // reg without m.
-  EXPECT_THROW((void)records_from_text("lwm-records v1\n"
-                                       "reg tau=5 keep=1/2 pairs=0\nops 1\n"),
-               std::runtime_error);
+  EXPECT_FALSE(parse_records("lwm-records v1\n"
+                             "reg tau=5 keep=1/2 pairs=0\nops 1\n")
+                   .ok());
   // garbage numbers.
-  try {
-    (void)records_from_text("lwm-records v1\nsched tau=x keep=1/2 pairs=0\n");
-    FAIL();
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
-  }
+  const auto r = parse_records("lwm-records v1\nsched tau=x keep=1/2 pairs=0\n");
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.diag().to_string().find("line 2"), std::string::npos);
 }
 
 }  // namespace

@@ -103,8 +103,8 @@ def main() -> int:
     args = ap.parse_args()
 
     try:
-        base = json.loads(args.baseline.read_text())
-        cand = json.loads(args.candidate.read_text())
+        base = json.loads(args.baseline.read_bytes())
+        cand = json.loads(args.candidate.read_bytes())
     except (OSError, json.JSONDecodeError) as e:
         print(f"bench_compare: {e}", file=sys.stderr)
         return 1

@@ -24,7 +24,7 @@ END = "<!-- perf-table:end -->"
 
 def scale_lines() -> list:
     """The workload-scale table from BENCH_scale.json."""
-    scale = json.loads((ROOT / "BENCH_scale.json").read_text())
+    scale = json.loads((ROOT / "BENCH_scale.json").read_bytes())
     lines = [
         "",
         f"`BENCH_scale.json` — the mega-design pipeline (generate,"
@@ -47,7 +47,7 @@ def scale_lines() -> list:
 
 def delay_lines() -> list:
     """The delay-model throughput line from BENCH_delay.json."""
-    delay = json.loads((ROOT / "BENCH_delay.json").read_text())
+    delay = json.loads((ROOT / "BENCH_delay.json").read_bytes())
     return [
         "",
         f"`BENCH_delay.json` — dual-band `TimingCache` construction and"
@@ -62,7 +62,7 @@ def delay_lines() -> list:
 
 def serve_lines() -> list:
     """The resident-vs-cold service table from BENCH_serve.json."""
-    serve = json.loads((ROOT / "BENCH_serve.json").read_text())
+    serve = json.loads((ROOT / "BENCH_serve.json").read_bytes())
     lines = [
         "",
         f"`BENCH_serve.json` — the watermark service"
@@ -88,7 +88,7 @@ def serve_lines() -> list:
 
 
 def main() -> int:
-    bench = json.loads((ROOT / "BENCH_micro.json").read_text())
+    bench = json.loads((ROOT / "BENCH_micro.json").read_bytes())
     # The reference recomputes every unscheduled node's force vector on
     # every one of the N placement iterations: N + (N-1) + ... + 1.
     ref_refills = bench["fds_ops"] * (bench["fds_ops"] + 1) // 2
@@ -137,14 +137,14 @@ def main() -> int:
     )
 
     readme_path = ROOT / "README.md"
-    readme = readme_path.read_text()
+    readme = readme_path.read_bytes().decode()
     begin = readme.find(BEGIN)
     end = readme.find(END)
     if begin < 0 or end < 0:
         print("README.md is missing the perf-table markers", file=sys.stderr)
         return 1
     readme = readme[:begin] + block + readme[end + len(END):]
-    readme_path.write_text(readme)
+    readme_path.write_bytes(readme.encode())
     print("README.md perf table regenerated from BENCH_micro.json")
     return 0
 
