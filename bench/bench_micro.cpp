@@ -26,6 +26,7 @@
 #include "dfglib/mediabench.h"
 #include "dfglib/synth.h"
 #include "exec/thread_pool.h"
+#include "fds_reference.h"
 #include "sched/bnb.h"
 #include "sched/enumerate.h"
 #include "sched/force_directed.h"

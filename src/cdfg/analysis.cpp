@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/obs.h"
 
@@ -116,16 +117,21 @@ CycleInfo find_cycle(const Graph& g, EdgeFilter filter) {
   return cycle;
 }
 
-TimingInfo compute_timing(const Graph& g, int latency, EdgeFilter filter) {
-  // One relaxed add per O(V+E) pass: the work guard for callers that
-  // promise to reuse resident windows instead of re-timing.
-  LWM_COUNT("cdfg/timing_passes", 1);
+namespace {
+
+// The one ASAP/ALAP relaxation: forward longest path, then backward
+// against the latency bound, over a precomputed topological order.
+// Templated on the delay field it reads (Node::delay for the scheduling
+// band, Node::delay_min for the optimistic one), so each band compiles
+// to its own loop with a fixed field load.  `latency` < 0 means the
+// band's own critical path; otherwise it must be >= that path.
+template <int Node::*Delay>
+TimingInfo relax(const Graph& g, const std::vector<NodeId>& order, int latency,
+                 EdgeFilter filter) {
   const std::size_t cap = g.node_capacity();
   TimingInfo t;
   t.asap.assign(cap, -1);
   t.alap.assign(cap, -1);
-
-  const std::vector<NodeId> order = topo_order(g, filter);
 
   // ASAP: forward longest path.
   int cp = 0;
@@ -135,10 +141,10 @@ TimingInfo compute_timing(const Graph& g, int latency, EdgeFilter filter) {
       const Edge& ed = g.edge(e);
       if (!filter.accepts(ed)) continue;
       const NodeId p = ed.src;
-      start = std::max(start, t.asap[p.value] + g.node(p).delay);
+      start = std::max(start, t.asap[p.value] + g.node(p).*Delay);
     }
     t.asap[n.value] = start;
-    cp = std::max(cp, start + g.node(n).delay);
+    cp = std::max(cp, start + g.node(n).*Delay);
   }
   t.critical_path = cp;
 
@@ -154,15 +160,24 @@ TimingInfo compute_timing(const Graph& g, int latency, EdgeFilter filter) {
   // ALAP: backward longest path against the latency bound.
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const NodeId n = *it;
-    int latest = latency - g.node(n).delay;
+    int latest = latency - g.node(n).*Delay;
     for (EdgeId e : g.fanout(n)) {
       const Edge& ed = g.edge(e);
       if (!filter.accepts(ed)) continue;
-      latest = std::min(latest, t.alap[ed.dst.value] - g.node(n).delay);
+      latest = std::min(latest, t.alap[ed.dst.value] - g.node(n).*Delay);
     }
     t.alap[n.value] = latest;
   }
   return t;
+}
+
+}  // namespace
+
+TimingInfo compute_timing(const Graph& g, int latency, EdgeFilter filter) {
+  // One relaxed add per timing analysis: the work guard for callers that
+  // promise to reuse resident windows instead of re-timing.
+  LWM_COUNT("cdfg/timing_passes", 1);
+  return relax<&Node::delay>(g, topo_order(g, filter), latency, filter);
 }
 
 int critical_path_length(const Graph& g, EdgeFilter filter) {
@@ -171,43 +186,17 @@ int critical_path_length(const Graph& g, EdgeFilter filter) {
 
 BoundedTimingInfo compute_timing_bounded(const Graph& g, int latency,
                                          EdgeFilter filter) {
-  BoundedTimingInfo t;
-  t.pess = compute_timing(g, latency, filter);  // validates the latency bound
-
-  const std::size_t cap = g.node_capacity();
-  t.asap_min.assign(cap, -1);
-  t.alap_min.assign(cap, -1);
-
+  LWM_COUNT("cdfg/timing_passes", 1);
   const std::vector<NodeId> order = topo_order(g, filter);
-
-  // Optimistic ASAP: forward longest path with every delay at d_min.
-  int cp = 0;
-  for (NodeId n : order) {
-    int start = 0;
-    for (EdgeId e : g.fanin(n)) {
-      const Edge& ed = g.edge(e);
-      if (!filter.accepts(ed)) continue;
-      const NodeId p = ed.src;
-      start = std::max(start, t.asap_min[p.value] + g.node(p).delay_min);
-    }
-    t.asap_min[n.value] = start;
-    cp = std::max(cp, start + g.node(n).delay_min);
-  }
-  t.critical_path_min = cp;
-
-  // Optimistic ALAP against the same (pessimistic) latency bound: the
-  // latest n could start and still finish by t.pess.latency if every
-  // downstream delay realizes at its lower bound.
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const NodeId n = *it;
-    int latest = t.pess.latency - g.node(n).delay_min;
-    for (EdgeId e : g.fanout(n)) {
-      const Edge& ed = g.edge(e);
-      if (!filter.accepts(ed)) continue;
-      latest = std::min(latest, t.alap_min[ed.dst.value] - g.node(n).delay_min);
-    }
-    t.alap_min[n.value] = latest;
-  }
+  BoundedTimingInfo t;
+  // The pessimistic band validates the latency bound; the optimistic one
+  // runs against that same bound.  It cannot throw: d_min <= d_max keeps
+  // its critical path at or below the pessimistic one.
+  t.pess = relax<&Node::delay>(g, order, latency, filter);
+  TimingInfo opt = relax<&Node::delay_min>(g, order, t.pess.latency, filter);
+  t.asap_min = std::move(opt.asap);
+  t.alap_min = std::move(opt.alap);
+  t.critical_path_min = opt.critical_path;
   return t;
 }
 

@@ -145,10 +145,13 @@ struct BoundedTimingInfo {
   }
 };
 
-/// Computes the dual analysis.  `latency` semantics match
-/// compute_timing(): it is validated against the *pessimistic* critical
-/// path (the bound must hold under worst-case delays), and the same
-/// bound feeds the optimistic ALAP pass.
+/// Computes the dual analysis — the library's one source of optimistic
+/// (d_min) windows; TimingCache keeps the d_max band only.  One
+/// topological order feeds both passes, which share compute_timing()'s
+/// relaxation kernel.  `latency` semantics match compute_timing(): it is
+/// validated against the *pessimistic* critical path (the bound must
+/// hold under worst-case delays), and the same bound feeds the
+/// optimistic ALAP pass.
 [[nodiscard]] BoundedTimingInfo compute_timing_bounded(
     const Graph& g, int latency = -1, EdgeFilter filter = EdgeFilter::all());
 

@@ -68,8 +68,7 @@ std::string_view edge_kind_name(EdgeKind k) noexcept;
 /// value every scheduler and timing analysis constrains against, so a
 /// schedule is legal for *any* realization of the delays.  `delay_min`
 /// is the lower bound d_min used by the optimistic side of the bounded
-/// timing analyses (compute_timing_bounded, TimingCache min-windows,
-/// k-worst path min lengths).  The default is an exact interval
+/// timing analyses (compute_timing_bounded, k-worst path min lengths).  The default is an exact interval
 /// (delay_min == delay), which keeps every unit-delay code path
 /// bit-identical to the pre-bounded behavior.
 struct Node {
@@ -154,8 +153,8 @@ class Graph {
   void set_delay_bounds(NodeId n, int dmin, int dmax);
 
   /// True if any live node carries a non-degenerate delay interval
-  /// (delay_min < delay).  O(node_capacity) scan — callers that need it
-  /// repeatedly (TimingCache, GraphSoA) query once at freeze time.
+  /// (delay_min < delay).  O(node_capacity) scan — query once per graph
+  /// and keep the answer, as the DesignStore does at load.
   [[nodiscard]] bool has_bounded_delays() const noexcept;
 
   /// True if any live edge carries initial tokens (tokens > 0) — i.e.

@@ -37,7 +37,6 @@ GraphSoA::GraphSoA(const Graph& g, EdgeFilter filter) : filter_(filter) {
 
   const std::uint32_t n = size();
   delay_.resize(n);
-  delay_min_.resize(n);
   cls_.resize(n);
   exec_.resize(n);
   fanin_off_.assign(n + 1, 0);
@@ -50,8 +49,6 @@ GraphSoA::GraphSoA(const Graph& g, EdgeFilter filter) : filter_(filter) {
   for (std::uint32_t d = 0; d < n; ++d) {
     const Node& node = g.node(node_of_[d]);
     delay_[d] = node.delay;
-    delay_min_[d] = node.delay_min;
-    bounded_ = bounded_ || node.bounded_delay();
     cls_[d] = static_cast<std::uint8_t>(cdfg::unit_class(node.kind));
     exec_[d] = cdfg::is_executable(node.kind) ? 1 : 0;
     for (EdgeId e : g.fanin(node_of_[d])) {

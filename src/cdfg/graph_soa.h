@@ -13,8 +13,8 @@
 //     order preserved (the deterministic-ordering contract the
 //     watermark domain-identification step relies on) and edges not
 //     accepted by the filter dropped at build time;
-//   * contiguous per-node attribute arrays: delay, unit class,
-//     executability.
+//   * contiguous per-node attribute arrays: delay (the d_max
+//     scheduling delay), unit class, executability.
 //
 // Parallel edges contribute one CSR entry each, exactly like the
 // EdgeId-based adjacency they mirror.  The view is a snapshot: graph
@@ -81,12 +81,6 @@ class GraphSoA {
   [[nodiscard]] int delay(std::uint32_t dense) const noexcept {
     return delay_[dense];
   }
-  /// Lower delay bound d_min (== delay() on exact-interval graphs).
-  [[nodiscard]] int delay_min(std::uint32_t dense) const noexcept {
-    return delay_min_[dense];
-  }
-  /// True if any frozen node carries a non-degenerate delay interval.
-  [[nodiscard]] bool bounded_delays() const noexcept { return bounded_; }
   [[nodiscard]] UnitClass unit_class(std::uint32_t dense) const noexcept {
     return static_cast<UnitClass>(cls_[dense]);
   }
@@ -97,9 +91,6 @@ class GraphSoA {
   /// Raw attribute streams (indexed by dense id) for kernel code.
   [[nodiscard]] std::span<const std::int32_t> delays() const noexcept {
     return delay_;
-  }
-  [[nodiscard]] std::span<const std::int32_t> delay_mins() const noexcept {
-    return delay_min_;
   }
   [[nodiscard]] std::span<const std::uint8_t> classes() const noexcept {
     return cls_;
@@ -120,10 +111,8 @@ class GraphSoA {
   std::vector<std::uint32_t> fanin_off_, fanout_off_;  ///< size() + 1 each
   std::vector<std::uint32_t> fanin_, fanout_;          ///< CSR arenas
   std::vector<std::int32_t> delay_;
-  std::vector<std::int32_t> delay_min_;
   std::vector<std::uint8_t> cls_;
   std::vector<std::uint8_t> exec_;
-  bool bounded_ = false;
 };
 
 }  // namespace lwm::cdfg

@@ -19,8 +19,7 @@ constexpr std::uint64_t bit_mask(std::size_t v) noexcept {
 
 TimingCache::TimingCache(const Graph& g, int latency, EdgeFilter filter,
                          bool with_reachability)
-    : g_(&g), filter_(filter), with_reach_(with_reachability),
-      bounded_(g.has_bounded_delays()) {
+    : g_(&g), filter_(filter), with_reach_(with_reachability) {
   LWM_SPAN("cdfg/timing_build");
   const std::size_t cap = g.node_capacity();
   topo_ = topo_order(g, filter);
@@ -39,14 +38,12 @@ TimingCache::TimingCache(const Graph& g, int latency, EdgeFilter filter,
   // Freeze the filtered adjacency to CSR (value-indexed, per-node edge
   // insertion order preserved): two counting passes, one arena each way.
   delay_.assign(cap, 0);
-  if (bounded_) delay_min_.assign(cap, 0);
   fanin_off_.assign(cap + 1, 0);
   fanout_off_.assign(cap + 1, 0);
   for (std::size_t v = 0; v < cap; ++v) {
     const NodeId n{static_cast<std::uint32_t>(v)};
     if (pos_[v] < 0) continue;  // dead: empty rows
     delay_[v] = g.node(n).delay;
-    if (bounded_) delay_min_[v] = g.node(n).delay_min;
     std::uint32_t in = 0, out = 0;
     for (EdgeId e : g.fanin(n)) {
       if (filter.accepts(g.edge(e))) ++in;
@@ -63,7 +60,6 @@ TimingCache::TimingCache(const Graph& g, int latency, EdgeFilter filter,
   }
   fanin_node_.resize(fanin_off_[cap]);
   fanin_delay_.resize(fanin_off_[cap]);
-  if (bounded_) fanin_delay_min_.resize(fanin_off_[cap]);
   fanout_node_.resize(fanout_off_[cap]);
   for (std::size_t v = 0; v < cap; ++v) {
     const NodeId n{static_cast<std::uint32_t>(v)};
@@ -74,7 +70,6 @@ TimingCache::TimingCache(const Graph& g, int latency, EdgeFilter filter,
       if (!filter.accepts(ed)) continue;
       fanin_node_[in] = ed.src.value;
       fanin_delay_[in] = g.node(ed.src).delay;
-      if (bounded_) fanin_delay_min_[in] = g.node(ed.src).delay_min;
       ++in;
     }
     for (EdgeId e : g.fanout(n)) {
@@ -117,32 +112,6 @@ TimingCache::TimingCache(const Graph& g, int latency, EdgeFilter filter,
     hi_[v] = latest;
   }
 
-  // Optimistic band: the same two passes with every delay at d_min,
-  // against the same latency bound (compute_timing_bounded's contract).
-  if (bounded_) {
-    lo_min_.assign(cap, -1);
-    hi_min_.assign(cap, -1);
-    int cpm = 0;
-    for (NodeId n : topo_) {
-      const std::size_t v = n.value;
-      int start = 0;
-      for (std::uint32_t i = fanin_off_[v]; i < fanin_off_[v + 1]; ++i) {
-        start = std::max(start, lo_min_[fanin_node_[i]] + fanin_delay_min_[i]);
-      }
-      lo_min_[v] = start;
-      cpm = std::max(cpm, start + delay_min_[v]);
-    }
-    critical_path_min_ = cpm;
-    for (auto it = topo_.rbegin(); it != topo_.rend(); ++it) {
-      const std::size_t v = it->value;
-      int latest = latency - delay_min_[v];
-      for (std::uint32_t i = fanout_off_[v]; i < fanout_off_[v + 1]; ++i) {
-        latest = std::min(latest, hi_min_[fanout_node_[i]] - delay_min_[v]);
-      }
-      hi_min_[v] = latest;
-    }
-  }
-
   if (with_reach_) {
     words_ = (cap + 63) / 64;
     desc_.assign(cap * words_, 0);
@@ -161,37 +130,27 @@ TimingCache::TimingCache(const Graph& g, int latency, EdgeFilter filter,
   }
 }
 
-TimingCache::Band TimingCache::primary_band() noexcept {
-  return Band{lo_.data(), hi_.data(), fanin_delay_.data(), delay_.data(),
-              /*primary=*/true};
-}
-
-TimingCache::Band TimingCache::min_band() noexcept {
-  return Band{lo_min_.data(), hi_min_.data(), fanin_delay_min_.data(),
-              delay_min_.data(), /*primary=*/false};
-}
-
-int TimingCache::compute_lo(NodeId n, const Band& b) const {
+int TimingCache::compute_lo(NodeId n) const {
   const std::size_t v = n.value;
   int start = 0;
   for (std::uint32_t i = fanin_off_[v]; i < fanin_off_[v + 1]; ++i) {
-    start = std::max(start, b.lo[fanin_node_[i]] + b.fanin_delay[i]);
+    start = std::max(start, lo_[fanin_node_[i]] + fanin_delay_[i]);
   }
   for (NodeId p : extra_in_[v]) {
-    start = std::max(start, b.lo[p.value] + b.delay[p.value]);
+    start = std::max(start, lo_[p.value] + delay_[p.value]);
   }
   return start;
 }
 
-int TimingCache::compute_hi(NodeId n, const Band& b) const {
+int TimingCache::compute_hi(NodeId n) const {
   const std::size_t v = n.value;
-  const int delay = b.delay[v];
+  const int delay = delay_[v];
   int latest = latency_ - delay;
   for (std::uint32_t i = fanout_off_[v]; i < fanout_off_[v + 1]; ++i) {
-    latest = std::min(latest, b.hi[fanout_node_[i]] - delay);
+    latest = std::min(latest, hi_[fanout_node_[i]] - delay);
   }
   for (NodeId s : extra_out_[v]) {
-    latest = std::min(latest, b.hi[s.value] - delay);
+    latest = std::min(latest, hi_[s.value] - delay);
   }
   return latest;
 }
@@ -209,11 +168,8 @@ void TimingCache::note_changed(NodeId n) {
 // pops in topological position so, absent extra edges that run against
 // the stored order, each node is recomputed at most once.  heap_/queued_
 // are member scratch (empty / all-zero between calls) — one pin used to
-// cost two fresh capacity-sized vectors.  Both bands run through this
-// same code; only the primary (scheduler) band decides feasibility, as
-// its windows are contained in the optimistic ones and go empty first.
-void TimingCache::propagate_lo(const std::vector<NodeId>& seeds,
-                               const Band& b) {
+// cost two fresh capacity-sized vectors.
+void TimingCache::propagate_lo(const std::vector<NodeId>& seeds) {
   const auto push = [&](std::uint32_t v) {
     const int p = pos_[v];
     if (p >= 0 && !queued_[v]) {
@@ -230,16 +186,16 @@ void TimingCache::propagate_lo(const std::vector<NodeId>& seeds,
     const std::size_t v = n.value;
     queued_[v] = 0;
     ++update_work_;
-    const int nl = compute_lo(n, b);
+    const int nl = compute_lo(n);
     if (pinned_[v] >= 0) {
       // A pinned window never moves; it can only become untenable when an
       // extra edge pushed a predecessor past it.
-      if (b.primary && nl > pinned_[v]) feasible_ = false;
+      if (nl > pinned_[v]) feasible_ = false;
       continue;
     }
-    if (nl <= b.lo[v]) continue;
-    b.lo[v] = nl;
-    if (b.primary && nl > b.hi[v]) feasible_ = false;
+    if (nl <= lo_[v]) continue;
+    lo_[v] = nl;
+    if (nl > hi_[v]) feasible_ = false;
     note_changed(n);
     for (std::uint32_t i = fanout_off_[v]; i < fanout_off_[v + 1]; ++i) {
       push(fanout_node_[i]);
@@ -248,8 +204,7 @@ void TimingCache::propagate_lo(const std::vector<NodeId>& seeds,
   }
 }
 
-void TimingCache::propagate_hi(const std::vector<NodeId>& seeds,
-                               const Band& b) {
+void TimingCache::propagate_hi(const std::vector<NodeId>& seeds) {
   // Max-heap on topo position: reverse topological pop order.
   const auto push = [&](std::uint32_t v) {
     const int p = pos_[v];
@@ -267,45 +222,19 @@ void TimingCache::propagate_hi(const std::vector<NodeId>& seeds,
     const std::size_t v = n.value;
     queued_[v] = 0;
     ++update_work_;
-    const int nh = compute_hi(n, b);
+    const int nh = compute_hi(n);
     if (pinned_[v] >= 0) {
-      if (b.primary && nh < pinned_[v]) feasible_ = false;
+      if (nh < pinned_[v]) feasible_ = false;
       continue;
     }
-    if (nh >= b.hi[v]) continue;
-    b.hi[v] = nh;
-    if (b.primary && nh < b.lo[v]) feasible_ = false;
+    if (nh >= hi_[v]) continue;
+    hi_[v] = nh;
+    if (nh < lo_[v]) feasible_ = false;
     note_changed(n);
     for (std::uint32_t i = fanin_off_[v]; i < fanin_off_[v + 1]; ++i) {
       push(fanin_node_[i]);
     }
     for (NodeId p : extra_in_[v]) push(p.value);
-  }
-}
-
-// Seeds and runs the (up to) two cone re-relaxations one pin triggers in
-// one band.  The optimistic band's cones can be strictly larger than the
-// scheduler band's — pinning at a node's current lo still *raises* its
-// lo_min whenever the interval below it was non-degenerate — so each
-// band tests against its own previous window.
-void TimingCache::seed_pin_cones(NodeId n, int step, int old_lo, int old_hi,
-                                 const Band& b) {
-  const std::size_t v = n.value;
-  if (step > old_lo) {
-    seeds_.clear();
-    for (std::uint32_t i = fanout_off_[v]; i < fanout_off_[v + 1]; ++i) {
-      seeds_.push_back(NodeId{fanout_node_[i]});
-    }
-    for (NodeId s : extra_out_[v]) seeds_.push_back(s);
-    propagate_lo(seeds_, b);
-  }
-  if (step < old_hi) {
-    seeds_.clear();
-    for (std::uint32_t i = fanin_off_[v]; i < fanin_off_[v + 1]; ++i) {
-      seeds_.push_back(NodeId{fanin_node_[i]});
-    }
-    for (NodeId p : extra_in_[v]) seeds_.push_back(p);
-    propagate_hi(seeds_, b);
   }
 }
 
@@ -329,22 +258,31 @@ void TimingCache::pin(NodeId n, int step) {
 #endif
 
   const std::size_t v = n.value;
-  const int old_lo = lo_[v];
-  const int old_hi = hi_[v];
+  const bool raised_lo = step > lo_[v];
+  const bool lowered_hi = step < hi_[v];
   pinned_[v] = step;
   lo_[v] = step;
   hi_[v] = step;
   // The consumer contract: the pinned node is always reported, even when
   // its window was already the single step (its pinned state changed).
   note_changed(n);
-  seed_pin_cones(n, step, old_lo, old_hi, primary_band());
-
-  if (bounded_) {
-    const int old_lo_min = lo_min_[v];
-    const int old_hi_min = hi_min_[v];
-    lo_min_[v] = step;
-    hi_min_[v] = step;
-    seed_pin_cones(n, step, old_lo_min, old_hi_min, min_band());
+  // Re-relax the fan-out cone when the pin raised n's lo, the fan-in cone
+  // when it lowered n's hi.
+  if (raised_lo) {
+    seeds_.clear();
+    for (std::uint32_t i = fanout_off_[v]; i < fanout_off_[v + 1]; ++i) {
+      seeds_.push_back(NodeId{fanout_node_[i]});
+    }
+    for (NodeId s : extra_out_[v]) seeds_.push_back(s);
+    propagate_lo(seeds_);
+  }
+  if (lowered_hi) {
+    seeds_.clear();
+    for (std::uint32_t i = fanin_off_[v]; i < fanin_off_[v + 1]; ++i) {
+      seeds_.push_back(NodeId{fanin_node_[i]});
+    }
+    for (NodeId p : extra_in_[v]) seeds_.push_back(p);
+    propagate_hi(seeds_);
   }
 #if LWM_OBS_ENABLED
   LWM_COUNT("cdfg/timing_pushes", update_work_ - work_before);
@@ -400,15 +338,9 @@ void TimingCache::add_extra_edge(NodeId src, NodeId dst) {
   const std::uint64_t work_before = update_work_;
 #endif
   seeds_.assign(1, dst);
-  propagate_lo(seeds_, primary_band());
+  propagate_lo(seeds_);
   seeds_.assign(1, src);
-  propagate_hi(seeds_, primary_band());
-  if (bounded_) {
-    seeds_.assign(1, dst);
-    propagate_lo(seeds_, min_band());
-    seeds_.assign(1, src);
-    propagate_hi(seeds_, min_band());
-  }
+  propagate_hi(seeds_);
 #if LWM_OBS_ENABLED
   LWM_COUNT("cdfg/timing_pushes", update_work_ - work_before);
   LWM_HIST("cdfg/timing_cone", changed_.size());

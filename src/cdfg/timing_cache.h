@@ -19,23 +19,18 @@
 //     construction, O(1) per query).  add_extra_edge(src, dst) unions
 //     the new descendant row into src and its ancestors only.
 //
-// On graphs carrying bounded delay intervals (Graph::has_bounded_delays)
-// the cache additionally maintains the *optimistic* windows
-// [lo_min, hi_min]: the same recurrences with every delay at its lower
-// bound d_min.  They bracket the scheduler windows
-// (lo_min <= lo, hi_min >= hi), honor the same pins, and are maintained
-// by the same worklist propagation.  On exact-interval graphs they alias
-// the scheduler windows and cost nothing — no arrays are allocated and
-// no extra propagation runs.
+// Windows are the scheduling (all-d_max) ones only: the cache reads
+// Node::delay and nothing else of a node's delay interval.  The
+// optimistic (all-d_min) windows of the paper's delay model have one
+// engine, the from-scratch dual analysis in analysis.h.
 //
 // Invalidation rules (documented contract, relied on by the incremental
 // FDS engine in sched/force_directed.cpp):
-//   * pin() only ever *raises* lo / lo_min and *lowers* hi / hi_min —
-//     pinning a node inside its current window can never widen any
-//     other window;
+//   * pin() only ever *raises* lo and *lowers* hi — pinning a node
+//     inside its current window can never widen any other window;
 //   * after pin()/add_extra_edge(), last_changed() lists exactly the
-//     nodes whose (lo, hi, lo_min, hi_min, pinned) state differs from
-//     before the call (the mutated node itself always included);
+//     nodes whose (lo, hi, pinned) state differs from before the call
+//     (the mutated node itself always included);
 //   * nodes outside last_changed() are bit-for-bit untouched.
 #pragma once
 
@@ -60,16 +55,6 @@ class TimingCache {
   [[nodiscard]] int critical_path() const noexcept { return critical_path_; }
   [[nodiscard]] int latency() const noexcept { return latency_; }
 
-  /// True when the source graph carried non-degenerate delay intervals
-  /// at construction and the optimistic band is therefore materialized.
-  [[nodiscard]] bool bounded() const noexcept { return bounded_; }
-
-  /// Minimum schedule length if every delay realizes at its lower
-  /// bound (== critical_path() on exact-interval graphs).
-  [[nodiscard]] int critical_path_min() const noexcept {
-    return bounded_ ? critical_path_min_ : critical_path_;
-  }
-
   /// Live nodes in the topological order used for all propagation.
   [[nodiscard]] const std::vector<NodeId>& topo() const noexcept {
     return topo_;
@@ -80,26 +65,10 @@ class TimingCache {
   [[nodiscard]] int hi(NodeId n) const { return hi_[n.value]; }
   [[nodiscard]] bool is_pinned(NodeId n) const { return pinned_[n.value] >= 0; }
 
-  /// Optimistic (all-d_min) window of `n`; aliases [lo, hi] on
-  /// exact-interval graphs.
-  [[nodiscard]] int lo_min(NodeId n) const {
-    return bounded_ ? lo_min_[n.value] : lo_[n.value];
-  }
-  [[nodiscard]] int hi_min(NodeId n) const {
-    return bounded_ ? hi_min_[n.value] : hi_[n.value];
-  }
-
   /// Raw window arrays, indexed by NodeId::value (dead ids hold -1) —
-  /// contiguous streams for the schedulers' hot loops.  The *_min
-  /// streams alias the scheduler windows on exact-interval graphs.
+  /// contiguous streams for the schedulers' hot loops.
   [[nodiscard]] const int* lo_data() const noexcept { return lo_.data(); }
   [[nodiscard]] const int* hi_data() const noexcept { return hi_.data(); }
-  [[nodiscard]] const int* lo_min_data() const noexcept {
-    return bounded_ ? lo_min_.data() : lo_.data();
-  }
-  [[nodiscard]] const int* hi_min_data() const noexcept {
-    return bounded_ ? hi_min_.data() : hi_.data();
-  }
 
   /// Fixes n's start step.  `step` must lie inside the current window
   /// (std::logic_error otherwise — the same violation compute_windows in
@@ -135,27 +104,10 @@ class TimingCache {
   }
 
  private:
-  /// One analysis band: the scheduler (d_max) windows or the optimistic
-  /// (d_min) windows.  Propagation is generic over the band so both run
-  /// through the identical worklist code; only the scheduler band drives
-  /// feasible_ (its windows always go empty first — they are contained
-  /// in the optimistic ones).
-  struct Band {
-    int* lo;
-    int* hi;
-    const std::int32_t* fanin_delay;
-    const std::int32_t* delay;
-    bool primary;
-  };
-  [[nodiscard]] Band primary_band() noexcept;
-  [[nodiscard]] Band min_band() noexcept;
-
-  [[nodiscard]] int compute_lo(NodeId n, const Band& b) const;
-  [[nodiscard]] int compute_hi(NodeId n, const Band& b) const;
-  void propagate_lo(const std::vector<NodeId>& seeds, const Band& b);
-  void propagate_hi(const std::vector<NodeId>& seeds, const Band& b);
-  void seed_pin_cones(NodeId n, int step, int old_lo, int old_hi,
-                      const Band& b);
+  [[nodiscard]] int compute_lo(NodeId n) const;
+  [[nodiscard]] int compute_hi(NodeId n) const;
+  void propagate_lo(const std::vector<NodeId>& seeds);
+  void propagate_hi(const std::vector<NodeId>& seeds);
   void note_changed(NodeId n);
   void union_descendants(NodeId src, NodeId dst);
 
@@ -166,16 +118,13 @@ class TimingCache {
   const Graph* g_ = nullptr;
   EdgeFilter filter_;
   int critical_path_ = 0;
-  int critical_path_min_ = 0;
   int latency_ = 0;
   bool feasible_ = true;
   bool with_reach_ = false;
-  bool bounded_ = false;  ///< optimistic band materialized
 
   std::vector<NodeId> topo_;
   std::vector<int> pos_;     ///< topo position by NodeId::value (-1 = dead)
   std::vector<int> lo_, hi_;
-  std::vector<int> lo_min_, hi_min_;  ///< empty unless bounded_
   std::vector<int> pinned_;  ///< pinned step, -1 = free
 
   // Filtered adjacency frozen to CSR at construction (SoA layout): the
@@ -189,7 +138,6 @@ class TimingCache {
   std::vector<std::uint32_t> fanin_node_, fanout_node_;
   std::vector<std::int32_t> fanin_delay_;
   std::vector<std::int32_t> delay_;  ///< per-node delay by NodeId::value
-  std::vector<std::int32_t> fanin_delay_min_, delay_min_;  ///< bounded_ only
 
   std::vector<std::vector<NodeId>> extra_out_, extra_in_;
 

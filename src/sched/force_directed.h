@@ -9,17 +9,17 @@
 // which is exactly how the watermarking protocol stays transparent to the
 // synthesis tool.
 //
-// Two implementations share this interface:
-//   * force_directed_schedule() — the incremental engine: windows come
-//     from a cdfg::TimingCache (only the pinned cone re-relaxed per
-//     iteration) and per-node force vectors are cached across iterations,
-//     recomputed — optionally in parallel — only when the last placement
-//     touched the node's window, a neighbor's window, or the distribution
-//     graph inside the steps the node reads.  Bit-identical to the
-//     reference at every thread count.
-//   * force_directed_schedule_reference() — the original from-scratch
-//     O(iterations x nodes x steps) loop, kept as the equivalence oracle
-//     for tests and the baseline for benchmarks.
+// One implementation lives here, force_directed_schedule(), the
+// incremental engine: windows come from a cdfg::TimingCache (only the
+// pinned cone re-relaxed per iteration) and per-node force vectors are
+// cached across iterations, recomputed — optionally in parallel — only
+// when the last placement touched the node's window, a neighbor's
+// window, or the distribution graph inside the steps the node reads.
+// Its oracle, the original from-scratch O(iterations x nodes x steps)
+// loop force_directed_schedule_reference(), is test support
+// (tests/sched/fds_reference.h): sched_test and delay_model_test check
+// the engine bit-identical to it at every thread count, and bench_micro
+// times it as the fds_speedup baseline.
 #pragma once
 
 #include <cstdint>
@@ -81,10 +81,5 @@ struct FdsOptions {
 /// Throws std::invalid_argument if the bound is below the critical path.
 [[nodiscard]] Schedule force_directed_schedule(const cdfg::Graph& g,
                                                const FdsOptions& opts = {});
-
-/// The original from-scratch implementation (serial; ignores opts.pool).
-/// Exists as the oracle: force_directed_schedule() must match it exactly.
-[[nodiscard]] Schedule force_directed_schedule_reference(
-    const cdfg::Graph& g, const FdsOptions& opts = {});
 
 }  // namespace lwm::sched

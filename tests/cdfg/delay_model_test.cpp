@@ -2,15 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "cdfg/analysis.h"
 #include "cdfg/builder.h"
 #include "cdfg/serialize.h"
-#include "cdfg/timing_cache.h"
 #include "cdfg/validate.h"
 #include "dfglib/iir4.h"
 #include "dfglib/kernels.h"
+#include "dfglib/mediabench.h"
 
 namespace lwm::cdfg {
 namespace {
@@ -135,17 +140,67 @@ TEST(DelayModelTest, BoundedTimingCoincidesOnExactGraphs) {
   }
 }
 
-TEST(DelayModelTest, TimingCacheExposesOptimisticWindows) {
-  Graph g = dfglib::make_fir(16);
-  DelayModel::dyno(8).annotate(g);
-  const TimingCache cache(g);
-  EXPECT_TRUE(cache.bounded());
-  const BoundedTimingInfo t = compute_timing_bounded(g, cache.latency());
-  EXPECT_EQ(cache.critical_path_min(), t.critical_path_min);
-  for (NodeId n : g.node_ids()) {
-    EXPECT_EQ(cache.lo_min(n), t.asap_min[n.value]) << g.node(n).name;
-    EXPECT_EQ(cache.hi_min(n), t.alap_min[n.value]) << g.node(n).name;
+// Independent oracle for the optimistic band: compute_timing() on a copy
+// whose every interval is collapsed to [d_min, d_min], at the bounded
+// analysis' own latency bound and at a looser one.
+void expect_optimistic_band_matches_lowered_copy(const Graph& g) {
+  SCOPED_TRACE(g.name());
+  Graph lowered = g;
+  for (NodeId n : lowered.node_ids()) {
+    const int dmin = lowered.node(n).delay_min;
+    lowered.set_delay_bounds(n, dmin, dmin);
   }
+  const int latency = compute_timing_bounded(g).pess.latency;
+  for (int bound : {latency, latency + 3}) {
+    const BoundedTimingInfo t = compute_timing_bounded(g, bound);
+    const TimingInfo pess = compute_timing(g, bound);
+    const TimingInfo opt = compute_timing(lowered, bound);
+    EXPECT_EQ(t.pess.latency, bound);
+    EXPECT_EQ(t.pess.critical_path, pess.critical_path);
+    EXPECT_EQ(t.pess.asap, pess.asap);
+    EXPECT_EQ(t.pess.alap, pess.alap);
+    EXPECT_EQ(t.critical_path_min, opt.critical_path);
+    EXPECT_EQ(t.asap_min, opt.asap);
+    EXPECT_EQ(t.alap_min, opt.alap);
+  }
+}
+
+TEST(DelayModelTest, BoundedTimingMatchesLoweredCopyOnDesigns) {
+  std::vector<Graph> designs = {dfglib::iir4_parallel(), dfglib::make_fir(16),
+                                dfglib::make_fft(16),
+                                dfglib::make_biquad_cascade(6)};
+  for (const dfglib::MediabenchApp& app : dfglib::mediabench_table()) {
+    if (app.operations <= 600) {
+      designs.push_back(dfglib::make_mediabench_app(app));
+    }
+  }
+  for (int bits : {8, 16}) {
+    for (Graph g : designs) {
+      DelayModel::dyno(bits).annotate(g);
+      ASSERT_TRUE(g.has_bounded_delays()) << g.name();
+      SCOPED_TRACE("dyno(" + std::to_string(bits) + ")");
+      expect_optimistic_band_matches_lowered_copy(g);
+    }
+  }
+}
+
+TEST(DelayModelTest, BoundedTimingMatchesLoweredCopyOnFuzzCorpus) {
+  const std::filesystem::path dir = LWM_FUZZ_CORPUS_DIR;
+  ASSERT_TRUE(std::filesystem::is_directory(dir)) << dir;
+  std::size_t bounded = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (!entry.is_regular_file()) continue;
+    std::ifstream in(entry.path());
+    std::ostringstream buf;
+    buf << in.rdbuf();
+    auto result = parse_cdfg(buf.str(), entry.path().filename().string());
+    if (!result || !result.value().has_bounded_delays()) continue;
+    expect_optimistic_band_matches_lowered_copy(result.value());
+    ++bounded;
+  }
+  // The corpus must keep at least one interval-annotated design or the
+  // test would silently check nothing.
+  EXPECT_GE(bounded, 1u);
 }
 
 TEST(DelayModelTest, AnnotatedGraphRoundTripsThroughText) {

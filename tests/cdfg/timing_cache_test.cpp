@@ -221,87 +221,35 @@ TEST(TimingCacheTest, UpdateWorkCountsConeOnly) {
   EXPECT_LT(cache.update_work(), g.node_count());
 }
 
-// Oracle for the optimistic band: the same longest-path recompute with
-// every delay at d_min (pins override both bands at the same step).
-Windows reference_min_windows(const Graph& g, const std::vector<int>& pinned,
-                              int latency, EdgeFilter filter) {
-  const std::vector<NodeId> order = topo_order(g, filter);
-  Windows w;
-  w.lo.assign(g.node_capacity(), 0);
-  w.hi.assign(g.node_capacity(), 0);
-  for (NodeId n : order) {
-    int lo = 0;
-    for (EdgeId e : g.fanin(n)) {
-      const Edge& ed = g.edge(e);
-      if (!filter.accepts(ed.kind)) continue;
-      lo = std::max(lo, w.lo[ed.src.value] + g.node(ed.src).delay_min);
-    }
-    if (pinned[n.value] >= 0) lo = pinned[n.value];
-    w.lo[n.value] = lo;
-  }
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const NodeId n = *it;
-    int hi = latency - g.node(n).delay_min;
-    for (EdgeId e : g.fanout(n)) {
-      const Edge& ed = g.edge(e);
-      if (!filter.accepts(ed.kind)) continue;
-      hi = std::min(hi, w.hi[ed.dst.value] - g.node(n).delay_min);
-    }
-    if (pinned[n.value] >= 0) hi = pinned[n.value];
-    w.hi[n.value] = hi;
-  }
-  return w;
-}
-
-TEST(TimingCacheTest, UnboundedGraphMinAccessorsAliasPrimary) {
-  const Graph g = dfglib::iir4_parallel();
-  const TimingCache cache(g);
-  EXPECT_FALSE(cache.bounded());
-  EXPECT_EQ(cache.critical_path_min(), cache.critical_path());
-  for (NodeId n : g.node_ids()) {
-    EXPECT_EQ(cache.lo_min(n), cache.lo(n));
-    EXPECT_EQ(cache.hi_min(n), cache.hi(n));
-  }
-}
-
-TEST(TimingCacheTest, BoundedPinMatchesFromScratchOnBothBands) {
+TEST(TimingCacheTest, BoundedPinMatchesFromScratch) {
   Graph g = dfglib::make_fir(16);
   DelayModel::dyno(8).annotate(g);
+  ASSERT_TRUE(g.has_bounded_delays());
   const int cp = critical_path_length(g);
   const int latency = cp + 2;
   TimingCache cache(g, latency);
-  ASSERT_TRUE(cache.bounded());
   std::vector<int> pinned(g.node_capacity(), -1);
 
   std::mt19937 rng(13);
   for (NodeId n : cache.topo()) {
     if (!is_executable(g.node(n).kind)) continue;
-    const Windows before_pess =
+    const Windows before =
         reference_windows(g, pinned, latency, EdgeFilter::all());
-    const Windows before_opt =
-        reference_min_windows(g, pinned, latency, EdgeFilter::all());
     const int span = cache.hi(n) - cache.lo(n);
     const int step =
         cache.lo(n) + (span == 0 ? 0 : static_cast<int>(rng() % (span + 1)));
     cache.pin(n, step);
     pinned[n.value] = step;
-    const Windows pess = reference_windows(g, pinned, latency, EdgeFilter::all());
-    const Windows opt =
-        reference_min_windows(g, pinned, latency, EdgeFilter::all());
+    const Windows after =
+        reference_windows(g, pinned, latency, EdgeFilter::all());
     std::vector<bool> reported(g.node_capacity(), false);
     for (NodeId c : cache.last_changed()) reported[c.value] = true;
     EXPECT_TRUE(reported[n.value]);
     for (NodeId m : g.node_ids()) {
-      EXPECT_EQ(cache.lo(m), pess.lo[m.value]) << g.node(m).name;
-      EXPECT_EQ(cache.hi(m), pess.hi[m.value]) << g.node(m).name;
-      EXPECT_EQ(cache.lo_min(m), opt.lo[m.value]) << g.node(m).name;
-      EXPECT_EQ(cache.hi_min(m), opt.hi[m.value]) << g.node(m).name;
-      // The extended contract: last_changed() covers deltas on *either*
-      // band, so callers caching optimistic windows can trust it too.
-      if (pess.lo[m.value] != before_pess.lo[m.value] ||
-          pess.hi[m.value] != before_pess.hi[m.value] ||
-          opt.lo[m.value] != before_opt.lo[m.value] ||
-          opt.hi[m.value] != before_opt.hi[m.value]) {
+      EXPECT_EQ(cache.lo(m), after.lo[m.value]) << g.node(m).name;
+      EXPECT_EQ(cache.hi(m), after.hi[m.value]) << g.node(m).name;
+      if (after.lo[m.value] != before.lo[m.value] ||
+          after.hi[m.value] != before.hi[m.value]) {
         EXPECT_TRUE(reported[m.value]) << g.node(m).name;
       }
     }
@@ -309,7 +257,7 @@ TEST(TimingCacheTest, BoundedPinMatchesFromScratchOnBothBands) {
   EXPECT_TRUE(cache.feasible());
 }
 
-TEST(TimingCacheTest, BoundedAddExtraEdgeUpdatesBothBands) {
+TEST(TimingCacheTest, BoundedAddExtraEdgeUpdatesWindows) {
   Graph g = diamond();
   g.set_delay_bounds(g.find("l"), 1, 3);
   g.set_delay_bounds(g.find("a"), 1, 2);
@@ -323,13 +271,72 @@ TEST(TimingCacheTest, BoundedAddExtraEdgeUpdatesBothBands) {
   h.set_delay_bounds(h.find("l"), 1, 3);
   h.set_delay_bounds(h.find("a"), 1, 2);
   h.add_edge(h.find("l"), h.find("r"), EdgeKind::kTemporal);
-  const BoundedTimingInfo t = compute_timing_bounded(h, latency);
+  const TimingInfo t = compute_timing(h, latency);
   for (NodeId n : g.node_ids()) {
-    EXPECT_EQ(cache.lo(n), t.pess.asap[n.value]) << g.node(n).name;
-    EXPECT_EQ(cache.hi(n), t.pess.alap[n.value]) << g.node(n).name;
-    EXPECT_EQ(cache.lo_min(n), t.asap_min[n.value]) << g.node(n).name;
-    EXPECT_EQ(cache.hi_min(n), t.alap_min[n.value]) << g.node(n).name;
+    EXPECT_EQ(cache.lo(n), t.asap[n.value]) << g.node(n).name;
+    EXPECT_EQ(cache.hi(n), t.alap[n.value]) << g.node(n).name;
   }
+}
+
+// The cache is the scheduling (d_max) band only: a graph and its copy
+// with every d_min raised to d_max must drive it through identical
+// states — windows, change reports and propagation work — under the
+// same mutations.  Any work spent on d_min would show in update_work().
+TEST(TimingCacheTest, IgnoresDelayMin) {
+  Graph g = dfglib::make_fir(16);
+  DelayModel::dyno(8).annotate(g);
+  ASSERT_TRUE(g.has_bounded_delays());
+  Graph exact = g;
+  for (NodeId n : exact.node_ids()) {
+    exact.set_delay_bounds(n, exact.node(n).delay, exact.node(n).delay);
+  }
+  ASSERT_FALSE(exact.has_bounded_delays());
+
+  const int latency = critical_path_length(g) + 2;
+  TimingCache a(g, latency, EdgeFilter::all(), /*with_reachability=*/true);
+  TimingCache b(exact, latency, EdgeFilter::all(), /*with_reachability=*/true);
+  const auto expect_same = [&](const char* after) {
+    EXPECT_EQ(a.last_changed(), b.last_changed()) << after;
+    EXPECT_EQ(a.update_work(), b.update_work()) << after;
+    EXPECT_EQ(a.feasible(), b.feasible()) << after;
+    for (NodeId m : g.node_ids()) {
+      EXPECT_EQ(a.lo(m), b.lo(m)) << after << " " << g.node(m).name;
+      EXPECT_EQ(a.hi(m), b.hi(m)) << after << " " << g.node(m).name;
+    }
+  };
+  expect_same("construction");
+
+  // One extra edge between two unordered operations whose windows leave
+  // room for it, so the pin sequence below stays feasible.
+  std::vector<NodeId> ops;
+  for (NodeId n : a.topo()) {
+    if (is_executable(g.node(n).kind)) ops.push_back(n);
+  }
+  bool added = false;
+  for (std::size_t i = 0; i < ops.size() && !added; ++i) {
+    for (std::size_t j = i + 1; j < ops.size() && !added; ++j) {
+      const NodeId src = ops[i], dst = ops[j];
+      if (a.reaches(src, dst) || a.reaches(dst, src)) continue;
+      if (a.lo(src) + g.node(src).delay > a.lo(dst)) continue;
+      a.add_extra_edge(src, dst);
+      b.add_extra_edge(src, dst);
+      added = true;
+    }
+  }
+  ASSERT_TRUE(added);
+  ASSERT_TRUE(a.feasible());
+  expect_same("add_extra_edge");
+
+  std::mt19937 rng(29);
+  for (NodeId n : ops) {
+    const int span = a.hi(n) - a.lo(n);
+    const int step =
+        a.lo(n) + (span == 0 ? 0 : static_cast<int>(rng() % (span + 1)));
+    a.pin(n, step);
+    b.pin(n, step);
+    expect_same(g.node(n).name.c_str());
+  }
+  EXPECT_TRUE(a.feasible());
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include "dfglib/kernels.h"
 #include "dfglib/mediabench.h"
 #include "exec/thread_pool.h"
+#include "fds_reference.h"
 #include "sched/bnb.h"
 #include "sched/force_directed.h"
 #include "sched/list_sched.h"

@@ -13,6 +13,7 @@
 #include "dfglib/kernels.h"
 #include "dfglib/mediabench.h"
 #include "dfglib/synth.h"
+#include "fds_reference.h"
 #include "sched/force_directed.h"
 #include "sched/schedule.h"
 

@@ -11,6 +11,7 @@
 #include "dfglib/iir4.h"
 #include "dfglib/kernels.h"
 #include "dfglib/mediabench.h"
+#include "fds_reference.h"
 #include "sched/force_directed.h"
 
 namespace lwm::sched {

@@ -15,9 +15,12 @@ tag both files must agree on:
   micro (default when the tag is absent): fds_speedup (the headline
       reference-vs-incremental ratio) and fds_eps_speedup (the
       approximate-mode ratio, when both files carry it).
-  delay: unit_build_per_s / bounded_build_per_s (TimingCache
-      construction throughput at the exact and table delay models) and
-      kpaths_per_s (k-worst path enumeration throughput).
+  delay: unit_build_per_s (TimingCache construction throughput at the
+      exact delay model), bounded_build_per_s (compute_timing_bounded
+      throughput at the table delay model; before the optimistic band
+      left TimingCache it was cache construction at the table model, so
+      artifacts from either side of that change do not compare on this
+      key) and kpaths_per_s (k-worst path enumeration throughput).
   scale: embed_ops_per_s / detect_ops_per_s (mega-design pipeline
       throughput at the largest size swept), plus the per-size
       embed_ops_per_s_<tag> / detect_ops_per_s_<tag> keys and
