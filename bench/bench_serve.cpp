@@ -12,8 +12,11 @@
 //   * resident embed  — embed frames against the resident PlanContext;
 //   * cold embed      — evict + load-design + embed per request.
 // The JSON artifact carries the *_per_s keys tools/bench_compare.py
-// gates on plus detect_speedup (resident / cold, ≥ 5x required on the
-// 100k-op design by the PR 9 acceptance bar).
+// gates on plus detect_speedup (resident / cold).  The service was
+// accepted against a ≥ 5x bar on the 100k-op design, met at 18.2x only
+// because a quadratic schedule parse inflated the cold side; with a
+// linear parse the ratio is about 4x (1 thread, 4-core container), and
+// a resident design's detect also reuses its cone-fingerprint memo.
 #include <cstdio>
 #include <string>
 #include <vector>

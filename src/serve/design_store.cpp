@@ -31,6 +31,13 @@ StoredDesign::StoredDesign(std::uint64_t id_, std::size_t bytes, cdfg::Graph g)
                                   .critical_path_min
                             : plan.timing.critical_path) {}
 
+wm::ConeMemo& StoredDesign::cone_memo(int tau) const {
+  std::call_once(memo_once_, [&] {
+    memo_ = std::make_unique<wm::ConeMemo>(graph.node_capacity(), tau);
+  });
+  return *memo_;
+}
+
 DesignStore::DesignStore(DesignStoreOptions opts) : opts_(opts) {}
 
 io::ParseResult<std::shared_ptr<const StoredDesign>> DesignStore::load_design(

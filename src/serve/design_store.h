@@ -13,7 +13,9 @@
 //     and its wm::PlanContext are built once and only ever read.  The
 //     context's `timing` is the design's one resident specification
 //     timing — planning, the load response and every P_c estimate read
-//     it, so no request re-times the whole graph.  Requests that mutate
+//     it, so no request re-times the whole graph.  The one mutable
+//     member is the detector's wm::ConeMemo, a pure cache that detect
+//     requests fill.  Requests that mutate
 //     (embed) copy the graph; NodeIds are preserved by copying, so the
 //     resident PlanContext remains valid for the copy.
 //   * **Eviction never invalidates readers.**  Entries are
@@ -38,6 +40,7 @@
 #include "cdfg/graph.h"
 #include "io/parse_result.h"
 #include "sched/schedule.h"
+#include "wm/detector.h"
 #include "wm/sched_constraints.h"
 
 namespace lwm::serve {
@@ -63,6 +66,17 @@ struct StoredDesign {
   int critical_path_min;
 
   StoredDesign(std::uint64_t id_, std::size_t bytes, cdfg::Graph g);
+
+  /// The detector's cone-fingerprint memo over `graph`: created by the
+  /// first call, at that call's tau, and kept at that tau for the
+  /// design's lifetime, so a client cycling taus cannot multiply it.
+  /// About 21 bytes per node, freed with the design.
+  [[nodiscard]] wm::ConeMemo& cone_memo(int tau) const;
+
+ private:
+  // The one mutable member: a pure cache, never observable in a report.
+  mutable std::once_flag memo_once_;
+  mutable std::unique_ptr<wm::ConeMemo> memo_;
 };
 
 /// One resident suspect schedule, pinned to the design it was parsed

@@ -285,9 +285,12 @@ Frame Service::handle_detect(const Frame& request) {
   }
 
   const crypto::Signature sig("serve-client", key);
+  wm::ConeMemo* memo = archive.sched.empty()
+                           ? nullptr
+                           : &design->cone_memo(archive.sched.front().domain.tau);
   const std::vector<wm::SchedDetectionReport> reports =
       wm::detect_sched_watermarks(design->graph, sched->schedule, sig,
-                                  archive.sched, opts_.pool);
+                                  archive.sched, opts_.pool, memo);
 
   PayloadWriter w;
   w.put_u32(static_cast<std::uint32_t>(reports.size()));

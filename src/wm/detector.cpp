@@ -34,15 +34,18 @@ bool root_may_match(const SchedRecord& record, int root_fid) {
   return !record.subtree_ops.empty() && record.subtree_ops.back() == root_fid;
 }
 
-/// Every position indexes the memorized subtree.  Checked once per record
-/// before the scan: a record that fails can never hit.
+/// Every position indexes the memorized subtree and every op id names an
+/// op kind.  Checked once per record before the scan: a record that fails
+/// can never hit.
 bool well_formed(const SchedRecord& record) {
   const auto in_subtree = [&](int pos) {
     return pos >= 0 && static_cast<std::size_t>(pos) < record.subtree_ops.size();
   };
-  return std::ranges::all_of(record.positions, [&](const auto& pair) {
-    return in_subtree(pair.first) && in_subtree(pair.second);
-  });
+  const auto names_op = [](int op) { return op >= 1 && op <= cdfg::kNumOpKinds; };
+  return std::ranges::all_of(record.subtree_ops, names_op) &&
+         std::ranges::all_of(record.positions, [&](const auto& pair) {
+           return in_subtree(pair.first) && in_subtree(pair.second);
+         });
 }
 
 /// The §IV-A check at one carved root: nothing unless the carve is the
@@ -81,25 +84,56 @@ SchedRecord SchedRecord::from(const SchedWatermark& wm, const cdfg::Graph& g) {
   return r;
 }
 
+ConeMemo::ConeMemo(std::size_t node_capacity, int tau)
+    : tau_(tau),
+      slots_(node_capacity),
+      state_(std::make_unique<std::atomic<std::uint8_t>[]>(node_capacity)) {}
+
+const ConeFingerprint* ConeMemo::find(NodeId root) const {
+  if (root.value >= slots_.size() ||
+      state_[root.value].load(std::memory_order_acquire) != 1) {
+    return nullptr;
+  }
+  return &slots_[root.value];
+}
+
+void ConeMemo::publish(NodeId root, const ConeFingerprint& fp) {
+  if (root.value >= slots_.size()) return;
+  std::uint8_t empty = 0;
+  if (!state_[root.value].compare_exchange_strong(empty, 2,
+                                                  std::memory_order_relaxed)) {
+    return;
+  }
+  slots_[root.value] = fp;
+  state_[root.value].store(1, std::memory_order_release);
+}
+
 std::vector<SchedDetectionReport> detect_sched_watermarks(
     const Graph& suspect, const sched::Schedule& schedule,
     const crypto::Signature& sig, std::span<const SchedRecord> records,
-    exec::ThreadPool* pool) {
+    exec::ThreadPool* pool, ConeMemo* memo) {
   LWM_SPAN("wm/detect_batch");
   std::vector<SchedDetectionReport> reports(records.size());
   if (records.empty()) return reports;
 
   // Group well-formed records by domain key — one carve per (root, key).
+  // A group at the memo's tau reads and fills it.
   struct Group {
     DomainKey key;
     std::vector<std::size_t> record_idx;
+    ConeMemo* memo = nullptr;
   };
   std::vector<Group> groups;
+  std::vector<ConeFingerprint> needs(records.size());
   for (std::size_t i = 0; i < records.size(); ++i) {
     if (!well_formed(records[i])) continue;
+    needs[i] = ConeFingerprint::of_ops(records[i].subtree_ops);
     const auto home = std::ranges::find(groups, records[i].domain, &Group::key);
     if (home == groups.end()) {
-      groups.push_back(Group{records[i].domain, {i}});
+      ConeMemo* m = memo != nullptr && memo->tau() == records[i].domain.tau
+                        ? memo
+                        : nullptr;
+      groups.push_back(Group{records[i].domain, {i}, m});
     } else {
       home->record_idx.push_back(i);
     }
@@ -124,6 +158,7 @@ std::vector<SchedDetectionReport> detect_sched_watermarks(
       [&](std::size_t begin, std::size_t end) {
         Part part(records.size());
         [[maybe_unused]] std::size_t skips = 0;
+        [[maybe_unused]] std::size_t fingerprints = 0;
         std::vector<std::size_t> carved;
         CarveScratch scratch;
         for (std::size_t r = begin; r < end; ++r) {
@@ -133,13 +168,34 @@ std::vector<SchedDetectionReport> detect_sched_watermarks(
             return root_may_match(records[i], root_fid);
           };
           for (const Group& grp : groups) {
-            // If no record in the group survives the prefilter, the carve
-            // itself is skipped.
+            // The carve is skipped unless some record of the group passes
+            // both prefilters: root op first, then the cone fingerprint.
             if (std::ranges::none_of(grp.record_idx, candidate)) {
               ++skips;
               continue;
             }
-            const Domain d = select_domain(suspect, n, carve, grp.key, &scratch);
+            const auto fits = [&](const ConeFingerprint& cone) {
+              return std::ranges::any_of(grp.record_idx, [&](std::size_t i) {
+                return candidate(i) && cone.may_hold(needs[i]);
+              });
+            };
+            const ConeFingerprint* memoized =
+                grp.memo != nullptr ? grp.memo->find(n) : nullptr;
+            if (memoized != nullptr && !fits(*memoized)) {
+              ++skips;
+              continue;
+            }
+            gather_cone(suspect, n, grp.key.tau, scratch);
+            if (memoized == nullptr) {
+              const auto fp = ConeFingerprint::of_cone(suspect, scratch.cone);
+              ++fingerprints;
+              if (grp.memo != nullptr) grp.memo->publish(n, fp);
+              if (!fits(fp)) {
+                ++skips;
+                continue;
+              }
+            }
+            const Domain d = carve_cone(suspect, carve, grp.key, scratch);
             carved.push_back(d.selected.size());
             for (const std::size_t i : grp.record_idx) {
               if (!candidate(i)) continue;
@@ -156,6 +212,7 @@ std::vector<SchedDetectionReport> detect_sched_watermarks(
           }
         }
         LWM_COUNT("wm/detect_prefilter_skips", skips);
+        LWM_COUNT("wm/cone_fingerprints", fingerprints);
         record_carves(carved);
         return part;
       },

@@ -14,6 +14,9 @@
 // watermarks fail (paper §I).
 #pragma once
 
+#include <atomic>
+#include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -65,6 +68,29 @@ struct SchedDetectionReport {
   [[nodiscard]] bool detected() const { return !hits.empty(); }
 };
 
+/// One ConeFingerprint slot per NodeId of one graph, at one tau: the
+/// part of a carve that depends on neither the signature nor the record,
+/// kept across detect calls on a resident design.  A slot is filled the
+/// first time a scan needs it.  Concurrent scans are race-free: a slot
+/// goes empty → claimed → filled (0 → 2 → 1) by one compare-exchange, and
+/// a scan that loses the claim keeps the fingerprint it computed.  A pure
+/// cache: reports are identical with a cold, warm or absent memo.
+class ConeMemo {
+ public:
+  ConeMemo(std::size_t node_capacity, int tau);
+
+  [[nodiscard]] int tau() const { return tau_; }
+  /// The fingerprint of `root`'s cone, or null while its slot is unfilled.
+  [[nodiscard]] const ConeFingerprint* find(cdfg::NodeId root) const;
+  /// Fills `root`'s slot with `fp` unless another scan claimed it first.
+  void publish(cdfg::NodeId root, const ConeFingerprint& fp);
+
+ private:
+  int tau_;
+  std::vector<ConeFingerprint> slots_;
+  std::unique_ptr<std::atomic<std::uint8_t>[]> state_;
+};
+
 /// Scans every executable node of `suspect` as a candidate root for
 /// every record at once.  The expensive step of detection is the
 /// per-root signature carve (ordering the locality and replaying the
@@ -77,14 +103,20 @@ struct SchedDetectionReport {
 /// recorded constraint then holds in `schedule`.  `best_root` is the
 /// earliest root, among those passing the gate, with the greatest
 /// satisfied count; it is invalid when no root passes.  A record with a
-/// position outside [0, subtree_ops.size()) is malformed and never
-/// passes.  With a pool the roots are scanned across its lanes and
-/// partial results merge in root order, so every report is identical at
-/// any thread count.
+/// position outside [0, subtree_ops.size()) or an op id outside
+/// [1, cdfg::kNumOpKinds] is malformed and never passes.  With a pool the
+/// roots are scanned across its lanes and partial results merge in root
+/// order, so every report is identical at any thread count.
+///
+/// Two exact prefilters skip carves that cannot pass the gate: the
+/// record's last op must be the root's (the root sorts last), and the
+/// record's op multiset must fit in the root's cone (ConeFingerprint).
+/// `memo`, when non-null, must have been built for `suspect`; key groups
+/// at its tau read and fill it, the others fingerprint each gathered cone.
 [[nodiscard]] std::vector<SchedDetectionReport> detect_sched_watermarks(
     const cdfg::Graph& suspect, const sched::Schedule& schedule,
     const crypto::Signature& sig, std::span<const SchedRecord> records,
-    exec::ThreadPool* pool = nullptr);
+    exec::ThreadPool* pool = nullptr, ConeMemo* memo = nullptr);
 
 /// Single-record detection: a batch of one.
 [[nodiscard]] inline SchedDetectionReport detect_sched_watermark(

@@ -25,12 +25,9 @@ CarveScratch& thread_scratch() {
   return s;
 }
 
-/// Orders the cone of `root` into `s.order` by C1 → C2 → C3 → discovery.
-void order_cone(const Graph& g, NodeId root, int tau, CarveScratch& s) {
-  if (tau <= 0) {
-    throw std::invalid_argument("order_locality: tau must be positive");
-  }
-  s.cone = cdfg::fanin_cone(g, root, tau, kCarveFilter, &s.marks);
+/// Orders the cone gathered into `s` at `tau` into `s.order` by
+/// C1 → C2 → C3 → discovery.
+void order_cone(const Graph& g, int tau, CarveScratch& s) {
   const auto c = static_cast<std::uint32_t>(s.cone.size());
   for (std::uint32_t i = 0; i < c; ++i) s.marks.slots[s.cone[i].node.value].value = i;
 
@@ -123,24 +120,51 @@ void order_cone(const Graph& g, NodeId root, int tau, CarveScratch& s) {
   });
 }
 
+/// The saturating fingerprint of `items`, whose op ids `op_of` gives.
+template <class Item, class OpOf>
+ConeFingerprint tally_ops(std::span<const Item> items, OpOf op_of) {
+  ConeFingerprint fp;
+  fp.size = static_cast<std::uint16_t>(
+      std::min<std::size_t>(items.size(), ConeFingerprint::kMaxSize));
+  for (const Item& item : items) {
+    std::uint8_t& n = fp.count[static_cast<std::size_t>(op_of(item) - 1)];
+    if (n != ConeFingerprint::kMaxCount) ++n;
+  }
+  return fp;
+}
+
 }  // namespace
 
 std::vector<NodeId> order_locality(const Graph& g, NodeId root, int tau) {
   CarveScratch& s = thread_scratch();
-  order_cone(g, root, tau, s);
+  gather_cone(g, root, tau, s);
+  order_cone(g, tau, s);
   std::vector<NodeId> out;
   out.reserve(s.order.size());
   for (const std::uint32_t i : s.order) out.push_back(s.cone[i].node);
   return out;
 }
 
+void gather_cone(const Graph& g, NodeId root, int tau, CarveScratch& s) {
+  if (tau <= 0) {
+    throw std::invalid_argument("order_locality: tau must be positive");
+  }
+  s.cone = cdfg::fanin_cone(g, root, tau, kCarveFilter, &s.marks);
+}
+
 Domain select_domain(const Graph& g, NodeId root, const crypto::Bitstream& carve,
                      const DomainKey& key, CarveScratch* scratch) {
   CarveScratch& s = scratch != nullptr ? *scratch : thread_scratch();
-  order_cone(g, root, key.tau, s);
+  gather_cone(g, root, key.tau, s);
+  return carve_cone(g, carve, key, s);
+}
+
+Domain carve_cone(const Graph& g, const crypto::Bitstream& carve,
+                  const DomainKey& key, CarveScratch& s) {
+  order_cone(g, key.tau, s);
   const std::size_t c = s.order.size();
   Domain d;
-  d.root = root;
+  d.root = s.cone.front().node;
   d.ordered.reserve(c);
   s.rank.resize(c);
   for (std::size_t pos = 0; pos < c; ++pos) {
@@ -183,6 +207,25 @@ Domain select_domain(const Graph& g, NodeId root, const crypto::Bitstream& carve
     if (s.selected[i] != 0) d.selected.push_back(s.cone[i].node);
   }
   return d;
+}
+
+ConeFingerprint ConeFingerprint::of_cone(const Graph& g,
+                                         std::span<const cdfg::ConeNode> cone) {
+  return tally_ops(cone, [&g](const cdfg::ConeNode& c) {
+    return cdfg::functional_id(g.node(c.node).kind);
+  });
+}
+
+ConeFingerprint ConeFingerprint::of_ops(std::span<const int> subtree_ops) {
+  return tally_ops(subtree_ops, [](int op) { return op; });
+}
+
+bool ConeFingerprint::may_hold(const ConeFingerprint& sub) const {
+  if (size != kMaxSize && sub.size > size) return false;
+  for (std::size_t k = 0; k < count.size(); ++k) {
+    if (count[k] != kMaxCount && sub.count[k] > count[k]) return false;
+  }
+  return true;
 }
 
 void record_carves([[maybe_unused]] std::span<const std::size_t> selected_sizes) {

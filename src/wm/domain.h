@@ -21,6 +21,8 @@
 // insertion order through serialization, extraction, and embedding.
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -82,7 +84,19 @@ struct CarveScratch {
 [[nodiscard]] std::vector<cdfg::NodeId> order_locality(const cdfg::Graph& g,
                                                        cdfg::NodeId root, int tau);
 
-/// Full domain selection: ordering plus signature-keyed carving of T.
+/// Step one of domain selection: gathers the fan-in cone T_o of `root`
+/// (max-distance `tau`, root first) into `s.cone`.
+void gather_cone(const cdfg::Graph& g, cdfg::NodeId root, int tau,
+                 CarveScratch& s);
+
+/// Step two: orders the cone last gathered into `s` (at `key.tau`) and
+/// carves T out of it with a copy of `carve`.
+[[nodiscard]] Domain carve_cone(const cdfg::Graph& g,
+                                const crypto::Bitstream& carve,
+                                const DomainKey& key, CarveScratch& s);
+
+/// Full domain selection: ordering plus signature-keyed carving of T,
+/// i.e. gather_cone then carve_cone.
 /// A pure function of (graph structure reachable from root, key, sig) —
 /// embedding and detection call this identically.  `carve` is the
 /// signature's fresh `DomainKey::kCarveTag` stream; the carve draws from
@@ -92,6 +106,32 @@ struct CarveScratch {
                                    const crypto::Bitstream& carve,
                                    const DomainKey& key,
                                    CarveScratch* scratch = nullptr);
+
+/// Op-multiset fingerprint of a node multiset: its size and the count of
+/// every op kind in it (indexed by functional_id - 1), each saturating.
+/// A carve selects a subset of its cone, so a memorized subtree that is
+/// larger than the cone, or holds more of some op, cannot pass the
+/// structural gate there.  A saturated field of the cone never rejects,
+/// and a saturated field of the subtree undercounts, so the test is exact:
+/// it never refuses a subtree the cone can hold.
+struct ConeFingerprint {
+  static constexpr std::uint16_t kMaxSize = 0xFFFF;
+  static constexpr std::uint8_t kMaxCount = 0xFF;
+
+  std::uint16_t size = 0;
+  std::array<std::uint8_t, cdfg::kNumOpKinds> count{};
+
+  /// The fingerprint of a gathered cone (`CarveScratch::cone`).
+  [[nodiscard]] static ConeFingerprint of_cone(
+      const cdfg::Graph& g, std::span<const cdfg::ConeNode> cone);
+  /// The fingerprint of a memorized subtree; every id must lie in
+  /// [1, cdfg::kNumOpKinds].
+  [[nodiscard]] static ConeFingerprint of_ops(std::span<const int> subtree_ops);
+
+  /// False when a subtree fingerprinted `sub` cannot be carved from this
+  /// cone.
+  [[nodiscard]] bool may_hold(const ConeFingerprint& sub) const;
+};
 
 [[nodiscard]] inline Domain select_domain(const cdfg::Graph& g, cdfg::NodeId root,
                                           const crypto::Signature& sig,

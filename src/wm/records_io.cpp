@@ -225,6 +225,11 @@ io::ParseResult<RecordArchive> parse_records(io::LineCursor lines,
                      "ops ids must be integers, got '" + std::string(id->text) +
                          "'");
         }
+        if (*v < 1 || *v > cdfg::kNumOpKinds) {
+          return err(lineno, id->column,
+                     "ops ids must lie in [1, " + std::to_string(cdfg::kNumOpKinds) +
+                         "], got " + std::to_string(*v));
+        }
         target.push_back(*v);
       }
       if (target.empty()) return err(lineno, tok->column, "ops line is empty");

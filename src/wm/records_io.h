@@ -9,7 +9,8 @@
 //   lwm-records v1
 //   sched tau=<int> keep=<num>/<den> pairs=<n>
 //   pos <src> <dst>           (n lines)
-//   ops <id> <id> ...         (structural fingerprint)
+//   ops <id> <id> ...         (structural fingerprint; functional ids,
+//                              each in [1, cdfg::kNumOpKinds])
 //   reg tau=<int> keep=<num>/<den> m=<int> pairs=<n>
 //   ...
 //
@@ -39,8 +40,9 @@ void write_records(const RecordArchive& archive, std::ostream& os);
 
 /// Parses from text or a stream (see io::LineCursor).  Malformed fields
 /// (non-numeric tau, empty keep denominator, keep_den == 0, out-of-range
-/// values), bad structure (a second ops line in a record), trailing
-/// garbage and cursor failures all come back as a located Diagnostic.
+/// values, a negative position, an op id naming no op kind), bad
+/// structure (a second ops line in a record), trailing garbage and
+/// cursor failures all come back as a located Diagnostic.
 [[nodiscard]] io::ParseResult<RecordArchive> parse_records(
     io::LineCursor lines, std::string_view source_name = "<records>");
 

@@ -112,6 +112,14 @@ const BadInput kBadRecords[] = {
      "pos must be non-negative"},
     {"pos-garbage", "lwm-records v1\nsched tau=6 keep=1/2 pairs=1\npos 1 2 x\n",
      3, "trailing garbage"},
+    {"bug-ops-zero", "lwm-records v1\nsched tau=6 keep=1/2 pairs=0\nops 1 0 3\n",
+     3, "ops ids must lie in [1, 18], got 0"},
+    {"bug-ops-negative",
+     "lwm-records v1\nsched tau=6 keep=1/2 pairs=0\nops -4 2\n", 3,
+     "ops ids must lie in [1, 18], got -4"},
+    {"bug-ops-past-kinds",
+     "lwm-records v1\nsched tau=6 keep=1/2 pairs=0\nops 4 19\n", 3,
+     "ops ids must lie in [1, 18], got 19"},
     {"ops-garbage",
      "lwm-records v1\nsched tau=6 keep=1/2 pairs=0\nops 1 zz\n", 3,
      "ops ids must be integers"},

@@ -7,7 +7,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cdfg/analysis.h"
@@ -16,6 +18,7 @@
 #include "dfglib/iir4.h"
 #include "dfglib/kernels.h"
 #include "dfglib/synth.h"
+#include "exec/thread_pool.h"
 #include "obs/obs.h"
 #include "serve/frame.h"
 #include "serve/service.h"
@@ -224,6 +227,16 @@ TEST(ServiceTest, DetectRefusesHostileRecords) {
       fx.records + "sched tau=6 keep=1/2 pairs=1\npos 0 -1\nops 1 2\n";
   EXPECT_EQ(error_code(service.handle(detect_frame(hostile, "alice-key"))),
             kErrParse);
+  // So is an op id naming no op kind: the detector indexes by it.
+  for (const char* op : {"0", "-3", "19"}) {
+    hostile.records = fx.records + "sched tau=6 keep=1/2 pairs=0\nops 4 " +
+                      op + "\n";
+    const Frame bad_op = service.handle(detect_frame(hostile, "alice-key"));
+    EXPECT_EQ(error_code(bad_op), kErrParse) << op;
+    ASSERT_TRUE(parse_error_frame(bad_op, info));
+    EXPECT_NE(info.diag.message.find("ops ids must lie in"), std::string::npos)
+        << info.diag.message;
+  }
   EXPECT_EQ(service.handle(detect_frame(fx, "alice-key")).type,
             MsgType::kDetected);
 }
@@ -412,6 +425,45 @@ TEST(ServiceTest, DetectIsDeterministicAcrossRepeats) {
     EXPECT_EQ(again.type, first.type);
     EXPECT_EQ(again.payload, first.payload);
   }
+}
+
+TEST(ServiceTest, ConcurrentDetectsOnOneDesignMatchSerial) {
+  // Two clients detect different record sets on one resident design at
+  // once: both fill the design's one cone memo (whichever request comes
+  // first fixes its tau), and neither may see a byte move.  The reference
+  // answers come from fresh services, one request each.
+  const auto answer_alone = [](std::string_view records) {
+    Service fresh;
+    LoadedFixture fx = load_and_embed(fresh, "alice-key");
+    fx.records = records;
+    return fresh.handle(detect_frame(fx, "alice-key"));
+  };
+  exec::ThreadPool pool(2);
+  ServiceOptions opts;
+  opts.pool = &pool;
+  Service service(opts);
+  LoadedFixture a = load_and_embed(service, "alice-key");
+  LoadedFixture b = a;
+  ASSERT_NE(b.records.find("tau=8"), std::string::npos);
+  for (std::size_t at; (at = b.records.find("tau=8")) != std::string::npos;) {
+    b.records.replace(at, 5, "tau=6");
+  }
+  const Frame want_a = answer_alone(a.records);
+  const Frame want_b = answer_alone(b.records);
+  ASSERT_EQ(want_a.type, MsgType::kDetected);
+  ASSERT_EQ(want_b.type, MsgType::kDetected);
+
+  const auto client = [&service](const LoadedFixture& fx, const Frame& want) {
+    for (int i = 0; i < 3; ++i) {
+      const Frame got = service.handle(detect_frame(fx, "alice-key"));
+      EXPECT_EQ(got.type, want.type);
+      EXPECT_EQ(got.payload, want.payload);
+    }
+  };
+  std::thread ta(client, std::cref(a), std::cref(want_a));
+  std::thread tb(client, std::cref(b), std::cref(want_b));
+  ta.join();
+  tb.join();
 }
 
 // ---- Resident windows ------------------------------------------------------

@@ -112,9 +112,13 @@ SchedRecord foreign_key_record() {
   return SchedRecord::from(marks.front(), g);
 }
 
-/// The fixture's archive, a second key group, and two malformed copies
-/// of the first record: one with a pair past the subtree, one with a
-/// negative pair.
+/// Malformed copies of the first record that mixed_archive appends.
+constexpr std::size_t kMalformed = 5;
+
+/// The fixture's archive, a second key group, and kMalformed malformed
+/// copies of the first record: a pair past the subtree, a negative pair,
+/// and an op id of 0, of -1 and past cdfg::kNumOpKinds (each in front of
+/// the root op, so the root-op prefilter still lets it through).
 std::vector<SchedRecord> mixed_archive(const Fixture& f) {
   std::vector<SchedRecord> records = f.records;
   records.push_back(foreign_key_record());
@@ -124,6 +128,11 @@ std::vector<SchedRecord> mixed_archive(const Fixture& f) {
   SchedRecord negative = f.records.front();
   negative.positions.emplace_back(0, -1);
   records.push_back(negative);
+  for (const int op : {0, -1, cdfg::kNumOpKinds + 1}) {
+    SchedRecord bad_op = f.records.front();
+    bad_op.subtree_ops.front() = op;
+    records.push_back(bad_op);
+  }
   return records;
 }
 
@@ -161,7 +170,7 @@ TEST(BatchDetectTest, MalformedRecordsNeverHit) {
   const auto batch =
       detect_sched_watermarks(f.graph, f.schedule, alice(), records);
   ASSERT_TRUE(batch.front().detected()) << "the well-formed original hits";
-  for (std::size_t i = records.size() - 2; i < records.size(); ++i) {
+  for (std::size_t i = records.size() - kMalformed; i < records.size(); ++i) {
     EXPECT_FALSE(batch[i].detected()) << "record " << i;
     EXPECT_FALSE(batch[i].best_root.valid()) << "record " << i;
     EXPECT_FALSE(
@@ -174,20 +183,20 @@ TEST(BatchDetectTest, MalformedRecordsNeverHit) {
 TEST(BatchDetectTest, PrefilterSkipsCountedPerRootAndKeyGroup) {
 #if LWM_OBS_ENABLED
   // Oracle count: a (root, key group) pair is skipped when no record of
-  // the group ends in the root's operation (the root sorts last).  The
-  // two key groups here differ only in tau.
+  // the group may be carved there — it must end in the root's operation
+  // (the root sorts last) and its op multiset must fit in the root's
+  // cone.  The two key groups here differ only in tau.
   const Fixture f = make_fixture();
   std::vector<SchedRecord> records = f.records;
   records.push_back(foreign_key_record());
   std::uint64_t expected = 0;
   for (const cdfg::NodeId n : f.graph.nodes()) {
     if (!cdfg::is_executable(f.graph.node(n).kind)) continue;
-    const int fid = cdfg::functional_id(f.graph.node(n).kind);
     std::set<int> keys;
     std::set<int> matched;
     for (const SchedRecord& r : records) {
       keys.insert(r.domain.tau);
-      if (r.subtree_ops.back() == fid) matched.insert(r.domain.tau);
+      if (oracle::may_carve(f.graph, n, r)) matched.insert(r.domain.tau);
     }
     expected += keys.size() - matched.size();
   }
@@ -200,6 +209,90 @@ TEST(BatchDetectTest, PrefilterSkipsCountedPerRootAndKeyGroup) {
     const std::uint64_t before = skips.total();
     (void)detect_sched_watermarks(f.graph, f.schedule, alice(), records, p);
     EXPECT_EQ(skips.total() - before, expected) << (p ? "pool" : "serial");
+  }
+#else
+  GTEST_SKIP() << "counting needs LWM_OBS=ON";
+#endif
+}
+
+/// Reports must not depend on the cone memo: none, cold, warm (the same
+/// memo again) and a memo at another tau (read by no group), serially and
+/// on a 4-lane pool, each against the no-memo serial scan.
+void expect_memo_invisible(const Graph& g, const sched::Schedule& schedule,
+                           const std::vector<SchedRecord>& records) {
+  ASSERT_FALSE(records.empty());
+  const int tau = records.front().domain.tau;
+  exec::ThreadPool pool(4);
+  for (const crypto::Signature& sig : {alice(), eve()}) {
+    const auto want = detect_sched_watermarks(g, schedule, sig, records);
+    for (exec::ThreadPool* p : {static_cast<exec::ThreadPool*>(nullptr), &pool}) {
+      ConeMemo memo(g.node_capacity(), tau);
+      ConeMemo other(g.node_capacity(), tau + 1);
+      const std::pair<const char*, ConeMemo*> runs[] = {
+          {"none", nullptr}, {"cold", &memo}, {"warm", &memo}, {"other tau", &other}};
+      for (const auto& [name, m] : runs) {
+        const auto got = detect_sched_watermarks(g, schedule, sig, records, p, m);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          expect_matches_oracle(want[i], got[i],
+                                sig.owner() + (p ? " pool " : " serial ") + name +
+                                    " record " + std::to_string(i));
+        }
+      }
+    }
+  }
+}
+
+/// A 3k-op mega design carrying eight default-key (tau 8) marks.
+Fixture make_mega_fixture() {
+  Fixture f{lwm::dfglib::make_mega_design(lwm::dfglib::MegaConfig{.operations = 3000}),
+            {}, {}};
+  for (const auto& m : embed_local_watermarks(f.graph, alice(), 8, SchedWmOptions{})) {
+    f.records.push_back(SchedRecord::from(m, f.graph));
+  }
+  EXPECT_GE(f.records.size(), 4u);
+  f.schedule = sched::list_schedule(f.graph);
+  f.graph.strip_temporal_edges();
+  return f;
+}
+
+TEST(BatchDetectTest, ConeMemoNeverChangesReports) {
+  const Fixture f = make_fixture();
+  expect_memo_invisible(f.graph, f.schedule, f.records);
+  expect_memo_invisible(f.graph, f.schedule, mixed_archive(f));
+  const Fixture mega = make_mega_fixture();
+  expect_memo_invisible(mega.graph, mega.schedule, mega.records);
+}
+
+TEST(BatchDetectTest, ConeFingerprintsCountMemoMisses) {
+#if LWM_OBS_ENABLED
+  // A root is fingerprinted once it passes the root-op prefilter: on
+  // every scan without a memo, once per root with a cold one, never with
+  // a warm one.
+  const Fixture f = make_mega_fixture();
+  std::uint64_t expected = 0;
+  for (const cdfg::NodeId n : f.graph.nodes()) {
+    if (!cdfg::is_executable(f.graph.node(n).kind)) continue;
+    const int fid = cdfg::functional_id(f.graph.node(n).kind);
+    if (std::ranges::any_of(f.records, [fid](const SchedRecord& r) {
+          return r.subtree_ops.back() == fid;
+        })) {
+      ++expected;
+    }
+  }
+  ASSERT_GT(expected, 0u);
+  obs::Counter& computed = obs::Registry::instance().counter("wm/cone_fingerprints");
+  const auto fingerprints = [&](exec::ThreadPool* p, ConeMemo* m) {
+    const std::uint64_t before = computed.total();
+    (void)detect_sched_watermarks(f.graph, f.schedule, alice(), f.records, p, m);
+    return computed.total() - before;
+  };
+  exec::ThreadPool pool(2);
+  for (exec::ThreadPool* p : {static_cast<exec::ThreadPool*>(nullptr), &pool}) {
+    ConeMemo memo(f.graph.node_capacity(), SchedWmOptions{}.domain.tau);
+    EXPECT_EQ(fingerprints(p, nullptr), expected);
+    EXPECT_EQ(fingerprints(p, &memo), expected);
+    EXPECT_EQ(fingerprints(p, &memo), 0u);
   }
 #else
   GTEST_SKIP() << "counting needs LWM_OBS=ON";

@@ -8,12 +8,34 @@
 // checked against it.
 #pragma once
 
+#include <map>
 #include <optional>
 
 #include "locality_oracle.h"
 #include "wm/detector.h"
 
 namespace lwm::wm::oracle {
+
+/// The detector's carve prefilter stated directly: a carve at `root` can
+/// pass `rec`'s gate only if the root's op ends the memorized subtree and
+/// the subtree's op multiset fits inside the root's fan-in cone (the
+/// carve selects a subset of it).  Counts over the reference cone, with
+/// no saturation.
+inline bool may_carve(const cdfg::Graph& g, cdfg::NodeId root,
+                      const SchedRecord& rec) {
+  if (rec.subtree_ops.empty() ||
+      rec.subtree_ops.back() != cdfg::functional_id(g.node(root).kind)) {
+    return false;
+  }
+  std::map<int, int> spare;
+  for (const cdfg::ConeNode& c : detail::cone_of(g, root, rec.domain.tau)) {
+    ++spare[cdfg::functional_id(g.node(c.node).kind)];
+  }
+  for (const int op : rec.subtree_ops) {
+    if (--spare[op] < 0) return false;
+  }
+  return true;
+}
 
 /// The verdict at one root: nullopt when the carve is not the memorized
 /// subtree or a recorded position falls outside it.

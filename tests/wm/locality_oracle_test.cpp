@@ -152,17 +152,16 @@ struct Archive {
 TEST(CarveTallyTest, DetectTotalsMatchOracleCarves) {
 #if LWM_OBS_ENABLED
   // The scan carves (root, key group) exactly when some record of the
-  // group ends in the root's operation; the oracle carve gives each
-  // carve's size.
+  // group ends in the root's operation and fits in the root's cone; the
+  // oracle carve gives each carve's size.
   const Archive a = make_archive();
   std::uint64_t carves = 0;
   std::uint64_t size_sum = 0;
   for (const NodeId n : a.graph.nodes()) {
     if (!cdfg::is_executable(a.graph.node(n).kind)) continue;
-    const int fid = cdfg::functional_id(a.graph.node(n).kind);
     std::vector<DomainKey> keys;
     for (const SchedRecord& r : a.records) {
-      if (r.subtree_ops.back() != fid) continue;
+      if (!oracle::may_carve(a.graph, n, r)) continue;
       if (std::ranges::find(keys, r.domain) != keys.end()) continue;
       keys.push_back(r.domain);
       ++carves;

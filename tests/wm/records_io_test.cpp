@@ -121,5 +121,25 @@ TEST(RecordsIoTest, MalformedInputRejectedWithLineNumbers) {
   EXPECT_NE(r.diag().to_string().find("line 2"), std::string::npos);
 }
 
+TEST(RecordsIoTest, OpIdsOutsideTheOpKindsAreRefused) {
+  const std::string head = "lwm-records v1\nsched tau=5 keep=1/2 pairs=0\n";
+  for (const std::string& bad : {std::string("0"), std::string("-1"),
+                                 std::to_string(cdfg::kNumOpKinds + 1),
+                                 std::string("2147483647")}) {
+    const auto r = parse_records(head + "ops 1 " + bad + " 2\n");
+    ASSERT_FALSE(r.ok()) << bad;
+    EXPECT_EQ(r.diag().line, 3) << bad;
+    EXPECT_EQ(r.diag().column, 7) << bad;
+    EXPECT_NE(r.diag().message.find("ops ids must lie in"), std::string::npos)
+        << r.diag().message;
+  }
+  // Both ends of the range parse, in sched and reg records alike.
+  const std::string last = std::to_string(cdfg::kNumOpKinds);
+  EXPECT_TRUE(parse_records(head + "ops 1 " + last + "\n").ok());
+  EXPECT_FALSE(parse_records("lwm-records v1\nreg tau=5 keep=1/2 m=3 pairs=0\n"
+                             "ops 0\n")
+                   .ok());
+}
+
 }  // namespace
 }  // namespace lwm::wm
