@@ -9,17 +9,8 @@
 
 namespace lwm::cdfg {
 
-namespace {
-
-constexpr std::uint64_t bit_mask(std::size_t v) noexcept {
-  return std::uint64_t{1} << (v % 64);
-}
-
-}  // namespace
-
-TimingCache::TimingCache(const Graph& g, int latency, EdgeFilter filter,
-                         bool with_reachability)
-    : g_(&g), filter_(filter), with_reach_(with_reachability) {
+TimingCache::TimingCache(const Graph& g, int latency, EdgeFilter filter)
+    : g_(&g) {
   LWM_SPAN("cdfg/timing_build");
   const std::size_t cap = g.node_capacity();
   topo_ = topo_order(g, filter);
@@ -30,8 +21,6 @@ TimingCache::TimingCache(const Graph& g, int latency, EdgeFilter filter,
   lo_.assign(cap, -1);
   hi_.assign(cap, -1);
   pinned_.assign(cap, -1);
-  extra_out_.assign(cap, {});
-  extra_in_.assign(cap, {});
   changed_mark_.assign(cap, false);
   queued_.assign(cap, 0);
 
@@ -111,23 +100,6 @@ TimingCache::TimingCache(const Graph& g, int latency, EdgeFilter filter,
     }
     hi_[v] = latest;
   }
-
-  if (with_reach_) {
-    words_ = (cap + 63) / 64;
-    desc_.assign(cap * words_, 0);
-    // Reverse topological order: every successor's row is final before it
-    // is unioned in, so one pass per node suffices.
-    for (auto it = topo_.rbegin(); it != topo_.rend(); ++it) {
-      const std::size_t v = it->value;
-      std::uint64_t* mine = desc_.data() + row(v);
-      for (std::uint32_t i = fanout_off_[v]; i < fanout_off_[v + 1]; ++i) {
-        const std::uint32_t dst = fanout_node_[i];
-        const std::uint64_t* theirs = desc_.data() + row(dst);
-        for (std::size_t w = 0; w < words_; ++w) mine[w] |= theirs[w];
-        mine[dst / 64] |= bit_mask(dst);
-      }
-    }
-  }
 }
 
 int TimingCache::compute_lo(NodeId n) const {
@@ -135,9 +107,6 @@ int TimingCache::compute_lo(NodeId n) const {
   int start = 0;
   for (std::uint32_t i = fanin_off_[v]; i < fanin_off_[v + 1]; ++i) {
     start = std::max(start, lo_[fanin_node_[i]] + fanin_delay_[i]);
-  }
-  for (NodeId p : extra_in_[v]) {
-    start = std::max(start, lo_[p.value] + delay_[p.value]);
   }
   return start;
 }
@@ -148,9 +117,6 @@ int TimingCache::compute_hi(NodeId n) const {
   int latest = latency_ - delay;
   for (std::uint32_t i = fanout_off_[v]; i < fanout_off_[v + 1]; ++i) {
     latest = std::min(latest, hi_[fanout_node_[i]] - delay);
-  }
-  for (NodeId s : extra_out_[v]) {
-    latest = std::min(latest, hi_[s.value] - delay);
   }
   return latest;
 }
@@ -165,8 +131,7 @@ void TimingCache::note_changed(NodeId n) {
 // Monotone worklist: lo values only rise, so recomputing a node from its
 // current predecessors and re-queueing its successors whenever the value
 // moved converges to the unique fixed point in any pop order.  The heap
-// pops in topological position so, absent extra edges that run against
-// the stored order, each node is recomputed at most once.  heap_/queued_
+// pops in topological position, so each node is recomputed at most once.  heap_/queued_
 // are member scratch (empty / all-zero between calls) — one pin used to
 // cost two fresh capacity-sized vectors.
 void TimingCache::propagate_lo(const std::vector<NodeId>& seeds) {
@@ -187,20 +152,12 @@ void TimingCache::propagate_lo(const std::vector<NodeId>& seeds) {
     queued_[v] = 0;
     ++update_work_;
     const int nl = compute_lo(n);
-    if (pinned_[v] >= 0) {
-      // A pinned window never moves; it can only become untenable when an
-      // extra edge pushed a predecessor past it.
-      if (nl > pinned_[v]) feasible_ = false;
-      continue;
-    }
-    if (nl <= lo_[v]) continue;
+    if (pinned_[v] >= 0 || nl <= lo_[v]) continue;  // pinned windows never move
     lo_[v] = nl;
-    if (nl > hi_[v]) feasible_ = false;
     note_changed(n);
     for (std::uint32_t i = fanout_off_[v]; i < fanout_off_[v + 1]; ++i) {
       push(fanout_node_[i]);
     }
-    for (NodeId s : extra_out_[v]) push(s.value);
   }
 }
 
@@ -223,18 +180,12 @@ void TimingCache::propagate_hi(const std::vector<NodeId>& seeds) {
     queued_[v] = 0;
     ++update_work_;
     const int nh = compute_hi(n);
-    if (pinned_[v] >= 0) {
-      if (nh < pinned_[v]) feasible_ = false;
-      continue;
-    }
-    if (nh >= hi_[v]) continue;
+    if (pinned_[v] >= 0 || nh >= hi_[v]) continue;
     hi_[v] = nh;
-    if (nh < lo_[v]) feasible_ = false;
     note_changed(n);
     for (std::uint32_t i = fanin_off_[v]; i < fanin_off_[v + 1]; ++i) {
       push(fanin_node_[i]);
     }
-    for (NodeId p : extra_in_[v]) push(p.value);
   }
 }
 
@@ -273,7 +224,6 @@ void TimingCache::pin(NodeId n, int step) {
     for (std::uint32_t i = fanout_off_[v]; i < fanout_off_[v + 1]; ++i) {
       seeds_.push_back(NodeId{fanout_node_[i]});
     }
-    for (NodeId s : extra_out_[v]) seeds_.push_back(s);
     propagate_lo(seeds_);
   }
   if (lowered_hi) {
@@ -281,80 +231,12 @@ void TimingCache::pin(NodeId n, int step) {
     for (std::uint32_t i = fanin_off_[v]; i < fanin_off_[v + 1]; ++i) {
       seeds_.push_back(NodeId{fanin_node_[i]});
     }
-    for (NodeId p : extra_in_[v]) seeds_.push_back(p);
     propagate_hi(seeds_);
   }
 #if LWM_OBS_ENABLED
   LWM_COUNT("cdfg/timing_pushes", update_work_ - work_before);
   LWM_HIST("cdfg/timing_cone", changed_.size());
 #endif
-}
-
-void TimingCache::union_descendants(NodeId src, NodeId dst) {
-  // New descendants flowing into src: dst itself plus dst's row.  Walk up
-  // src's ancestors, stopping wherever the row is already a superset.
-  std::vector<std::uint64_t> add(desc_.begin() + static_cast<std::ptrdiff_t>(row(dst.value)),
-                                 desc_.begin() + static_cast<std::ptrdiff_t>(row(dst.value) + words_));
-  add[dst.value / 64] |= bit_mask(dst.value);
-
-  std::vector<NodeId> stack{src};
-  while (!stack.empty()) {
-    const NodeId a = stack.back();
-    stack.pop_back();
-    std::uint64_t* mine = desc_.data() + row(a.value);
-    bool grew = false;
-    for (std::size_t w = 0; w < words_; ++w) {
-      const std::uint64_t next = mine[w] | add[w];
-      if (next != mine[w]) {
-        mine[w] = next;
-        grew = true;
-      }
-    }
-    if (!grew) continue;
-    const std::size_t v = a.value;
-    for (std::uint32_t i = fanin_off_[v]; i < fanin_off_[v + 1]; ++i) {
-      stack.push_back(NodeId{fanin_node_[i]});
-    }
-    for (NodeId p : extra_in_[v]) stack.push_back(p);
-  }
-}
-
-void TimingCache::add_extra_edge(NodeId src, NodeId dst) {
-  if (pos_[src.value] < 0 || pos_[dst.value] < 0) {
-    throw std::out_of_range("TimingCache::add_extra_edge: dead endpoint");
-  }
-  if (src == dst || (with_reach_ && reaches(dst, src))) {
-    throw std::logic_error("TimingCache::add_extra_edge: edge '" +
-                           g_->node(src).name + "' -> '" + g_->node(dst).name +
-                           "' would close a cycle");
-  }
-  extra_out_[src.value].push_back(dst);
-  extra_in_[dst.value].push_back(src);
-  if (with_reach_) union_descendants(src, dst);
-
-  for (NodeId c : changed_) changed_mark_[c.value] = false;
-  changed_.clear();
-#if LWM_OBS_ENABLED
-  const std::uint64_t work_before = update_work_;
-#endif
-  seeds_.assign(1, dst);
-  propagate_lo(seeds_);
-  seeds_.assign(1, src);
-  propagate_hi(seeds_);
-#if LWM_OBS_ENABLED
-  LWM_COUNT("cdfg/timing_pushes", update_work_ - work_before);
-  LWM_HIST("cdfg/timing_cone", changed_.size());
-#endif
-}
-
-bool TimingCache::reaches(NodeId src, NodeId dst) const {
-  if (!with_reach_) {
-    throw std::logic_error(
-        "TimingCache::reaches: constructed without reachability");
-  }
-  if (pos_[src.value] < 0 || pos_[dst.value] < 0) return false;
-  if (src == dst) return true;
-  return (desc_[row(src.value) + dst.value / 64] & bit_mask(dst.value)) != 0;
 }
 
 }  // namespace lwm::cdfg

@@ -1,23 +1,16 @@
-// timing_cache.h — incremental timing queries over a CDFG.
+// timing_cache.h — incremental timing windows over a CDFG.
 //
-// compute_timing() and reaches() in analysis.h recompute from scratch on
-// every call, which is fine for one-shot analyses but dominates the
-// schedulers: force-directed scheduling re-derives every [asap, alap]
-// window after each placement, and watermark planning answers O(K^2)
-// reachability queries with a fresh DFS each.  TimingCache keeps both
-// answers materialized and maintains them incrementally:
-//
-//   * [lo, hi] start-step windows honoring *pinned* nodes.  pin(n, s)
-//     re-relaxes only the fan-out cone whose ASAP actually rises and the
-//     fan-in cone whose ALAP actually falls — a worklist ordered by
-//     topological position, so each affected node is recomputed once.
-//     Windows are integer fixed points of the same recurrences
-//     compute_timing() solves, so they match a from-scratch recompute
-//     exactly at every intermediate pinning state.
-//   * reachability as a bitset transitive closure: reaches(src, dst) is
-//     a single word probe (O(V/64) memory touched per row union during
-//     construction, O(1) per query).  add_extra_edge(src, dst) unions
-//     the new descendant row into src and its ancestors only.
+// compute_timing() in analysis.h recomputes from scratch on every call,
+// which is fine for one-shot analyses but dominates the schedulers:
+// force-directed scheduling re-derives every [asap, alap] window after
+// each placement.  TimingCache keeps the [lo, hi] start-step windows
+// materialized under *pinned* nodes and maintains them incrementally:
+// pin(n, s) re-relaxes only the fan-out cone whose ASAP actually rises
+// and the fan-in cone whose ALAP actually falls — a worklist ordered by
+// topological position, so each affected node is recomputed once.
+// Windows are integer fixed points of the same recurrences
+// compute_timing() solves, so they match a from-scratch recompute
+// exactly at every intermediate pinning state.
 //
 // Windows are the scheduling (all-d_max) ones only: the cache reads
 // Node::delay and nothing else of a node's delay interval.  The
@@ -27,10 +20,11 @@
 // Invalidation rules (documented contract, relied on by the incremental
 // FDS engine in sched/force_directed.cpp):
 //   * pin() only ever *raises* lo and *lowers* hi — pinning a node
-//     inside its current window can never widen any other window;
-//   * after pin()/add_extra_edge(), last_changed() lists exactly the
-//     nodes whose (lo, hi, pinned) state differs from before the call
-//     (the mutated node itself always included);
+//     inside its current window can never widen any other window, nor
+//     empty one;
+//   * after pin(), last_changed() lists exactly the nodes whose (lo, hi,
+//     pinned) state differs from before the call (the pinned node itself
+//     always included);
 //   * nodes outside last_changed() are bit-for-bit untouched.
 #pragma once
 
@@ -44,13 +38,12 @@ namespace lwm::cdfg {
 
 class TimingCache {
  public:
-  /// Builds windows (and optionally the reachability closure) for the
-  /// live nodes of `g` under `filter`.  `latency < 0` means "critical
-  /// path"; otherwise it must be >= the critical path (throws
-  /// std::invalid_argument, matching compute_timing()).
+  /// Builds windows for the live nodes of `g` under `filter`.
+  /// `latency < 0` means "critical path"; otherwise it must be >= the
+  /// critical path (throws std::invalid_argument, matching
+  /// compute_timing()).
   TimingCache(const Graph& g, int latency = -1,
-              EdgeFilter filter = EdgeFilter::all(),
-              bool with_reachability = false);
+              EdgeFilter filter = EdgeFilter::all());
 
   [[nodiscard]] int critical_path() const noexcept { return critical_path_; }
   [[nodiscard]] int latency() const noexcept { return latency_; }
@@ -75,29 +68,13 @@ class TimingCache {
   /// the reference FDS reports).  Only the affected cone is re-relaxed.
   void pin(NodeId n, int step);
 
-  /// Extra precedence src -> dst (a watermark temporal edge considered
-  /// during planning).  Updates windows and, if enabled, the closure.
-  /// Throws std::logic_error if the edge would close a cycle.  May leave
-  /// some window empty (lo > hi) when the edge does not fit the latency
-  /// bound; feasible() reports that.
-  void add_extra_edge(NodeId src, NodeId dst);
-
-  /// False once any window became empty (only add_extra_edge can do it).
-  [[nodiscard]] bool feasible() const noexcept { return feasible_; }
-
-  /// True if dst is reachable from src over accepted edges plus every
-  /// extra edge added so far.  Requires with_reachability; O(1) probe.
-  /// Matches cdfg::reaches(): reaches(n, n) is true for a live node.
-  [[nodiscard]] bool reaches(NodeId src, NodeId dst) const;
-
-  /// Nodes whose window or pinned state changed in the last mutating
-  /// call (the pinned node / edge endpoints included when they changed;
-  /// the pinned node is always reported).
+  /// Nodes whose window or pinned state changed in the last pin() (the
+  /// pinned node is always reported).
   [[nodiscard]] const std::vector<NodeId>& last_changed() const noexcept {
     return changed_;
   }
 
-  /// Cumulative count of node-window recomputations across all mutating
+  /// Cumulative count of node-window recomputations across all pin()
   /// calls — the "touched cone" size the incremental engine is buying.
   [[nodiscard]] std::uint64_t update_work() const noexcept {
     return update_work_;
@@ -109,18 +86,10 @@ class TimingCache {
   void propagate_lo(const std::vector<NodeId>& seeds);
   void propagate_hi(const std::vector<NodeId>& seeds);
   void note_changed(NodeId n);
-  void union_descendants(NodeId src, NodeId dst);
-
-  [[nodiscard]] std::size_t row(std::size_t v) const noexcept {
-    return v * words_;
-  }
 
   const Graph* g_ = nullptr;
-  EdgeFilter filter_;
   int critical_path_ = 0;
   int latency_ = 0;
-  bool feasible_ = true;
-  bool with_reach_ = false;
 
   std::vector<NodeId> topo_;
   std::vector<int> pos_;     ///< topo position by NodeId::value (-1 = dead)
@@ -139,16 +108,11 @@ class TimingCache {
   std::vector<std::int32_t> fanin_delay_;
   std::vector<std::int32_t> delay_;  ///< per-node delay by NodeId::value
 
-  std::vector<std::vector<NodeId>> extra_out_, extra_in_;
-
-  std::size_t words_ = 0;
-  std::vector<std::uint64_t> desc_;  ///< closure rows, desc_[row(v)..]
-
   std::vector<NodeId> changed_;
   std::vector<bool> changed_mark_;
   std::uint64_t update_work_ = 0;
 
-  // Scratch reused across mutating calls (allocation-free steady state).
+  // Scratch reused across pin() calls (allocation-free steady state).
   std::vector<int> heap_;
   std::vector<char> queued_;
   std::vector<NodeId> seeds_;

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <array>
-#include <memory>
+#include <limits>
 #include <optional>
 #include <stdexcept>
-#include <cmath>
 #include <unordered_map>
 
 #include "cdfg/analysis.h"
-#include "cdfg/timing_cache.h"
 #include "exec/parallel.h"
 #include "obs/obs.h"
 #include "sched/kpaths.h"
@@ -44,54 +42,51 @@ PlanContext PlanContext::build(const Graph& g, const SchedWmOptions& opts) {
 
 namespace {
 
+/// reach[i * K + j]: t[j] is reachable from t[i] in `g` over every edge
+/// kind (reflexive).  The seed of the exact cycle guard.
+std::vector<char> member_reachability(const Graph& g,
+                                      const std::vector<NodeId>& t) {
+  const std::size_t k = t.size();
+  std::vector<char> reach(k * k, 0);
+  for (std::size_t i = 0; i < k; ++i) {
+    for (std::size_t j = 0; j < k; ++j) {
+      reach[i * k + j] = i == j || cdfg::reaches(g, t[i], t[j]);
+    }
+  }
+  return reach;
+}
+
 /// Plans one locality from the kCarveTag stream `carve`; the carve size
-/// goes to `carved` for the caller's batch tally, or is recorded here.
+/// goes to `carved` for the caller's tally.  Whole-graph state comes
+/// from `ctx`; `exact_guard` picks the cycle check (see the header).
 std::optional<SchedWatermark> plan_impl(const Graph& g, NodeId root,
                                         const crypto::Signature& sig,
                                         const SchedWmOptions& opts,
-                                        const PlanContext* ctx,
+                                        const PlanContext& ctx,
+                                        bool exact_guard,
                                         const crypto::Bitstream& carve,
-                                        std::size_t* carved = nullptr,
+                                        std::size_t& carved,
                                         CarveScratch* scratch = nullptr) {
   if (opts.k <= 0 || opts.epsilon <= 0.0) {
     throw std::invalid_argument("plan_sched_watermark: need k > 0 and epsilon > 0");
   }
   LWM_SPAN("wm/plan");
   const Domain domain = select_domain(g, root, carve, opts.domain, scratch);
-  if (carved != nullptr) {
-    *carved = domain.selected.size();
-  } else {
-    record_carves(std::array{domain.selected.size()});
-  }
+  carved = domain.selected.size();
 
   // Timing of the *original specification*: the filters of Fig. 2 are
-  // evaluated before any constraint is added.  With a context this is
-  // precomputed; per-root work stays proportional to the locality.
-  std::optional<cdfg::TimingInfo> own_timing;
-  if (ctx == nullptr) {
-    own_timing = cdfg::compute_timing(g, -1, cdfg::EdgeFilter::specification());
-  }
-  const cdfg::TimingInfo& timing = ctx ? ctx->timing : *own_timing;
+  // evaluated before any constraint is added, so the context's timing
+  // (temporal edges ignored) serves every plan of the call.
+  const cdfg::TimingInfo& timing = ctx.timing;
   const double laxity_bound = timing.critical_path * (1.0 - opts.epsilon);
 
-  // Optional k-worst-path exclusion: under bounded delays the laxity
-  // filter alone can admit a node that sits on a worst-case-critical
-  // spine; mask those spines out of T' entirely.
-  std::vector<char> own_worst;
-  if (ctx == nullptr && opts.avoid_k_worst > 0) {
-    own_worst.assign(g.node_capacity(), 0);
-    for (const NodeId n : sched::k_worst_path_nodes(
-             g, opts.avoid_k_worst, cdfg::EdgeFilter::specification())) {
-      own_worst[n.value] = 1;
-    }
-  }
-  const std::vector<char>& on_worst_path = ctx ? ctx->on_worst_path : own_worst;
-
-  // T': slack-rich executable nodes of T with an overlap partner.
+  // T': slack-rich executable nodes of T with an overlap partner.  Under
+  // bounded delays the laxity filter alone can admit a node on a
+  // worst-case-critical spine; avoid_k_worst masks those spines out.
   std::vector<NodeId> t_prime;
   for (const NodeId n : domain.selected) {
     if (!cdfg::is_executable(g.node(n).kind)) continue;
-    if (!on_worst_path.empty() && on_worst_path[n.value]) continue;
+    if (!ctx.on_worst_path.empty() && ctx.on_worst_path[n.value]) continue;
     const int lax = timing.laxity(n);
     const bool pass = opts.paper_literal_laxity
                           ? (lax > laxity_bound)
@@ -140,41 +135,41 @@ std::optional<SchedWatermark> plan_impl(const Graph& g, NodeId root,
 
   // Draw temporal edges: each n_i targets a later T'' member with an
   // overlapping window; adding n_i -> n_k must not close a cycle through
-  // graph edges, earlier embedded watermarks, or the edges planned so
-  // far.  Without a context, the TimingCache transitive closure answers
-  // each cycle check with an O(V/64) bitset probe and every planned edge
-  // is folded into the closure once.  With a context, the check is the
-  // topo-rank guard: rank(n_i) < rank(n_k) keeps every planned edge (in
-  // this locality and every concurrently planned one) consistent with
-  // one fixed topological order, so the union is acyclic with no closure
-  // state at all.
-  std::unique_ptr<cdfg::TimingCache> closure;
-  if (ctx == nullptr) {
-    closure = std::make_unique<cdfg::TimingCache>(g, -1, cdfg::EdgeFilter::all(),
-                                                  /*with_reachability=*/true);
-  }
-  auto creates_cycle = [&](NodeId from, NodeId to) {
-    if (ctx != nullptr) {
-      return ctx->topo_rank[from.value] >= ctx->topo_rank[to.value];
-    }
-    return closure->reaches(to, from);
-  };
-
-  for (std::size_t i = 0; i < t_second.size(); ++i) {
+  // graph edges (earlier embedded marks included) or the edges planned
+  // so far.  The rank guard admits only rank(n_i) < rank(n_k).  The
+  // exact guard keeps reachability among the T'' members: planned edges
+  // only join members, so a member-to-member path through them is a
+  // chain of graph paths and planned edges, and closing the K x K table
+  // over each accepted edge keeps it exact.
+  const std::size_t kk = t_second.size();
+  std::vector<char> reach;
+  if (exact_guard) reach = member_reachability(g, t_second);
+  for (std::size_t i = 0; i < kk; ++i) {
     const NodeId ni = t_second[i];
-    std::vector<NodeId> partners;
-    for (std::size_t j = i + 1; j < t_second.size(); ++j) {
+    std::vector<std::size_t> partners;
+    for (std::size_t j = i + 1; j < kk; ++j) {
       const NodeId nj = t_second[j];
       if (!timing.windows_overlap(ni, nj)) continue;
-      if (creates_cycle(ni, nj)) continue;
-      partners.push_back(nj);
+      const bool cycle = exact_guard
+                             ? reach[j * kk + i] != 0
+                             : ctx.topo_rank[ni.value] >= ctx.topo_rank[nj.value];
+      if (!cycle) partners.push_back(j);
     }
     if (partners.empty()) continue;  // this n_i contributes no edge
-    const NodeId nk =
+    const std::size_t j =
         partners[stream.next_uint(static_cast<std::uint32_t>(partners.size()))];
+    const NodeId nk = t_second[j];
     wm.constraints.push_back(
         TemporalConstraint{ni, nk, position.at(ni), position.at(nk)});
-    if (closure) closure->add_extra_edge(ni, nk);
+    if (exact_guard) {
+      // Whatever reaches n_i now reaches everything n_k reaches.
+      for (std::size_t a = 0; a < kk; ++a) {
+        if (!reach[a * kk + i]) continue;
+        for (std::size_t b = 0; b < kk; ++b) {
+          if (reach[j * kk + b]) reach[a * kk + b] = 1;
+        }
+      }
+    }
   }
   if (static_cast<int>(wm.constraints.size()) < std::max(1, opts.min_edges)) {
     LWM_COUNT("wm/plans_rejected", 1);
@@ -185,78 +180,37 @@ std::optional<SchedWatermark> plan_impl(const Graph& g, NodeId root,
   return wm;
 }
 
-}  // namespace
-
-std::optional<SchedWatermark> plan_sched_watermark(const Graph& g, NodeId root,
-                                                   const crypto::Signature& sig,
-                                                   const SchedWmOptions& opts) {
-  return plan_impl(g, root, sig, opts, nullptr, sig.stream(DomainKey::kCarveTag));
-}
-
-std::optional<SchedWatermark> plan_sched_watermark(const Graph& g, NodeId root,
-                                                   const crypto::Signature& sig,
-                                                   const SchedWmOptions& opts,
-                                                   const PlanContext& ctx) {
-  return plan_impl(g, root, sig, opts, &ctx, sig.stream(DomainKey::kCarveTag));
-}
-
-std::optional<SchedWatermark> embed_sched_watermark(Graph& g, NodeId root,
-                                                    const crypto::Signature& sig,
-                                                    const SchedWmOptions& opts) {
-  std::optional<SchedWatermark> wm = plan_sched_watermark(g, root, sig, opts);
-  if (!wm) return std::nullopt;
-  for (const TemporalConstraint& c : wm->constraints) {
+void add_constraints(Graph& g, const SchedWatermark& wm) {
+  for (const TemporalConstraint& c : wm.constraints) {
     if (!g.has_edge(c.src, c.dst, EdgeKind::kTemporal)) {
       g.add_edge(c.src, c.dst, EdgeKind::kTemporal);
     }
   }
-  return wm;
 }
 
-std::vector<SchedWatermark> embed_local_watermarks(Graph& g,
-                                                   const crypto::Signature& sig,
-                                                   int count,
-                                                   const SchedWmOptions& opts,
-                                                   int max_attempts) {
+constexpr int kUnbounded = std::numeric_limits<int>::max();
+
+/// The embed engine behind every multi-mark entry point (contract in the
+/// header): stops at `count` marks or `target_edges` temporal edges,
+/// whichever comes first, and builds its own context when `resident` is
+/// null.  Under the exact guard a wave holds one candidate, so each plan
+/// sees the edges of the marks accepted before it.
+std::vector<SchedWatermark> embed_marks(Graph& g, const crypto::Signature& sig,
+                                        const SchedWmOptions& opts,
+                                        exec::ThreadPool* pool,
+                                        const PlanContext* resident, int count,
+                                        int target_edges, int max_attempts,
+                                        bool exact_guard) {
   std::vector<SchedWatermark> marks;
-  crypto::Bitstream roots = sig.stream("lwm/roots");
-  std::vector<bool> used(g.node_capacity(), false);
-  for (int attempt = 0; attempt < max_attempts &&
-                        static_cast<int>(marks.size()) < count;
-       ++attempt) {
-    const NodeId root = pick_root(g, roots);
-    if (used[root.value]) continue;
-    used[root.value] = true;
-    std::optional<SchedWatermark> wm = embed_sched_watermark(g, root, sig, opts);
-    if (wm) marks.push_back(std::move(*wm));
-  }
-  return marks;
-}
-
-std::vector<SchedWatermark> embed_local_watermarks_parallel(
-    Graph& g, const crypto::Signature& sig, int count,
-    const SchedWmOptions& opts, exec::ThreadPool* pool, int max_attempts) {
-  if (count <= 0) return {};
-  const PlanContext ctx = PlanContext::build(g, opts);
-  return embed_local_watermarks_parallel(g, sig, count, opts, pool, ctx,
-                                         max_attempts);
-}
-
-std::vector<SchedWatermark> embed_local_watermarks_parallel(
-    Graph& g, const crypto::Signature& sig, int count,
-    const SchedWmOptions& opts, exec::ThreadPool* pool, const PlanContext& ctx,
-    int max_attempts) {
-  std::vector<SchedWatermark> marks;
-  if (count <= 0) return marks;
-  LWM_SPAN("wm/embed_parallel");
+  if (count <= 0 || target_edges <= 0) return marks;
+  LWM_SPAN("wm/embed_marks");
+  std::optional<PlanContext> own;
+  const PlanContext& ctx =
+      resident != nullptr ? *resident : own.emplace(PlanContext::build(g, opts));
   if (ctx.ops.empty()) {
-    throw std::invalid_argument(
-        "embed_local_watermarks_parallel: graph has no operations");
+    throw std::invalid_argument("wm embed: graph has no executable operations");
   }
 
-  // Candidate roots, drawn serially: the same "lwm/roots" stream and
-  // first-hit dedupe as the serial embedder, but against the context's
-  // precomputed op list instead of an O(V) pick_root scan per attempt.
   crypto::Bitstream roots = sig.stream("lwm/roots");
   std::vector<bool> used(g.node_capacity(), false);
   std::vector<NodeId> candidates;
@@ -268,18 +222,17 @@ std::vector<SchedWatermark> embed_local_watermarks_parallel(
     candidates.push_back(root);
   }
 
-  // Plan in waves: each wave maps candidate -> optional plan concurrently
-  // (pure in g and ctx), then merges serially in candidate order until
-  // `count` marks are accepted.  Wave boundaries depend only on `count`
-  // and the candidate sequence, so records and edges are bit-identical
-  // at every thread count.
   const std::size_t wave_size =
-      std::max<std::size_t>(64, 2 * static_cast<std::size_t>(count));
+      exact_guard ? 1
+                  : std::max<std::size_t>(64, 2 * static_cast<std::size_t>(count));
   const crypto::Bitstream carve = sig.stream(DomainKey::kCarveTag);
   std::vector<std::optional<SchedWatermark>> planned;
   std::vector<std::size_t> carved;
-  for (std::size_t base = 0;
-       base < candidates.size() && static_cast<int>(marks.size()) < count;
+  int edges = 0;
+  const auto wanted = [&] {
+    return static_cast<int>(marks.size()) < count && edges < target_edges;
+  };
+  for (std::size_t base = 0; base < candidates.size() && wanted();
        base += wave_size) {
     const std::size_t n = std::min(wave_size, candidates.size() - base);
     LWM_COUNT("wm/embed_plan_waves", 1);
@@ -291,44 +244,71 @@ std::vector<SchedWatermark> embed_local_watermarks_parallel(
         [&](std::size_t begin, std::size_t end) {
           CarveScratch scratch;  // freed with the chunk
           for (std::size_t i = begin; i < end; ++i) {
-            planned[i] = plan_impl(g, candidates[base + i], sig, opts, &ctx,
-                                   carve, &carved[i], &scratch);
+            planned[i] = plan_impl(g, candidates[base + i], sig, opts, ctx,
+                                   exact_guard, carve, carved[i], &scratch);
           }
         });
     record_carves(carved);
-    for (std::size_t i = 0;
-         i < n && static_cast<int>(marks.size()) < count; ++i) {
+    for (std::size_t i = 0; i < n && wanted(); ++i) {
       if (!planned[i]) continue;
-      for (const TemporalConstraint& c : planned[i]->constraints) {
-        if (!g.has_edge(c.src, c.dst, EdgeKind::kTemporal)) {
-          g.add_edge(c.src, c.dst, EdgeKind::kTemporal);
-        }
-      }
+      add_constraints(g, *planned[i]);
+      edges += static_cast<int>(planned[i]->constraints.size());
       marks.push_back(std::move(*planned[i]));
     }
   }
   return marks;
 }
 
+}  // namespace
+
+std::optional<SchedWatermark> plan_sched_watermark(const Graph& g, NodeId root,
+                                                   const crypto::Signature& sig,
+                                                   const SchedWmOptions& opts) {
+  std::size_t carved = 0;
+  std::optional<SchedWatermark> wm =
+      plan_impl(g, root, sig, opts, PlanContext::build(g, opts),
+                /*exact_guard=*/true, sig.stream(DomainKey::kCarveTag), carved);
+  record_carves(std::array{carved});
+  return wm;
+}
+
+std::optional<SchedWatermark> embed_sched_watermark(Graph& g, NodeId root,
+                                                    const crypto::Signature& sig,
+                                                    const SchedWmOptions& opts) {
+  std::optional<SchedWatermark> wm = plan_sched_watermark(g, root, sig, opts);
+  if (wm) add_constraints(g, *wm);
+  return wm;
+}
+
+std::vector<SchedWatermark> embed_local_watermarks(Graph& g,
+                                                   const crypto::Signature& sig,
+                                                   int count,
+                                                   const SchedWmOptions& opts,
+                                                   int max_attempts) {
+  return embed_marks(g, sig, opts, nullptr, nullptr, count, kUnbounded,
+                     max_attempts, /*exact_guard=*/true);
+}
+
+std::vector<SchedWatermark> embed_local_watermarks_parallel(
+    Graph& g, const crypto::Signature& sig, int count,
+    const SchedWmOptions& opts, exec::ThreadPool* pool, int max_attempts) {
+  return embed_marks(g, sig, opts, pool, nullptr, count, kUnbounded,
+                     max_attempts, /*exact_guard=*/false);
+}
+
+std::vector<SchedWatermark> embed_local_watermarks_parallel(
+    Graph& g, const crypto::Signature& sig, int count,
+    const SchedWmOptions& opts, exec::ThreadPool* pool, const PlanContext& ctx,
+    int max_attempts) {
+  return embed_marks(g, sig, opts, pool, &ctx, count, kUnbounded, max_attempts,
+                     /*exact_guard=*/false);
+}
+
 std::vector<SchedWatermark> embed_watermarks_until_edges(
     Graph& g, const crypto::Signature& sig, int target_edges,
     const SchedWmOptions& opts, int max_attempts) {
-  std::vector<SchedWatermark> marks;
-  crypto::Bitstream roots = sig.stream("lwm/roots");
-  std::vector<bool> used(g.node_capacity(), false);
-  int edges = 0;
-  for (int attempt = 0; attempt < max_attempts && edges < target_edges;
-       ++attempt) {
-    const NodeId root = pick_root(g, roots);
-    if (root.value < used.size() && used[root.value]) continue;
-    if (root.value < used.size()) used[root.value] = true;
-    std::optional<SchedWatermark> wm = embed_sched_watermark(g, root, sig, opts);
-    if (wm) {
-      edges += static_cast<int>(wm->constraints.size());
-      marks.push_back(std::move(*wm));
-    }
-  }
-  return marks;
+  return embed_marks(g, sig, opts, nullptr, nullptr, kUnbounded, target_edges,
+                     max_attempts, /*exact_guard=*/true);
 }
 
 std::vector<NodeId> materialize_with_unit_ops(

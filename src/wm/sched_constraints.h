@@ -81,23 +81,24 @@ struct SchedWatermark {
   std::vector<cdfg::NodeId> subtree;
 };
 
-/// Whole-graph state precomputed once and shared across many
-/// plan_sched_watermark calls against the same (unmutated) graph.  Two
-/// things make per-root planning O(cone) instead of O(V):
+/// Whole-graph state every plan of an embed call reads, computed once:
 ///
-///   * `timing` — the specification TimingInfo the Fig. 2 filters read,
-///     computed once instead of per root;
+///   * `timing` — the specification TimingInfo the Fig. 2 filters read;
 ///   * `topo_rank` — one fixed topological order of the full graph
-///     (EdgeFilter::all()).  With a context, the cycle check for a
-///     temporal edge n_i -> n_k becomes rank(n_i) < rank(n_k): every
-///     accepted edge is consistent with the *same* topological order, so
-///     any set of edges planned by any number of concurrent planners is
-///     jointly acyclic by construction — no transitive-closure bitset
-///     (V^2/64 bytes is ~125 GB at 1M nodes) and no cross-locality
-///     coordination.  The guard is more conservative than a reachability
-///     probe (it refuses order-opposing edges a closure would admit), so
-///     context-planned marks can differ from closure-planned marks; what
-///     it preserves is determinism and acyclicity at any thread count.
+///     (EdgeFilter::all()), the *rank guard*: a temporal edge n_i -> n_k
+///     is admitted iff rank(n_i) < rank(n_k).  Every accepted edge agrees
+///     with the same order, so marks planned concurrently are jointly
+///     acyclic by construction, with no closure state (V^2/64 bytes is
+///     ~125 GB at 1M nodes) and no coordination;
+///   * `on_worst_path`, `ops` — the avoid_k_worst mask and the candidate
+///     roots.
+///
+/// The serial embedders use the *exact guard* instead: reachability
+/// among the K members of T'', seeded from the graph and closed over
+/// each planned edge.  It admits order-opposing edges the rank guard
+/// refuses, and the paper results depend on them: on the rank guard,
+/// Table I's PGP log10 P_c moves from -10.6 to -4.3 (2%) and the Fig. 3
+/// A9 plan fails.
 struct PlanContext {
   cdfg::TimingInfo timing;
   std::vector<std::uint32_t> topo_rank;  ///< indexed by NodeId::value
@@ -108,43 +109,38 @@ struct PlanContext {
                                          const SchedWmOptions& opts);
 };
 
-/// Plans a watermark rooted at `root` without mutating `g`.  Returns
-/// nullopt if the locality is unusable (|T'| < tau_prime_min, or no
-/// overlap partners remain) — the caller then retries another root.
+/// Plans a watermark rooted at `root` without mutating `g` (exact guard).
+/// Returns nullopt if the locality is unusable (|T'| < tau_prime_min, or
+/// no overlap partners remain) — the caller then retries another root.
 [[nodiscard]] std::optional<SchedWatermark> plan_sched_watermark(
     const cdfg::Graph& g, cdfg::NodeId root, const crypto::Signature& sig,
     const SchedWmOptions& opts);
-
-/// Context-backed planning: identical filters and bitstream draws, but
-/// all whole-graph work comes from `ctx` and the cycle check is the
-/// topo-rank guard.  Pure with respect to `g` and `ctx` — safe to call
-/// from many threads at once.
-[[nodiscard]] std::optional<SchedWatermark> plan_sched_watermark(
-    const cdfg::Graph& g, cdfg::NodeId root, const crypto::Signature& sig,
-    const SchedWmOptions& opts, const PlanContext& ctx);
 
 /// Plans and embeds: adds the K temporal edges to `g`.
 [[nodiscard]] std::optional<SchedWatermark> embed_sched_watermark(
     cdfg::Graph& g, cdfg::NodeId root, const crypto::Signature& sig,
     const SchedWmOptions& opts);
 
-/// Embeds `count` local watermarks at pseudo-randomly chosen roots,
-/// skipping unusable localities (up to `max_attempts` root draws).
+// The multi-mark embedders share one engine.  It draws up to
+// `max_attempts` candidate roots from the "lwm/roots" stream over the
+// executable nodes (a repeated draw is skipped), plans them in waves,
+// and accepts plans in candidate order, adding their temporal edges to
+// `g`, until the budget is met.  A graph with no executable node throws
+// std::invalid_argument; a budget <= 0 returns no marks.
+
+/// Embeds `count` local watermarks, skipping unusable localities.  Exact
+/// guard: one candidate per wave, so every plan sees the edges of the
+/// marks accepted before it.
 [[nodiscard]] std::vector<SchedWatermark> embed_local_watermarks(
     cdfg::Graph& g, const crypto::Signature& sig, int count,
     const SchedWmOptions& opts, int max_attempts = 1000);
 
-/// Locality-parallel embedding for mega-designs: draws the candidate
-/// root sequence serially (same "lwm/roots" stream and dedupe rule as
-/// embed_local_watermarks), plans localities concurrently over `pool`
-/// against the pristine graph using a shared PlanContext, then merges
-/// serially in candidate order, accepting planned marks until `count`.
-/// Candidates are planned in fixed-size waves so a satisfied count stops
-/// the scan early; wave boundaries are a pure function of the candidate
-/// sequence, so the result — every accepted record and every temporal
-/// edge — is bit-identical at any thread count (pool == nullptr
-/// included).  Acyclicity across concurrently planned marks is
-/// guaranteed by the context's topo-rank guard.
+/// Locality-parallel embedding for mega-designs: rank guard, waves of
+/// max(64, 2·count) candidates planned concurrently over `pool` against
+/// the graph as it stood before the wave.  Wave boundaries are a pure
+/// function of the candidate sequence, so every accepted record and
+/// every temporal edge is bit-identical at any thread count (pool ==
+/// nullptr included).  Marks may differ from embed_local_watermarks'.
 [[nodiscard]] std::vector<SchedWatermark> embed_local_watermarks_parallel(
     cdfg::Graph& g, const crypto::Signature& sig, int count,
     const SchedWmOptions& opts, exec::ThreadPool* pool,
@@ -164,8 +160,8 @@ struct PlanContext {
 
 /// Embeds local watermarks until at least `target_edges` temporal
 /// constraints are in place (the Table I parameterization: constrain a
-/// fixed fraction of the design's operations).  Stops early when the
-/// root attempts are exhausted.
+/// fixed fraction of the design's operations).  Exact guard, as
+/// embed_local_watermarks.
 [[nodiscard]] std::vector<SchedWatermark> embed_watermarks_until_edges(
     cdfg::Graph& g, const crypto::Signature& sig, int target_edges,
     const SchedWmOptions& opts, int max_attempts = 5000);

@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cdfg/analysis.h"
@@ -123,11 +126,10 @@ TEST(EmbedParallelTest, EmbeddedEdgesAreAcyclicAndDetectable) {
 }
 
 TEST(EmbedParallelTest, SerialEmbedderStaysOnItsOwnPath) {
-  // The context-free embedder (reachability-probe cycle guard) is the
-  // historical serial path; the parallel embedder's topo-rank guard is
+  // The serial embedder plans under the exact cycle guard (reachability
+  // among the T'' members); the parallel embedder's topo-rank guard is
   // deliberately more conservative, so the two may accept different
-  // marks.  What must hold: both plant only specification-acyclic edges
-  // and both detect on their own graphs.
+  // marks.  What must hold: both plant only acyclic edges.
   Graph serial = mega(1500);
   const auto serial_marks =
       embed_local_watermarks(serial, alice(), 6, mega_options());
@@ -142,11 +144,44 @@ TEST(EmbedParallelTest, SerialEmbedderStaysOnItsOwnPath) {
             par.node_count());
 }
 
+// Every multi-mark embed entry point: a graph without executable nodes
+// throws, and a budget <= 0 returns no marks without throwing — on that
+// graph too — and leaves the graph untouched.
 TEST(EmbedParallelTest, RejectsGraphWithoutExecutableNodes) {
-  cdfg::Graph g("empty");
-  EXPECT_THROW((void)embed_local_watermarks_parallel(g, alice(), 1,
-                                                     mega_options(), nullptr),
-               std::invalid_argument);
+  const SchedWmOptions opts = mega_options();
+  using Embed = std::function<std::vector<SchedWatermark>(Graph&, int)>;
+  const std::vector<std::pair<const char*, Embed>> entries = {
+      {"embed_local_watermarks",
+       [&](Graph& g, int budget) {
+         return embed_local_watermarks(g, alice(), budget, opts);
+       }},
+      {"embed_watermarks_until_edges",
+       [&](Graph& g, int budget) {
+         return embed_watermarks_until_edges(g, alice(), budget, opts);
+       }},
+      {"embed_local_watermarks_parallel",
+       [&](Graph& g, int budget) {
+         return embed_local_watermarks_parallel(g, alice(), budget, opts,
+                                                nullptr);
+       }},
+      {"embed_local_watermarks_parallel(ctx)",
+       [&](Graph& g, int budget) {
+         const PlanContext ctx = PlanContext::build(g, opts);
+         return embed_local_watermarks_parallel(g, alice(), budget, opts,
+                                                nullptr, ctx);
+       }},
+  };
+  for (const auto& [name, embed] : entries) {
+    cdfg::Graph empty("empty");
+    EXPECT_THROW((void)embed(empty, 1), std::invalid_argument) << name;
+    for (const int budget : {0, -1}) {
+      EXPECT_TRUE(embed(empty, budget).empty()) << name << " " << budget;
+      Graph g = mega(200);
+      const std::string before = cdfg::to_text(g);
+      EXPECT_TRUE(embed(g, budget).empty()) << name << " " << budget;
+      EXPECT_EQ(cdfg::to_text(g), before) << name << " " << budget;
+    }
+  }
 }
 
 }  // namespace
