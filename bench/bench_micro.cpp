@@ -44,6 +44,15 @@ cdfg::Graph dag(int n) {
   return dfglib::make_layered_dag("bm" + std::to_string(n), n, 10, {}, 99);
 }
 
+// A pseudo-random executable root of `g` (which has some) from `stream`.
+cdfg::NodeId pick_root(const cdfg::Graph& g, crypto::Bitstream& stream) {
+  std::vector<cdfg::NodeId> ops;
+  for (const cdfg::NodeId n : g.nodes()) {
+    if (cdfg::is_executable(g.node(n).kind)) ops.push_back(n);
+  }
+  return ops[stream.next_uint(static_cast<std::uint32_t>(ops.size()))];
+}
+
 void BM_ListSchedule(benchmark::State& state) {
   const cdfg::Graph g = dag(static_cast<int>(state.range(0)));
   sched::ListScheduleOptions opts;
@@ -88,7 +97,7 @@ void BM_DomainCarve(benchmark::State& state) {
   const cdfg::Graph g = dag(800);
   const crypto::Signature sig("author", "bm-key");
   crypto::Bitstream roots = sig.stream("roots");
-  const cdfg::NodeId root = wm::pick_root(g, roots);
+  const cdfg::NodeId root = pick_root(g, roots);
   wm::DomainKey key;
   key.tau = 6;
   for (auto _ : state) {

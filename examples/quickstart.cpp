@@ -7,7 +7,6 @@
 #include <cstdio>
 
 #include "cdfg/builder.h"
-#include "cdfg/dot.h"
 #include "dfglib/iir4.h"
 #include "sched/list_sched.h"
 #include "wm/detector.h"

@@ -236,44 +236,6 @@ std::vector<ConeNode> fanin_cone(const Graph& g, NodeId root, int max_distance,
   return cone;
 }
 
-int cone_cardinality(const Graph& g, NodeId n, int x, EdgeFilter filter) {
-  const auto cone = fanin_cone(g, n, x, filter);
-  return static_cast<int>(cone.size()) - 1;  // exclude n itself
-}
-
-long long cone_functional_sum(const Graph& g, NodeId n, int x, EdgeFilter filter) {
-  long long sum = 0;
-  for (const ConeNode& c : fanin_cone(g, n, x, filter)) {
-    sum += functional_id(g.node(c.node).kind);
-  }
-  return sum;
-}
-
-std::vector<int> levels_from(const Graph& g, NodeId root, EdgeFilter filter) {
-  if (!g.is_live(root)) {
-    throw std::out_of_range("levels_from: dead root node");
-  }
-  // Longest path over fan-in edges from root: process nodes in reverse
-  // topological order (fan-in direction follows edges backwards, so a
-  // node's level depends on its fan-out side nodes' levels).
-  std::vector<int> level(g.node_capacity(), -1);
-  level[root.value] = 0;
-  const std::vector<NodeId> order = topo_order(g, filter);
-  // Walk from sinks toward sources: reverse topological order guarantees
-  // that when we visit n, every consumer of n is finalized.
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const NodeId n = *it;
-    for (EdgeId e : g.fanout(n)) {
-      const Edge& ed = g.edge(e);
-      if (!filter.accepts(ed)) continue;
-      if (level[ed.dst.value] >= 0) {
-        level[n.value] = std::max(level[n.value], level[ed.dst.value] + 1);
-      }
-    }
-  }
-  return level;
-}
-
 bool reaches(const Graph& g, NodeId src, NodeId dst, EdgeFilter filter) {
   if (!g.is_live(src) || !g.is_live(dst)) return false;
   if (src == dst) return true;

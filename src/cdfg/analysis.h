@@ -194,23 +194,6 @@ struct ConeNode {
                                                EdgeFilter filter = EdgeFilter::specification(),
                                                NodeMarks* marks = nullptr);
 
-/// K_i(x): number of nodes (excluding n_i itself) in the transitive
-/// fan-in tree of n_i within distance x — ordering criterion C2.
-[[nodiscard]] int cone_cardinality(const Graph& g, NodeId n, int x,
-                                   EdgeFilter filter = EdgeFilter::specification());
-
-/// phi(n_i, x): sum of functional ids f(n_a) over the fan-in tree of n_i
-/// within distance x (n_i included) — ordering criterion C3.
-[[nodiscard]] long long cone_functional_sum(const Graph& g, NodeId n, int x,
-                                            EdgeFilter filter = EdgeFilter::specification());
-
-/// Longest path (in edges) from `root` to each node reachable through
-/// fan-in edges — the level L_i of ordering criterion C1 ("the longest
-/// path in the CDFG from n_o to n_i").  Unreachable nodes get -1.
-/// Indexed by NodeId::value.
-[[nodiscard]] std::vector<int> levels_from(const Graph& g, NodeId root,
-                                           EdgeFilter filter = EdgeFilter::specification());
-
 /// True if `dst` is reachable from `src` over edges accepted by `filter`.
 [[nodiscard]] bool reaches(const Graph& g, NodeId src, NodeId dst,
                            EdgeFilter filter = EdgeFilter::all());

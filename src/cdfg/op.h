@@ -80,8 +80,8 @@ bool is_source(OpKind k) noexcept;
 /// True for sink pseudo-operations (no fan-out expected).
 bool is_sink(OpKind k) noexcept;
 
-/// Short mnemonic ("add", "mul", ...) used by the text serializer and DOT
-/// writer.  Stable: the serialized format depends on these strings.
+/// Short mnemonic ("add", "mul", ...) used by the text serializer.
+/// Stable: the serialized format depends on these strings.
 std::string_view op_name(OpKind k) noexcept;
 
 /// Inverse of op_name(); empty if the mnemonic is unknown.

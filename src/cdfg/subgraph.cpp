@@ -63,33 +63,4 @@ NodeMap embed_graph(Graph& host, const Graph& core, const std::string& prefix) {
   return map;
 }
 
-void rewire_input(Graph& g, NodeId input, NodeId src) {
-  if (g.node(input).kind != OpKind::kInput) {
-    throw std::invalid_argument("rewire_input: node is not a primary input");
-  }
-  // Collect consumers first: removing the node mutates adjacency.
-  std::vector<std::pair<NodeId, EdgeKind>> consumers;
-  for (EdgeId e : g.fanout(input)) {
-    const Edge& ed = g.edge(e);
-    consumers.emplace_back(ed.dst, ed.kind);
-  }
-  g.remove_node(input);
-  for (const auto& [dst, kind] : consumers) {
-    g.add_edge(src, dst, kind);
-  }
-}
-
-void rewire_output(Graph& g, NodeId output, NodeId dst) {
-  if (g.node(output).kind != OpKind::kOutput) {
-    throw std::invalid_argument("rewire_output: node is not a primary output");
-  }
-  const std::span<const EdgeId> in = g.fanin(output);
-  if (in.size() != 1) {
-    throw std::invalid_argument("rewire_output: output must have one producer");
-  }
-  const NodeId producer = g.edge(in.front()).src;
-  g.remove_node(output);
-  g.add_edge(producer, dst, EdgeKind::kData);
-}
-
 }  // namespace lwm::cdfg

@@ -45,18 +45,8 @@ struct Partition {
 
 /// Copies every live node and edge of `core` into `host`, prefixing node
 /// names with `prefix` to keep them unique.  Returns the core->host node
-/// mapping.  The core is left dangling (its inputs/outputs stay primary);
-/// use rewire_input()/rewire_output() to stitch it into the host dataflow.
+/// mapping.  The core is left dangling: its inputs/outputs stay primary.
 [[nodiscard]] NodeMap embed_graph(Graph& host, const Graph& core,
                                   const std::string& prefix);
-
-/// Replaces primary-input node `input` with the value produced by `src`:
-/// all of `input`'s consumers are re-fed from `src` and `input` is
-/// removed.  `src` must be a value-producing node.
-void rewire_input(Graph& g, NodeId input, NodeId src);
-
-/// Replaces primary-output node `output` with an edge into `dst`: the
-/// output's producer feeds `dst` instead and `output` is removed.
-void rewire_output(Graph& g, NodeId output, NodeId dst);
 
 }  // namespace lwm::cdfg

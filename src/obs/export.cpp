@@ -48,46 +48,6 @@ void append_us(std::string& out, std::int64_t ns) {
 
 }  // namespace
 
-std::string summary_text() {
-  Registry& reg = Registry::instance();
-  std::ostringstream os;
-  const auto counters = reg.counters();
-  if (!counters.empty()) {
-    os << "counters:\n";
-    for (const Counter* c : counters) {
-      os << "  " << c->name() << " = " << c->total() << "\n";
-    }
-  }
-  const auto hists = reg.histograms();
-  if (!hists.empty()) {
-    os << "histograms:\n";
-    for (const Histogram* h : hists) {
-      const Histogram::Snapshot s = h->snapshot();
-      const double mean =
-          s.count == 0 ? 0.0
-                       : static_cast<double>(s.sum) / static_cast<double>(s.count);
-      os << "  " << h->name() << ": count=" << s.count << " sum=" << s.sum
-         << " mean=" << mean << " max=" << s.max << "\n";
-    }
-  }
-  const auto sites = reg.span_sites();
-  if (!sites.empty()) {
-    os << "spans:\n";
-    for (const SpanSite* s : sites) {
-      const std::uint64_t n = s->count();
-      const double total_ms = static_cast<double>(s->total_ns()) / 1e6;
-      os << "  " << s->name() << ": count=" << n << " total_ms=" << total_ms
-         << " mean_ms=" << (n == 0 ? 0.0 : total_ms / static_cast<double>(n))
-         << "\n";
-    }
-  }
-  if (reg.dropped_events() != 0) {
-    os << "trace: dropped " << reg.dropped_events()
-       << " events (per-thread cap)\n";
-  }
-  return os.str();
-}
-
 std::string registry_json() {
   Registry& reg = Registry::instance();
   std::string out = "{\"counters\":{";

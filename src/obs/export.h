@@ -16,9 +16,6 @@
 
 namespace lwm::obs {
 
-/// Sorted plain-text dump of counters, histograms, and span aggregates.
-[[nodiscard]] std::string summary_text();
-
 /// One JSON object: {"counters":{...},"histograms":{...},"spans":{...}}.
 /// Histograms report count/sum/mean/max plus the non-empty log2 buckets;
 /// spans report count and total milliseconds.

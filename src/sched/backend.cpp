@@ -1,54 +1,14 @@
 #include "sched/backend.h"
 
-#include <array>
 #include <stdexcept>
+#include <string>
 
 #include "cdfg/analysis.h"
-#include "sched/bnb.h"
-#include "sched/force_directed.h"
-#include "sched/list_sched.h"
 #include "sched/modulo.h"
 
 namespace lwm::sched {
 
 namespace {
-
-BackendResult run_list(const cdfg::Graph& g, const BackendRequest& req) {
-  ListScheduleOptions opts;
-  opts.resources = req.resources;
-  opts.filter = req.filter;
-  opts.pipelined_units = req.pipelined_units;
-  BackendResult r;
-  r.schedule = list_schedule(g, opts);
-  r.latency = r.schedule.length(g);
-  return r;
-}
-
-BackendResult run_fds(const cdfg::Graph& g, const BackendRequest& req) {
-  FdsOptions opts;
-  opts.latency = req.latency;
-  opts.filter = req.filter;
-  opts.pool = req.pool;
-  opts.eps_dg = req.eps_dg;
-  BackendResult r;
-  r.schedule = force_directed_schedule(g, opts);
-  r.latency = r.schedule.length(g);
-  return r;
-}
-
-BackendResult run_bnb(const cdfg::Graph& g, const BackendRequest& req) {
-  BnbOptions opts;
-  opts.resources = req.resources;
-  opts.filter = req.filter;
-  opts.node_limit = req.node_limit;
-  opts.pool = req.pool;
-  const BnbResult b = bnb_min_latency(g, opts);
-  BackendResult r;
-  r.schedule = b.schedule;
-  r.latency = b.latency;
-  r.optimal = b.optimal;
-  return r;
-}
 
 // The counting machinery's witness: the first schedule in the canonical
 // enumeration order.  The enumerator assigns each node the lowest step
@@ -84,60 +44,22 @@ BackendResult run_modulo(const cdfg::Graph& g, const BackendRequest& req) {
   return r;
 }
 
-constexpr std::array<Backend, 5> kBackends{{
-    {"list",
-     kCapAcyclic | kCapBoundedDelay | kCapResourceConstrained,
-     &run_list},
-    {"fds",
-     kCapAcyclic | kCapBoundedDelay | kCapTimeConstrained,
-     &run_fds},
-    {"bnb",
-     kCapAcyclic | kCapBoundedDelay | kCapResourceConstrained | kCapExact,
-     &run_bnb},
-    {"enumerate",
-     kCapAcyclic | kCapBoundedDelay | kCapTimeConstrained | kCapExact,
-     &run_enumerate},
-    {"modulo",
-     kCapAcyclic | kCapPeriodic | kCapBoundedDelay | kCapResourceConstrained,
-     &run_modulo},
-}};
-
 }  // namespace
-
-const Backend* find_backend(std::string_view name) noexcept {
-  for (const Backend& b : kBackends) {
-    if (b.name == name) return &b;
-  }
-  return nullptr;
-}
-
-std::vector<std::string_view> backend_names() {
-  std::vector<std::string_view> names;
-  names.reserve(kBackends.size());
-  for (const Backend& b : kBackends) names.push_back(b.name);
-  return names;
-}
 
 BackendResult schedule_with(std::string_view name, const cdfg::Graph& g,
                             const BackendRequest& req) {
-  const Backend* b = find_backend(name);
-  if (b == nullptr) {
-    std::string known;
-    for (const Backend& k : kBackends) {
-      if (!known.empty()) known += ", ";
-      known += std::string(k.name);
-    }
+  if (name == "modulo") return run_modulo(g, req);
+  if (name != "enumerate") {
     throw std::invalid_argument("schedule_with: unknown backend '" +
-                                std::string(name) + "' (have: " + known + ")");
+                                std::string(name) +
+                                "' (have: enumerate, modulo)");
   }
-  if (g.has_token_edges() && !b->can(kCapPeriodic)) {
+  if (g.has_token_edges()) {
     throw std::invalid_argument(
-        "schedule_with: '" + std::string(name) + "' is acyclic-only but '" +
-        g.name() +
-        "' is a marked graph with loop-carried token edges — use a "
-        "kCapPeriodic backend (e.g. 'modulo')");
+        "schedule_with: 'enumerate' is acyclic-only but '" + g.name() +
+        "' is a marked graph with loop-carried token edges — use 'modulo'");
   }
-  return b->run(g, req);
+  return run_enumerate(g, req);
 }
 
 }  // namespace lwm::sched

@@ -1,107 +1,54 @@
-// backend.h — the unified scheduler-backend interface.
+// backend.h — the witness-scheduler front door lwm-serve dispatches on.
 //
-// Five schedulers grew up in this repo with five ad-hoc signatures:
-// list (resource-constrained heuristic), FDS (time-constrained
-// heuristic), B&B (resource-constrained exact), enumerate (canonical-
-// order witness of the counting machinery), and modulo (periodic, for
-// marked graphs).  Benches, the watermark planners, and lwm-serve each
-// hard-coded one of them.  This header puts them behind one API:
+// lwm-serve ships a witness schedule with every embedded design and
+// picks the scheduler by the design's shape:
 //
-//     const Backend* b = find_backend("modulo");
-//     if (b->caps & kCapPeriodic) { ... }
-//     BackendResult r = b->run(g, req);
+//     BackendResult r = schedule_with(periodic ? "modulo" : "enumerate", g);
 //
-// A capability mask declares what each backend can legally consume —
-// dispatchers check it instead of knowing scheduler trivia:
+//   * "enumerate" — the counting machinery's canonical witness (the
+//     ASAP schedule under the latency bound); acyclic designs only.
+//   * "modulo" — iterative modulo scheduling for marked graphs
+//     (token-carrying back-edges); returns an initiation interval.
 //
-//   * kCapPeriodic — accepts marked graphs (token-carrying back-edges)
-//     and returns an initiation interval; everything else is acyclic-
-//     only and schedule_with() throws if handed a cyclic design.
-//   * kCapBoundedDelay — constrains against d_max, so its schedules
-//     stay legal under every realization of dynamically bounded delays
-//     (all five qualify; the bit exists so future backends that read
-//     only nominal delays are honest about it).
-//   * kCapResourceConstrained / kCapTimeConstrained — which half of the
-//     request (resources vs latency bound) the backend honors.
-//
-// Legacy contract: running "list", "fds", "bnb" or "enumerate" through
-// this API is bit-identical to calling the underlying scheduler
-// directly with equivalent options (pinned by tests/sched/backend_test).
+// Both constrain against d_max, so their schedules stay legal under
+// every realization of dynamically bounded delays.  The list, FDS and
+// B&B schedulers have their own entry points (list_sched.h,
+// force_directed.h, bnb.h).
 #pragma once
 
-#include <cstdint>
-#include <string>
 #include <string_view>
-#include <vector>
 
 #include "cdfg/analysis.h"
 #include "cdfg/graph.h"
 #include "sched/resources.h"
 #include "sched/schedule.h"
 
-namespace lwm::exec {
-class ThreadPool;
-}  // namespace lwm::exec
-
 namespace lwm::sched {
 
-/// Capability bits (Backend::caps).
-inline constexpr std::uint32_t kCapAcyclic = 1u << 0;   ///< schedules DAGs
-inline constexpr std::uint32_t kCapPeriodic = 1u << 1;  ///< schedules marked graphs
-inline constexpr std::uint32_t kCapBoundedDelay = 1u << 2;  ///< honors d_max
-inline constexpr std::uint32_t kCapResourceConstrained = 1u << 3;
-inline constexpr std::uint32_t kCapTimeConstrained = 1u << 4;
-inline constexpr std::uint32_t kCapExact = 1u << 5;  ///< proves optimality
-
-/// One request, superset of every backend's knobs; each backend reads
-/// the fields its capabilities advertise and ignores the rest.
+/// One request for either backend; each reads the fields it needs.
 struct BackendRequest {
-  ResourceSet resources = ResourceSet::unlimited();
+  ResourceSet resources = ResourceSet::unlimited();  ///< modulo
   cdfg::EdgeFilter filter = cdfg::EdgeFilter::all();
-  /// Latency bound for time-constrained backends; -1 = critical path.
+  /// Latency bound (enumerate); -1 = critical path.
   int latency = -1;
-  bool pipelined_units = false;
-  /// Exact-search effort cap (bnb); 0 = unlimited.
-  std::uint64_t node_limit = 50'000'000;
+  bool pipelined_units = false;  ///< modulo
   /// Periodic II search range (modulo); -1 = computed MinII / fallback.
   int min_ii = -1;
   int max_ii = -1;
-  /// FDS distribution-graph drift threshold.
-  double eps_dg = 0.0;
-  /// Optional pool for backends that parallelize; null runs serially.
-  exec::ThreadPool* pool = nullptr;
 };
 
 struct BackendResult {
   Schedule schedule;
   int latency = 0;  ///< flat makespan (one iteration for periodic)
-  int ii = 0;       ///< initiation interval; 0 for acyclic backends
-  bool optimal = false;  ///< meaningful only for kCapExact backends
+  int ii = 0;       ///< initiation interval; 0 for "enumerate"
+  /// "enumerate": always (the first witness of an exhaustive order);
+  /// "modulo": the II search reached MinII.
+  bool optimal = false;
 };
 
-/// A registered scheduler backend.  Instances are static-lifetime
-/// singletons owned by the registry; hold them by pointer.
-struct Backend {
-  std::string_view name;
-  std::uint32_t caps = 0;
-  BackendResult (*run)(const cdfg::Graph& g, const BackendRequest& req) = nullptr;
-
-  [[nodiscard]] bool can(std::uint32_t cap_bits) const noexcept {
-    return (caps & cap_bits) == cap_bits;
-  }
-};
-
-/// Looks a backend up by name; nullptr when unknown.
-[[nodiscard]] const Backend* find_backend(std::string_view name) noexcept;
-
-/// All registered backend names, registration order (stable).
-[[nodiscard]] std::vector<std::string_view> backend_names();
-
-/// Dispatch front door: finds the backend, checks its capability mask
-/// against the design (a marked graph with token edges requires
-/// kCapPeriodic when the request filter includes them), runs it.
-/// Throws std::invalid_argument on an unknown name or a capability
-/// mismatch — loudly, instead of letting an acyclic-only scheduler
+/// Runs the backend called `name` ("enumerate" or "modulo").  Throws
+/// std::invalid_argument on an unknown name, and on "enumerate" with a
+/// marked graph — loudly, instead of letting an acyclic-only scheduler
 /// silently drop loop-carried dependences.
 [[nodiscard]] BackendResult schedule_with(std::string_view name,
                                           const cdfg::Graph& g,

@@ -1,13 +1,10 @@
 #include "sched/bnb.h"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <climits>
 #include <cstdint>
-#include <functional>
 #include <mutex>
-#include <stdexcept>
 #include <unordered_map>
 #include <vector>
 
@@ -25,11 +22,9 @@ using cdfg::NodeId;
 namespace {
 
 // Everything about (graph, filter) the search needs but no search step
-// mutates — built once and shared by every branch and, in bnb_min_units,
-// every candidate unit vector.
+// mutates — built once and shared by every branch.
 struct SearchContext {
   const Graph* g = nullptr;
-  int critical_path = 0;
   std::vector<NodeId> ops;                    // executable nodes, topo order
   std::vector<int> delay, tail;               // by op index
   std::vector<std::size_t> cls;               // by op index
@@ -41,7 +36,6 @@ SearchContext build_context(const Graph& g, cdfg::EdgeFilter filter) {
   ctx.g = &g;
 
   const cdfg::TimingCache timing(g, -1, filter);
-  ctx.critical_path = timing.critical_path();
 
   // Executable ops in topo order; predecessors collapsed through
   // pseudo-ops (a pseudo-op has zero delay, so its own executable
@@ -136,7 +130,6 @@ struct BranchSearcher {
   Incumbent& inc;
   Budget& budget;
   std::uint64_t branch = 0;
-  bool first_leaf_exit = false;
   // Memoize only the shallow levels: few search nodes live there, each
   // pruned subtree is exponentially large, and the signature cost stays
   // negligible next to the subtree it can save.  Deep levels churn
@@ -151,7 +144,6 @@ struct BranchSearcher {
   int prefix_end = 0;
   std::uint64_t local_nodes = 0;
   std::uint64_t total_nodes = 0;
-  bool found_leaf = false;
   // Observability tallies: fields (not locals) so the increments stay
   // branch-free in the hot loop and flush as one LWM_COUNT per branch.
   std::uint64_t pruned_bound = 0;
@@ -229,11 +221,10 @@ struct BranchSearcher {
         ++incumbent_updates;
       }
     }
-    found_leaf = true;
   }
 
   // Occupies op `idx` at step t and recurses.  Returns false when the
-  // whole search should unwind (budget exhausted or first-leaf exit).
+  // whole search should unwind (budget exhausted).
   bool descend(std::size_t idx, int t) {
     const std::size_t c = ctx.cls[idx];
     const int limit = resources.count(static_cast<cdfg::UnitClass>(c));
@@ -268,7 +259,7 @@ struct BranchSearcher {
         --usage[c][static_cast<std::size_t>(t + d)];
       }
     }
-    return !(stopped() || (first_leaf_exit && found_leaf));
+    return !stopped();
   }
 
   void dfs(std::size_t idx) {
@@ -316,13 +307,10 @@ struct SolveOutcome {
   std::uint64_t nodes = 0;
 };
 
-// Finds the minimum-latency schedule strictly below `bound_init`, or — if
-// `first_leaf_exit` — any schedule below it (the first one in canonical
-// DFS order).  first_leaf_exit requires pool == nullptr: with several
-// branches racing, "first leaf found" would depend on timing.
+// Finds the minimum-latency schedule strictly below `bound_init`.
 SolveOutcome solve(const SearchContext& ctx, const ResourceSet& resources,
                    int bound_init, std::uint64_t node_limit,
-                   exec::ThreadPool* pool, bool first_leaf_exit) {
+                   exec::ThreadPool* pool) {
   SolveOutcome out;
   out.best = Schedule(*ctx.g);
   if (ctx.ops.empty()) {
@@ -348,7 +336,6 @@ SolveOutcome solve(const SearchContext& ctx, const ResourceSet& resources,
     BranchSearcher s(ctx, resources, inc, budget);
     s.memo_max_idx = ctx.ops.size() / 2;
     s.branch = b;
-    s.first_leaf_exit = first_leaf_exit;
     const int t = static_cast<int>(b);
     const std::uint64_t packed =
         (static_cast<std::uint64_t>(t + ctx.tail[0])
@@ -394,7 +381,7 @@ BnbResult bnb_min_latency(const Graph& g, const BnbOptions& opts) {
 
   const SearchContext ctx = build_context(g, opts.filter);
   const SolveOutcome sol = solve(ctx, opts.resources, seed_latency + 1,
-                                 opts.node_limit, opts.pool, false);
+                                 opts.node_limit, opts.pool);
 
   BnbResult result;
   result.search_nodes = sol.nodes;
@@ -409,183 +396,6 @@ BnbResult bnb_min_latency(const Graph& g, const BnbOptions& opts) {
     result.latency = sol.latency;
   }
   return result;
-}
-
-MinUnitsResult bnb_min_units(const cdfg::Graph& g, int latency,
-                             const BnbOptions& opts) {
-  const SearchContext ctx = build_context(g, opts.filter);
-  if (latency < ctx.critical_path) {
-    throw std::invalid_argument("bnb_min_units: latency below critical path");
-  }
-
-  // Per-class op counts and occupancy lower bounds ceil(work / latency).
-  std::array<int, cdfg::kNumUnitClasses> work{};
-  for (NodeId n : g.nodes()) {
-    const cdfg::Node& node = g.node(n);
-    if (!cdfg::is_executable(node.kind)) continue;
-    work[static_cast<std::size_t>(cdfg::unit_class(node.kind))] += node.delay;
-  }
-  std::array<int, cdfg::kNumUnitClasses> lower{};
-  std::vector<std::size_t> classes;  // classes actually used
-  for (std::size_t c = 1; c < cdfg::kNumUnitClasses; ++c) {
-    if (work[c] == 0) continue;
-    lower[c] = (work[c] + latency - 1) / latency;
-    classes.push_back(c);
-  }
-
-  MinUnitsResult result;
-  if (classes.empty()) {
-    result.total_units = 0;
-    return result;
-  }
-  int base_total = 0;
-  for (const std::size_t c : classes) base_total += lower[c];
-
-  const auto make_resources = [&](const std::vector<int>& add) {
-    ResourceSet res = ResourceSet::unlimited();
-    for (std::size_t i = 0; i < classes.size(); ++i) {
-      res.set_count(static_cast<cdfg::UnitClass>(classes[i]),
-                    lower[classes[i]] + add[i]);
-    }
-    return res;
-  };
-
-  // Warm incumbent carried across failed totals: the shortest heuristic
-  // schedule seen so far.  When it fits a later vector's resources it
-  // replaces the per-vector list-scheduling run entirely.
-  std::optional<Schedule> warm;
-  UnitUsage warm_peak;
-  int warm_len = INT_MAX;
-
-  // Try totals ascending; for each total, evaluate all distributions of
-  // the extra units concurrently.  The winner is the lexicographically
-  // first feasible vector — every vector before it is always fully
-  // evaluated (aborts only fire above an already-feasible index), so the
-  // outcome is identical at any thread count.
-  for (int extra = 0;; ++extra) {
-    // Compositions of `extra` into |classes| bins, in the historical
-    // enumeration order (first bin slowest-varying, last bin remainder).
-    std::vector<std::vector<int>> adds;
-    std::vector<int> add(classes.size(), 0);
-    const std::function<void(std::size_t, int)> place = [&](std::size_t idx,
-                                                            int left) {
-      if (idx + 1 == classes.size()) {
-        add[idx] = left;
-        adds.push_back(add);
-        return;
-      }
-      for (int give = 0; give <= left; ++give) {
-        add[idx] = give;
-        place(idx + 1, left - give);
-      }
-    };
-    place(0, extra);
-
-    struct Eval {
-      bool feasible = false;
-      bool truncated = false;
-      bool ran_list = false;
-      int list_len = 0;
-      std::uint64_t nodes = 0;
-      Schedule witness;
-      Schedule list_sched;
-    };
-    std::vector<Eval> evals(adds.size());
-    std::atomic<int> winner{INT_MAX};
-    const auto offer_winner = [&](int i) {
-      int cur = winner.load(std::memory_order_acquire);
-      while (i < cur &&
-             !winner.compare_exchange_weak(cur, i, std::memory_order_acq_rel)) {
-      }
-    };
-
-    exec::parallel_for(opts.pool, adds.size(), [&](std::size_t i) {
-      if (winner.load(std::memory_order_acquire) < static_cast<int>(i)) return;
-      Eval& ev = evals[i];
-      const ResourceSet res = make_resources(adds[i]);
-
-      // Heuristic-first: reuse the warm incumbent when it fits these
-      // resources, otherwise list-schedule this vector.
-      const Schedule* h = nullptr;
-      int h_len = 0;
-      bool warm_fits = warm.has_value();
-      if (warm_fits) {
-        for (const std::size_t c : classes) {
-          const int cnt = res.count(static_cast<cdfg::UnitClass>(c));
-          if (cnt >= 0 && warm_peak.peak[c] > cnt) {
-            warm_fits = false;
-            break;
-          }
-        }
-      }
-      if (warm_fits) {
-        h = &*warm;
-        h_len = warm_len;
-      } else {
-        ListScheduleOptions lopts;
-        lopts.resources = res;
-        lopts.filter = opts.filter;
-        ev.list_sched = list_schedule(g, lopts);
-        ev.list_len = ev.list_sched.length(g);
-        ev.ran_list = true;
-        h = &ev.list_sched;
-        h_len = ev.list_len;
-      }
-      if (h_len <= latency) {
-        ev.feasible = true;
-        ev.witness = *h;
-        offer_winner(static_cast<int>(i));
-        return;
-      }
-      if (winner.load(std::memory_order_acquire) < static_cast<int>(i)) return;
-
-      // Feasibility search: incumbent latency + 1, stop at the first
-      // witness (serial inside — the vectors are the parallel axis).
-      const SolveOutcome sol = solve(ctx, res, latency + 1, opts.node_limit,
-                                     nullptr, /*first_leaf_exit=*/true);
-      ev.nodes = sol.nodes;
-      ev.truncated = sol.truncated;
-      if (sol.improved) {
-        ev.feasible = true;
-        ev.witness = sol.best;
-        offer_winner(static_cast<int>(i));
-      }
-    });
-
-    int w = -1;
-    for (std::size_t i = 0; i < evals.size(); ++i) {
-      if (evals[i].feasible) {
-        w = static_cast<int>(i);
-        break;
-      }
-    }
-    if (w >= 0) {
-      // Account only the deterministically-explored prefix [0, w]; later
-      // vectors may or may not have been aborted mid-flight.
-      for (int i = 0; i <= w; ++i) {
-        result.search_nodes += evals[i].nodes;
-        if (evals[i].truncated) result.optimal = false;
-      }
-      result.resources = make_resources(adds[static_cast<std::size_t>(w)]);
-      result.schedule = evals[static_cast<std::size_t>(w)].witness;
-      result.total_units = base_total + extra;
-      return result;
-    }
-
-    // No winner: nothing aborted, every vector was fully evaluated.
-    for (const Eval& ev : evals) {
-      result.search_nodes += ev.nodes;
-      if (ev.truncated) result.optimal = false;
-      if (ev.ran_list && ev.list_len < warm_len) {
-        warm = ev.list_sched;
-        warm_len = ev.list_len;
-        warm_peak = peak_usage(g, *warm);
-      }
-    }
-    if (extra > static_cast<int>(g.operation_count())) {
-      throw std::logic_error("bnb_min_units: runaway search");
-    }
-  }
 }
 
 }  // namespace lwm::sched

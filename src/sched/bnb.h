@@ -27,8 +27,7 @@
 // Determinism caveats:
 //   * `search_nodes` is an effort metric — under a pool it depends on how
 //     fast the incumbent travels between branches and is NOT reproducible
-//     run to run (bnb_min_units reports only the deterministically-
-//     explored prefix and is reproducible).
+//     run to run.
 //   * when `node_limit` is hit the solver returns the list-scheduling
 //     seed with optimal = false (not the best-so-far, which would depend
 //     on timing).  A limit generous enough to finish behaves identically
@@ -36,7 +35,6 @@
 //     outcomes.
 #pragma once
 
-#include <optional>
 
 #include "cdfg/analysis.h"
 #include "cdfg/graph.h"
@@ -54,8 +52,7 @@ struct BnbOptions {
   cdfg::EdgeFilter filter = cdfg::EdgeFilter::all();
   /// Abort knob: give up after this many search nodes (0 = unlimited).
   std::uint64_t node_limit = 50'000'000;
-  /// Optional pool: splits the first branching level (bnb_min_latency)
-  /// and the same-total unit vectors (bnb_min_units).  Results are
+  /// Optional pool: splits the first branching level.  Results are
   /// bit-identical at every concurrency; see the caveats above.
   exec::ThreadPool* pool = nullptr;
 };
@@ -70,30 +67,5 @@ struct BnbResult {
 /// Minimum-latency schedule of `g` under the resource constraints.
 [[nodiscard]] BnbResult bnb_min_latency(const cdfg::Graph& g,
                                         const BnbOptions& opts = {});
-
-/// Exact time-constrained allocation: the minimum total functional-unit
-/// count whose classes admit a schedule within `latency`.  Enumerates
-/// unit vectors in ascending total order (from per-class occupancy lower
-/// bounds) and proves feasibility with a latency-bounded branch & bound —
-/// the exact counterpart of force-directed scheduling's objective.
-///
-/// Same-total vectors are evaluated concurrently under `opts.pool`; the
-/// winner is the lexicographically first feasible vector, exactly as the
-/// serial enumeration would find.  Feasibility of each vector is decided
-/// heuristic-first: the best incumbent schedule carried over from earlier
-/// vectors (or a fresh list schedule) proves feasibility without any
-/// search when it fits, and otherwise the search runs with the latency
-/// bound as its incumbent and stops at the first witness.  `schedule` is
-/// therefore a feasible witness within `latency` for the returned
-/// resources — not necessarily the minimum-latency schedule for them.
-struct MinUnitsResult {
-  ResourceSet resources = ResourceSet::unlimited();
-  Schedule schedule;
-  int total_units = 0;
-  bool optimal = true;
-  std::uint64_t search_nodes = 0;
-};
-[[nodiscard]] MinUnitsResult bnb_min_units(const cdfg::Graph& g, int latency,
-                                           const BnbOptions& opts = {});
 
 }  // namespace lwm::sched

@@ -91,25 +91,4 @@ ScheduleCheck verify_schedule(const cdfg::Graph& g, const Schedule& s,
   return check;
 }
 
-UnitUsage peak_usage(const cdfg::Graph& g, const Schedule& s) {
-  std::map<int, std::array<int, cdfg::kNumUnitClasses>> usage;
-  for (cdfg::NodeId n : g.nodes()) {
-    const cdfg::Node& node = g.node(n);
-    if (!cdfg::is_executable(node.kind) || !s.is_scheduled(n)) continue;
-    const auto uc = static_cast<std::size_t>(cdfg::unit_class(node.kind));
-    for (int t = s.start_of(n); t < s.start_of(n) + node.delay; ++t) {
-      ++usage[t][uc];
-    }
-  }
-  UnitUsage peak;
-  for (const auto& [step, use] : usage) {
-    for (int c = 0; c < cdfg::kNumUnitClasses; ++c) {
-      peak.peak[static_cast<std::size_t>(c)] =
-          std::max(peak.peak[static_cast<std::size_t>(c)],
-                   use[static_cast<std::size_t>(c)]);
-    }
-  }
-  return peak;
-}
-
 }  // namespace lwm::sched

@@ -75,17 +75,4 @@ struct ScheduleCheck {
     const ResourceSet& res = ResourceSet::unlimited(), int latency = -1,
     bool pipelined_units = false);
 
-/// Per-class peak concurrent usage of a schedule — the "module count"
-/// style cost used by time-constrained synthesis.
-struct UnitUsage {
-  std::array<int, cdfg::kNumUnitClasses> peak{};
-
-  [[nodiscard]] int total() const {
-    int t = 0;
-    for (const int p : peak) t += p;
-    return t;
-  }
-};
-[[nodiscard]] UnitUsage peak_usage(const cdfg::Graph& g, const Schedule& s);
-
 }  // namespace lwm::sched

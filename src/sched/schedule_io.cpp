@@ -2,23 +2,18 @@
 
 #include <bit>
 #include <functional>
-#include <ostream>
 #include <sstream>
 #include <vector>
 
 namespace lwm::sched {
 
-void write_schedule(const cdfg::Graph& g, const Schedule& s, std::ostream& os) {
+std::string schedule_to_text(const cdfg::Graph& g, const Schedule& s) {
+  std::ostringstream os;
   os << "schedule " << (g.name().empty() ? "unnamed" : g.name()) << "\n";
   for (cdfg::NodeId n : g.nodes()) {
     if (!s.is_scheduled(n)) continue;
     os << "at " << g.node(n).name << " " << s.start_of(n) << "\n";
   }
-}
-
-std::string schedule_to_text(const cdfg::Graph& g, const Schedule& s) {
-  std::ostringstream os;
-  write_schedule(g, s, os);
   return os.str();
 }
 

@@ -9,7 +9,6 @@
 //   at <node-name> <start-step>
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <string_view>
 
@@ -20,7 +19,6 @@
 
 namespace lwm::sched {
 
-void write_schedule(const cdfg::Graph& g, const Schedule& s, std::ostream& os);
 [[nodiscard]] std::string schedule_to_text(const cdfg::Graph& g, const Schedule& s);
 
 /// Parses against `g` (names must resolve) from text or a stream (see

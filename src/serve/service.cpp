@@ -233,12 +233,12 @@ Frame Service::handle_embed(const Frame& request) {
 
   // The constraint-honoring witness schedule a marked flow would
   // produce, returned so a client can round-trip straight into detect.
-  // Dispatched through the backend registry by design shape: a marked
-  // graph (loop-carried token edges) needs the periodic scheduler; an
-  // acyclic design takes the "enumerate" witness, which is the ASAP
-  // schedule in closed form — wire bytes identical to the historical
-  // inline computation.  (The marked *graph* is not returned — after
-  // strip_temporal_edges it equals the design the client already has.)
+  // Dispatched by design shape: a marked graph (loop-carried token
+  // edges) needs the periodic scheduler; an acyclic design takes the
+  // "enumerate" witness, which is the ASAP schedule in closed form —
+  // wire bytes identical to the historical inline computation.  (The
+  // marked *graph* is not returned — after strip_temporal_edges it
+  // equals the design the client already has.)
   const bool periodic = marked.has_token_edges();
   const sched::BackendResult br =
       sched::schedule_with(periodic ? "modulo" : "enumerate", marked);

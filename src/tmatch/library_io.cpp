@@ -1,13 +1,13 @@
 #include "tmatch/library_io.h"
 
 #include <optional>
-#include <ostream>
 #include <sstream>
 #include <stdexcept>
 
 namespace lwm::tmatch {
 
-void write_library(const TemplateLibrary& lib, std::ostream& os) {
+std::string library_to_text(const TemplateLibrary& lib) {
+  std::ostringstream os;
   os << "templates v1\n";
   for (int i = 0; i < lib.size(); ++i) {
     const Template& t = lib.at(i);
@@ -18,11 +18,6 @@ void write_library(const TemplateLibrary& lib, std::ostream& os) {
       os << "\n";
     }
   }
-}
-
-std::string library_to_text(const TemplateLibrary& lib) {
-  std::ostringstream os;
-  write_library(lib, os);
   return os.str();
 }
 

@@ -8,7 +8,6 @@
 //   op <kind> [child-index ...]      (preorder; ops[0] is the root)
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <string_view>
 
@@ -18,7 +17,6 @@
 
 namespace lwm::tmatch {
 
-void write_library(const TemplateLibrary& lib, std::ostream& os);
 [[nodiscard]] std::string library_to_text(const TemplateLibrary& lib);
 
 /// Parses from text or a stream (see io::LineCursor).  Malformed input,

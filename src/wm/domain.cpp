@@ -246,15 +246,4 @@ bool subtree_matches(const Graph& g, const Domain& d,
   });
 }
 
-NodeId pick_root(const Graph& g, crypto::Bitstream& stream) {
-  std::vector<NodeId> ops;
-  for (NodeId n : g.nodes()) {
-    if (cdfg::is_executable(g.node(n).kind)) ops.push_back(n);
-  }
-  if (ops.empty()) {
-    throw std::invalid_argument("pick_root: graph has no operations");
-  }
-  return ops[stream.next_uint(static_cast<std::uint32_t>(ops.size()))];
-}
-
 }  // namespace lwm::wm

@@ -149,9 +149,4 @@ void record_carves(std::span<const std::size_t> selected_sizes);
 [[nodiscard]] bool subtree_matches(const cdfg::Graph& g, const Domain& d,
                                    std::span<const int> subtree_ops);
 
-/// Picks a pseudo-random executable root from `stream` (used when
-/// embedding; detection scans all candidate roots instead).
-[[nodiscard]] cdfg::NodeId pick_root(const cdfg::Graph& g,
-                                     crypto::Bitstream& stream);
-
 }  // namespace lwm::wm

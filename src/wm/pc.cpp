@@ -18,10 +18,6 @@ namespace lwm::wm {
 using cdfg::Graph;
 using cdfg::NodeId;
 
-double PcEstimate::proof_of_authorship() const {
-  return 1.0 - std::pow(10.0, log10_pc);
-}
-
 namespace {
 
 /// The caller's specification windows, or a fresh pass into `own`.

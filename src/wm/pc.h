@@ -35,8 +35,6 @@ struct PcEstimate {
   double log10_pc = 0.0;  ///< log10 of the coincidence probability
   bool exact = false;     ///< true if from exhaustive enumeration
   bool degenerate = false;  ///< true if some factor was 0 or uncountable
-
-  [[nodiscard]] double proof_of_authorship() const;
 };
 
 // Resident windows.  The flat estimators below read the specification

@@ -84,31 +84,6 @@ VliwProtocolResult run_vliw_protocol(const Graph& original,
   return result;
 }
 
-RegProtocolResult run_reg_protocol(const Graph& original,
-                                   const crypto::Signature& sig,
-                                   const RegProtocolConfig& config) {
-  RegProtocolResult result;
-  result.schedule = sched::list_schedule(original);
-  const auto lifetimes = regbind::compute_lifetimes(original, result.schedule);
-
-  const auto baseline = regbind::left_edge_binding(lifetimes);
-  if (!baseline) {
-    throw std::runtime_error("run_reg_protocol: unconstrained binding failed");
-  }
-  result.baseline = *baseline;
-
-  result.marks = plan_reg_watermarks(original, lifetimes, sig,
-                                     config.watermark_count, config.wm);
-  const auto binding = regbind::left_edge_binding(
-      lifetimes, to_binding_constraints(result.marks));
-  if (!binding) {
-    throw std::runtime_error("run_reg_protocol: constrained binding failed");
-  }
-  result.binding = *binding;
-  result.log10_pc = log10_reg_pc(original, lifetimes, result.marks);
-  return result;
-}
-
 TmProtocolResult run_tm_protocol(const Graph& original,
                                  const tmatch::TemplateLibrary& lib,
                                  const crypto::Signature& sig,

@@ -18,7 +18,6 @@
 #include "vliw/vliw_sched.h"
 #include "wm/detector.h"
 #include "wm/pc.h"
-#include "wm/reg_constraints.h"
 #include "wm/sched_constraints.h"
 #include "wm/tm_constraints.h"
 
@@ -75,33 +74,6 @@ struct VliwProtocolResult {
                                                    const SchedWmOptions& wm_opts,
                                                    int watermark_count,
                                                    const vliw::Machine& machine);
-
-/// Register-binding protocol: schedule, plan share-pair watermarks over
-/// the lifetimes, bind with the constraints, strip nothing (register
-/// watermarks live in the binding, not the specification).
-struct RegProtocolConfig {
-  RegWmOptions wm;
-  int watermark_count = 2;
-};
-
-struct RegProtocolResult {
-  sched::Schedule schedule;
-  std::vector<RegWatermark> marks;
-  regbind::Binding binding;           ///< watermark-honoring binding
-  regbind::Binding baseline;          ///< unconstrained LEFT-EDGE binding
-  double log10_pc = 0.0;
-
-  [[nodiscard]] int register_overhead() const {
-    return binding.register_count - baseline.register_count;
-  }
-};
-
-/// Throws std::runtime_error if the planned constraints are unbindable
-/// (cannot happen for marks produced by plan_reg_watermarks, which
-/// pre-validates, but a defensive check is kept).
-[[nodiscard]] RegProtocolResult run_reg_protocol(const cdfg::Graph& original,
-                                                 const crypto::Signature& sig,
-                                                 const RegProtocolConfig& config);
 
 struct TmProtocolConfig {
   TmWmOptions wm;

@@ -8,7 +8,7 @@ namespace lwm::wm {
 
 namespace {
 
-void write_common(std::ostream& os, const DomainKey& key,
+void write_common(std::ostream& os,
                   const std::vector<std::pair<int, int>>& positions,
                   const std::vector<int>& subtree_ops) {
   for (const auto& [s, t] : positions) {
@@ -17,7 +17,6 @@ void write_common(std::ostream& os, const DomainKey& key,
   os << "ops";
   for (const int id : subtree_ops) os << " " << id;
   os << "\n";
-  (void)key;
 }
 
 /// Parses "k=v" tokens like tau=8 keep=1/2 m=4 pairs=3.
@@ -31,24 +30,20 @@ struct Fields {
 
 }  // namespace
 
-void write_records(const RecordArchive& archive, std::ostream& os) {
+std::string to_text(const RecordArchive& archive) {
+  std::ostringstream os;
   os << "lwm-records v1\n";
   for (const SchedRecord& r : archive.sched) {
     os << "sched tau=" << r.domain.tau << " keep=" << r.domain.keep_num << "/"
        << r.domain.keep_den << " pairs=" << r.positions.size() << "\n";
-    write_common(os, r.domain, r.positions, r.subtree_ops);
+    write_common(os, r.positions, r.subtree_ops);
   }
   for (const RegRecord& r : archive.reg) {
     os << "reg tau=" << r.domain.tau << " keep=" << r.domain.keep_num << "/"
        << r.domain.keep_den << " m=" << r.m << " pairs=" << r.positions.size()
        << "\n";
-    write_common(os, r.domain, r.positions, r.subtree_ops);
+    write_common(os, r.positions, r.subtree_ops);
   }
-}
-
-std::string to_text(const RecordArchive& archive) {
-  std::ostringstream os;
-  write_records(archive, os);
   return os.str();
 }
 

@@ -17,7 +17,6 @@
 // Round-trips exactly; parsing errors carry line numbers.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -35,7 +34,6 @@ struct RecordArchive {
   std::vector<RegRecord> reg;
 };
 
-void write_records(const RecordArchive& archive, std::ostream& os);
 [[nodiscard]] std::string to_text(const RecordArchive& archive);
 
 /// Parses from text or a stream (see io::LineCursor).  Malformed fields

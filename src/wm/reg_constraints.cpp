@@ -107,11 +107,21 @@ std::vector<RegWatermark> plan_reg_watermarks(
     int max_attempts) {
   std::vector<RegWatermark> marks;
   crypto::Bitstream roots = sig.stream("lwm/reg-roots");
+  // The executable nodes in id order, built once; each attempt draws one.
+  std::vector<NodeId> ops;
+  for (const NodeId n : g.nodes()) {
+    if (cdfg::is_executable(g.node(n).kind)) ops.push_back(n);
+  }
   std::vector<bool> used(g.node_capacity(), false);
   for (int attempt = 0;
        attempt < max_attempts && static_cast<int>(marks.size()) < count;
        ++attempt) {
-    const NodeId root = pick_root(g, roots);
+    if (ops.empty()) {
+      throw std::invalid_argument(
+          "plan_reg_watermarks: graph has no operations");
+    }
+    const NodeId root =
+        ops[roots.next_uint(static_cast<std::uint32_t>(ops.size()))];
     if (used[root.value]) continue;
     used[root.value] = true;
     auto wm = plan_reg_watermark(g, lifetimes, root, sig, opts);

@@ -56,7 +56,9 @@ struct RegWatermark {
     const cdfg::Graph& g, const std::vector<regbind::Lifetime>& lifetimes,
     cdfg::NodeId root, const crypto::Signature& sig, const RegWmOptions& opts);
 
-/// Plans watermarks at pseudo-random roots until `count` succeed.
+/// Plans watermarks at pseudo-random executable roots until `count`
+/// succeed or `max_attempts` roots were drawn.  Throws
+/// std::invalid_argument if it must draw a root and `g` has no operations.
 [[nodiscard]] std::vector<RegWatermark> plan_reg_watermarks(
     const cdfg::Graph& g, const std::vector<regbind::Lifetime>& lifetimes,
     const crypto::Signature& sig, int count, const RegWmOptions& opts,

@@ -127,31 +127,6 @@ TEST(ConeTest, DistanceBounds) {
   EXPECT_EQ(cone_all.size(), 5u);  // everything but `out` feeds c
 }
 
-TEST(ConeTest, CardinalityAndPhi) {
-  const Graph g = chain_with_slack();
-  const NodeId c = g.find("c");
-  EXPECT_EQ(cone_cardinality(g, c, 1), 2);
-  EXPECT_EQ(cone_cardinality(g, c, 0), 0);
-  // phi includes the node itself.
-  const long long phi0 = cone_functional_sum(g, c, 0);
-  EXPECT_EQ(phi0, functional_id(OpKind::kAdd));
-  const long long phi1 = cone_functional_sum(g, c, 1);
-  EXPECT_EQ(phi1, functional_id(OpKind::kAdd) + functional_id(OpKind::kMul) +
-                      functional_id(OpKind::kShift));
-}
-
-TEST(LevelsTest, LongestPathFromRoot) {
-  const Graph g = chain_with_slack();
-  const NodeId c = g.find("c");
-  const std::vector<int> lv = levels_from(g, c);
-  EXPECT_EQ(lv[c.value], 0);
-  EXPECT_EQ(lv[g.find("b").value], 1);
-  EXPECT_EQ(lv[g.find("s").value], 1);
-  EXPECT_EQ(lv[g.find("a").value], 2);  // longest path c<-b<-a
-  // out is not in the fan-in of c.
-  EXPECT_EQ(lv[g.find("out").value], -1);
-}
-
 TEST(ReachesTest, ForwardOnly) {
   const Graph g = chain_with_slack();
   EXPECT_TRUE(reaches(g, g.find("a"), g.find("c")));

@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "cdfg/builder.h"
-#include "cdfg/analysis.h"
-#include "cdfg/dot.h"
 #include "dfglib/iir4.h"
 
 namespace lwm::cdfg {
@@ -109,29 +107,6 @@ TEST(SerializeTest, RejectsBadInput) {
   EXPECT_FALSE(parse_cdfg("cdfg t\nwat a b\n").ok());
   EXPECT_FALSE(
       parse_cdfg("cdfg t\nnode a add\nnode b add\nedge a b sideways\n").ok());
-}
-
-TEST(DotTest, ContainsNodesAndTemporalStyling) {
-  Graph g = lwm::dfglib::iir4_parallel();
-  g.add_edge(g.find("C1"), g.find("A9"), EdgeKind::kTemporal);
-  const std::string dot = to_dot(g);
-  EXPECT_NE(dot.find("digraph"), std::string::npos);
-  EXPECT_NE(dot.find("A9"), std::string::npos);
-  EXPECT_NE(dot.find("style=dashed, color=red"), std::string::npos);
-
-  DotOptions opts;
-  opts.show_temporal = false;
-  const std::string hidden = to_dot(g, opts);
-  EXPECT_EQ(hidden.find("dashed"), std::string::npos);
-}
-
-TEST(DotTest, TimingAnnotations) {
-  const Graph g = lwm::dfglib::iir4_parallel();
-  const TimingInfo t = compute_timing(g);
-  DotOptions opts;
-  opts.timing = &t;
-  const std::string dot = to_dot(g, opts);
-  EXPECT_NE(dot.find("[0,"), std::string::npos);
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "cdfg/analysis.h"
 #include "cdfg/validate.h"
 #include "dfglib/iir4.h"
 
@@ -59,38 +58,6 @@ TEST(EmbedTest, CoreCarriedWithPrefix) {
   EXPECT_TRUE(host.find("core_A9").valid());
   EXPECT_EQ(map.at(core.find("A9")), host.find("core_A9"));
   EXPECT_TRUE(validate(host).empty());
-}
-
-TEST(EmbedTest, RewireInputStitchesDataflow) {
-  Graph host = lwm::dfglib::iir4_parallel();
-  const Graph core = lwm::dfglib::iir4_parallel();
-  const NodeMap map = embed_graph(host, core, "c_");
-  // Feed the embedded core's x from the host's output adder A9.
-  const NodeId core_x = map.at(core.find("x"));
-  const NodeId host_a9 = host.find("A9");
-  rewire_input(host, core_x, host_a9);
-  EXPECT_FALSE(host.find("c_x").valid());
-  EXPECT_TRUE(host.has_edge(host_a9, host.find("c_A1"), EdgeKind::kData));
-  EXPECT_TRUE(validate(host).empty());
-  // The embedded core is now downstream of the host.
-  EXPECT_TRUE(reaches(host, host.find("A1"), host.find("c_A9")));
-}
-
-TEST(EmbedTest, RewireOutputStitchesDataflow) {
-  Graph host = lwm::dfglib::iir4_parallel();
-  const Graph core = lwm::dfglib::iir4_parallel();
-  const NodeMap map = embed_graph(host, core, "c_");
-  const NodeId core_y = map.at(core.find("y"));
-  // The core's y now feeds the host's A9 instead of being primary.
-  rewire_output(host, core_y, host.find("A9"));
-  EXPECT_FALSE(host.find("c_y").valid());
-  EXPECT_TRUE(host.has_edge(host.find("c_A9"), host.find("A9"), EdgeKind::kData));
-}
-
-TEST(EmbedTest, RewireValidatesNodeRoles) {
-  Graph g = lwm::dfglib::iir4_parallel();
-  EXPECT_THROW(rewire_input(g, g.find("A1"), g.find("A2")), std::invalid_argument);
-  EXPECT_THROW(rewire_output(g, g.find("A1"), g.find("A2")), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # docs-check, API names: the maintained docs (README.md, DESIGN.md,
 # EXPERIMENTS.md, docs/*.md) must not describe code that is gone.
-#   * every backticked `ns::name` must name an identifier that still
-#     appears in the sources (src/, and bench/ for the bench:: CLI
-#     layer); wildcards (`sched::bnb_*`) and std:: names are skipped;
+#   * every backticked `ns::name` (or `ns::inner::name`) must name an
+#     identifier that still appears in the sources (src/, and bench/ for
+#     the bench:: CLI layer); wildcards (`sched::bnb_*`) and std:: names
+#     are skipped;
 #   * every backticked snake_case identifier, bare or called
 #     (`plan_sched_watermark`, `sched_pc_auto(g, marks)`), must appear in
 #     src/, bench/, tools/, tests/, examples/ or svcbench/ — as a word
@@ -32,7 +33,7 @@ for md in "${DOCS[@]}"; do
       status=1
     fi
   done < <(grep -oE '`[^`]+`' "$md" |
-           grep -oE '\b[a-z_][a-z0-9_]*::[A-Za-z_][A-Za-z0-9_]*\*?')
+           grep -oE '\b[a-z_][a-z0-9_]*(::[A-Za-z_][A-Za-z0-9_]*)+\*?')
 done
 
 file_names=$(find "${TREES[@]}" -type f -printf '%f\n' | sed 's/\.[^.]*$//')

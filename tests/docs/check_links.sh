@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# docs-check: fail on dead *relative* links in the repo's markdown, and
-# (check_api_names.sh) on backticked API names that left src/.
+# docs-check: fail on dead *relative* links in the repo's markdown,
+# (check_api_names.sh) on backticked API names that left src/, and
+# (check_public_callers.sh) on public src/ functions only tests call.
 # Scans every tracked-location .md (skipping build trees and .git),
 # extracts [text](target) links, and requires each relative target to
 # exist on disk, resolved against the file's own directory.  External
@@ -43,4 +44,5 @@ if [ "$status" -eq 0 ]; then
   echo "PASS: no dead relative links"
 fi
 bash "$(dirname "$0")/check_api_names.sh" "$ROOT" || status=1
+bash "$(dirname "$0")/check_public_callers.sh" "$ROOT" || status=1
 exit $status

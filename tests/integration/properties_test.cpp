@@ -19,6 +19,8 @@
 #include "wm/pc.h"
 #include "wm/sched_constraints.h"
 
+#include "../wm/pick_root.h"
+
 namespace lwm {
 namespace {
 

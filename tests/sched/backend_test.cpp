@@ -1,7 +1,7 @@
-// backend_test — the unified scheduler-backend API: registry lookup,
-// capability masks, the acyclic-only guard, and the legacy contract
-// that dispatching through schedule_with is bit-identical to calling
-// each scheduler directly.
+// backend_test — the witness-scheduler front door: name dispatch, the
+// acyclic-only guard, the contract that schedule_with is bit-identical
+// to calling each backend directly, and schedule legality of the list
+// and B&B schedulers on a MediaBench app.
 #include <stdexcept>
 #include <string>
 
@@ -13,7 +13,6 @@
 #include "dfglib/mediabench.h"
 #include "sched/backend.h"
 #include "sched/bnb.h"
-#include "sched/force_directed.h"
 #include "sched/list_sched.h"
 #include "sched/modulo.h"
 
@@ -30,29 +29,6 @@ bool same_schedule(const Graph& g, const Schedule& a, const Schedule& b) {
   return true;
 }
 
-TEST(BackendTest, RegistryListsAllFive) {
-  const auto names = backend_names();
-  ASSERT_EQ(names.size(), 5u);
-  for (const char* expected :
-       {"list", "fds", "bnb", "enumerate", "modulo"}) {
-    EXPECT_NE(find_backend(expected), nullptr) << expected;
-  }
-  EXPECT_EQ(find_backend("simplex"), nullptr);
-}
-
-TEST(BackendTest, CapabilityMasks) {
-  EXPECT_TRUE(find_backend("list")->can(kCapResourceConstrained));
-  EXPECT_FALSE(find_backend("list")->can(kCapPeriodic));
-  EXPECT_TRUE(find_backend("fds")->can(kCapTimeConstrained));
-  EXPECT_TRUE(find_backend("bnb")->can(kCapExact));
-  EXPECT_TRUE(find_backend("enumerate")->can(kCapExact | kCapTimeConstrained));
-  EXPECT_TRUE(find_backend("modulo")->can(kCapPeriodic));
-  for (const auto name : backend_names()) {
-    EXPECT_TRUE(find_backend(name)->can(kCapAcyclic)) << name;
-    EXPECT_TRUE(find_backend(name)->can(kCapBoundedDelay)) << name;
-  }
-}
-
 TEST(BackendTest, UnknownNameThrowsWithKnownList) {
   const Graph g = dfglib::make_fir(4);
   try {
@@ -61,67 +37,24 @@ TEST(BackendTest, UnknownNameThrowsWithKnownList) {
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("unknown backend 'ilp'"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("modulo"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("(have: enumerate, modulo)"), std::string::npos)
+        << msg;
   }
 }
 
 TEST(BackendTest, AcyclicOnlyBackendsRefuseMarkedGraphs) {
   Graph g = dfglib::make_fir(8);
   (void)dfglib::add_feedback(g, 1);
-  for (const char* name : {"list", "fds", "bnb", "enumerate"}) {
-    SCOPED_TRACE(name);
-    try {
-      (void)schedule_with(name, g);
-      FAIL() << name << " must refuse a marked graph";
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("kCapPeriodic"), std::string::npos)
-          << e.what();
-    }
+  try {
+    (void)schedule_with("enumerate", g);
+    FAIL() << "enumerate must refuse a marked graph";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("acyclic-only"), std::string::npos)
+        << e.what();
   }
   // The periodic backend takes it.
   const BackendResult r = schedule_with("modulo", g);
   EXPECT_GE(r.ii, 1);
-}
-
-TEST(BackendTest, ListBitIdenticalThroughApi) {
-  for (Graph g : {dfglib::make_fir(16), dfglib::make_fft(8),
-                  dfglib::make_biquad_cascade(4)}) {
-    BackendRequest req;
-    req.resources.set_count(cdfg::UnitClass::kMul, 2);
-    req.resources.set_count(cdfg::UnitClass::kAlu, 2);
-    ListScheduleOptions direct;
-    direct.resources = req.resources;
-    const BackendResult r = schedule_with("list", g, req);
-    EXPECT_TRUE(same_schedule(g, r.schedule, list_schedule(g, direct)));
-    EXPECT_EQ(r.ii, 0);
-  }
-}
-
-TEST(BackendTest, FdsBitIdenticalThroughApi) {
-  for (Graph g : {dfglib::make_fir(16), dfglib::make_fft(8)}) {
-    const int latency = cdfg::critical_path_length(g) + 2;
-    BackendRequest req;
-    req.latency = latency;
-    const BackendResult r = schedule_with("fds", g, req);
-    FdsOptions direct;
-    direct.latency = latency;
-    EXPECT_TRUE(
-        same_schedule(g, r.schedule, force_directed_schedule(g, direct)));
-  }
-}
-
-TEST(BackendTest, BnbBitIdenticalThroughApi) {
-  Graph g = dfglib::make_fir(8);
-  BackendRequest req;
-  req.resources.set_count(cdfg::UnitClass::kMul, 2);
-  req.resources.set_count(cdfg::UnitClass::kAlu, 1);
-  const BackendResult r = schedule_with("bnb", g, req);
-  BnbOptions direct;
-  direct.resources = req.resources;
-  const BnbResult b = bnb_min_latency(g, direct);
-  EXPECT_TRUE(same_schedule(g, r.schedule, b.schedule));
-  EXPECT_EQ(r.latency, b.latency);
-  EXPECT_EQ(r.optimal, b.optimal);
 }
 
 TEST(BackendTest, EnumerateWitnessIsAsap) {
@@ -145,21 +78,24 @@ TEST(BackendTest, ModuloThroughApiMatchesDirect) {
 }
 
 TEST(BackendTest, MediabenchSweepStaysLegalAcrossBackends) {
-  // One mid-size real app through every capable backend; the verifier
-  // is the shared oracle.
+  // One mid-size real app through the resource-constrained schedulers;
+  // the verifier is the shared oracle.
   const auto& apps = dfglib::mediabench_table();
   ASSERT_FALSE(apps.empty());
   const Graph g = dfglib::make_mediabench_app(apps.front());
-  BackendRequest req;
-  req.resources.set_count(cdfg::UnitClass::kMul, 3);
-  req.resources.set_count(cdfg::UnitClass::kAlu, 3);
-  for (const char* name : {"list", "bnb"}) {
-    SCOPED_TRACE(name);
-    BackendRequest r = req;
-    if (std::string(name) == "bnb") r.node_limit = 200'000;
-    const BackendResult res = schedule_with(name, g, r);
+  ResourceSet resources = ResourceSet::unlimited();
+  resources.set_count(cdfg::UnitClass::kMul, 3);
+  resources.set_count(cdfg::UnitClass::kAlu, 3);
+  ListScheduleOptions list_opts;
+  list_opts.resources = resources;
+  BnbOptions bnb_opts;
+  bnb_opts.resources = resources;
+  bnb_opts.node_limit = 200'000;
+  const Schedule list = list_schedule(g, list_opts);
+  const Schedule bnb = bnb_min_latency(g, bnb_opts).schedule;
+  for (const Schedule* s : {&list, &bnb}) {
     const ScheduleCheck chk =
-        verify_schedule(g, res.schedule, r.filter, r.resources);
+        verify_schedule(g, *s, cdfg::EdgeFilter::all(), resources);
     EXPECT_TRUE(chk.ok) << (chk.errors.empty() ? "" : chk.errors.front());
   }
 }

@@ -7,6 +7,8 @@
 #include "dfglib/synth.h"
 #include "sched/list_sched.h"
 
+#include "peak_usage.h"
+
 namespace lwm::sched {
 namespace {
 

@@ -1,8 +1,7 @@
 // Thread-count invariance of the parallel scheduling paths: incremental
-// FDS with a pool, parallel branch & bound (including the node_limit
-// saturation fallback), and parallel min-units vector evaluation must be
-// bit-identical to their serial runs at every concurrency.  Runs under
-// the `tsan` ctest label.
+// FDS with a pool and parallel branch & bound (including the node_limit
+// saturation fallback) must be bit-identical to their serial runs at
+// every concurrency.  Runs under the `tsan` ctest label.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -95,30 +94,6 @@ TEST(SchedParallelTest, NodeLimitSaturationIsThreadCountInvariant) {
     expect_same_starts(g, serial.schedule, r.schedule, threads);
     // search_nodes is deliberately NOT compared: it is an effort metric
     // and nondeterministic under a pool (see bnb.h).
-  }
-}
-
-TEST(SchedParallelTest, MinUnitsIsThreadCountInvariant) {
-  const Graph g = dfglib::iir4_parallel();
-  const int cp = cdfg::critical_path_length(g);
-  for (const int latency : {cp, cp + 2}) {
-    const MinUnitsResult serial = bnb_min_units(g, latency);
-    for (const int threads : kThreadCounts) {
-      exec::ThreadPool pool(threads);
-      BnbOptions popts;
-      popts.pool = &pool;
-      const MinUnitsResult r = bnb_min_units(g, latency, popts);
-      EXPECT_EQ(r.total_units, serial.total_units) << "threads = " << threads;
-      EXPECT_EQ(r.optimal, serial.optimal) << "threads = " << threads;
-      EXPECT_EQ(r.search_nodes, serial.search_nodes)
-          << "threads = " << threads;
-      for (std::size_t c = 0; c < cdfg::kNumUnitClasses; ++c) {
-        const auto uc = static_cast<cdfg::UnitClass>(c);
-        EXPECT_EQ(r.resources.count(uc), serial.resources.count(uc))
-            << "threads = " << threads;
-      }
-      expect_same_starts(g, serial.schedule, r.schedule, threads);
-    }
   }
 }
 

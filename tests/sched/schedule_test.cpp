@@ -5,6 +5,8 @@
 #include "cdfg/builder.h"
 #include "dfglib/iir4.h"
 
+#include "peak_usage.h"
+
 namespace lwm::sched {
 namespace {
 

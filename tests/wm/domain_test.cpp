@@ -9,6 +9,8 @@
 #include "cdfg/subgraph.h"
 #include "dfglib/iir4.h"
 
+#include "pick_root.h"
+
 namespace lwm::wm {
 namespace {
 

@@ -124,14 +124,6 @@ TEST(SchedPcTest, MoreEdgesStrongerProof) {
   EXPECT_LT(prev, 0.0);
 }
 
-TEST(SchedPcTest, ProofOfAuthorshipApproachesOne) {
-  PcEstimate est;
-  est.log10_pc = -26;
-  EXPECT_GE(est.proof_of_authorship(), 1.0 - 1e-20);
-  est.log10_pc = 0.0;
-  EXPECT_DOUBLE_EQ(est.proof_of_authorship(), 0.0);
-}
-
 TEST(SchedPcTest, SampledAgreesWithExactOnSmallLocality) {
   Graph g = lwm::dfglib::iir4_parallel();
   const auto wm = plan_sched_watermark(g, g.find("A9"), alice(), iir_options());

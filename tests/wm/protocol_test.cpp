@@ -122,31 +122,6 @@ TEST(TmProtocolTest, DoubledBudgetShrinksOverhead) {
       << "more control steps allow more sharing (Table II axis)";
 }
 
-TEST(RegProtocolTest, EndToEnd) {
-  const Graph g = lwm::dfglib::make_dsp_design("reg_proto", 14, 160, 57);
-  RegProtocolConfig cfg;
-  cfg.wm.domain.tau = 5;
-  cfg.wm.m = 3;
-  cfg.wm.min_pairs = 2;
-  cfg.watermark_count = 3;
-  const RegProtocolResult r = run_reg_protocol(g, alice(), cfg);
-  ASSERT_FALSE(r.marks.empty());
-  EXPECT_LT(r.log10_pc, 0.0);
-  EXPECT_GE(r.register_overhead(), 0);
-  EXPECT_LE(r.register_overhead(), 4);
-  // The constrained binding honors every share pair and stays legal.
-  const auto lifetimes = regbind::compute_lifetimes(g, r.schedule);
-  EXPECT_TRUE(regbind::verify_binding(lifetimes, r.binding,
-                                      to_binding_constraints(r.marks))
-                  .ok);
-  // And every mark is detectable in the shipped binding.
-  for (const auto& m : r.marks) {
-    EXPECT_TRUE(detect_reg_watermark(g, lifetimes, r.binding, alice(),
-                                     RegRecord::from(m, g))
-                    .detected());
-  }
-}
-
 TEST(TmProtocolTest, UnmarkableDesignThrows) {
   const Graph g = lwm::dfglib::make_dsp_design("tm_serial2", 8, 8, 56);
   const tmatch::TemplateLibrary lib = tmatch::TemplateLibrary::standard();

@@ -5,6 +5,8 @@
 #include "dfglib/synth.h"
 #include "sched/list_sched.h"
 
+#include "pick_root.h"
+
 namespace lwm::wm {
 namespace {
 
@@ -164,6 +166,17 @@ TEST(RegWmTest, BadParametersThrow) {
   const NodeId root = pick_root(f.g, roots);
   EXPECT_THROW((void)plan_reg_watermark(f.g, f.lifetimes, root, alice(), opts),
                std::invalid_argument);
+}
+
+TEST(RegWmTest, GraphWithoutOperationsThrows) {
+  Graph g;
+  g.add_edge(g.add_node(cdfg::OpKind::kInput, "x"),
+             g.add_node(cdfg::OpKind::kOutput, "y"));
+  const std::vector<regbind::Lifetime> none;
+  EXPECT_THROW((void)plan_reg_watermarks(g, none, alice(), 1, reg_options()),
+               std::invalid_argument);
+  // No draw, no throw.
+  EXPECT_TRUE(plan_reg_watermarks(g, none, alice(), 0, reg_options()).empty());
 }
 
 }  // namespace
