@@ -74,22 +74,20 @@ int main(int argc, char** argv) {
 
     bench::Table t({"stack", "log10 Pc", "latency", "units", "regs",
                     "mux in", "area", "area OH"});
-    auto row = [&](const char* name, double pc, const hls::Datapath& dp,
-                   const hls::DatapathOptions& o) {
+    auto row = [&](const char* name, double pc, const hls::Datapath& dp) {
       t.add_row({name, pc == 0.0 ? "-" : bench::fmt("%.1f", pc),
                  bench::fmt_int(dp.latency), bench::fmt_int(dp.total_units()),
                  bench::fmt_int(dp.registers), bench::fmt_int(dp.mux_inputs),
-                 bench::fmt("%.1f", dp.area(o)),
-                 bench::fmt("%+.2f%%", 100.0 * (dp.area(o) - dp0.area(opts0)) /
-                                           dp0.area(opts0))});
+                 bench::fmt("%.1f", dp.area()),
+                 bench::fmt("%+.2f%%", 100.0 * (dp.area() - dp0.area()) /
+                                           dp0.area())});
     };
-    row("baseline", 0.0, dp0, opts0);
-    row("+ sched marks", sched_pc, dp1, opts1);
-    row("+ reg marks", sched_pc + reg_pc, dp2, opts2);
+    row("baseline", 0.0, dp0);
+    row("+ sched marks", sched_pc, dp1);
+    row("+ reg marks", sched_pc + reg_pc, dp2);
     t.print();
     std::printf("\n");
-    last_overhead_pct =
-        100.0 * (dp2.area(opts2) - dp0.area(opts0)) / dp0.area(opts0);
+    last_overhead_pct = 100.0 * (dp2.area() - dp0.area()) / dp0.area();
     last_pc = sched_pc + reg_pc;
   }
 

@@ -87,11 +87,11 @@ int main(int argc, char** argv) {
   std::printf("\nleak identification (3 licensed copies, copy 'beta' leaks):\n");
   const cdfg::Graph core =
       dfglib::make_dsp_design("licensed_core", 14, args.smoke ? 100 : 240, 4949);
-  wm::FingerprintOptions fopts;
-  fopts.wm.domain.tau = 8;
-  fopts.wm.k = 5;
-  fopts.wm.min_edges = 3;
-  fopts.wm.epsilon = 0.3;
+  wm::SchedWmOptions fopts;
+  fopts.domain.tau = 8;
+  fopts.k = 5;
+  fopts.min_edges = 3;
+  fopts.epsilon = 0.3;
   std::vector<wm::FingerprintedCopy> copies;
   for (const char* r : {"alpha", "beta", "gamma"}) {
     copies.push_back(wm::fingerprint_copy(core, vendor, r, fopts));

@@ -1,11 +1,11 @@
 // bench_serve — request throughput of the resident watermark service.
 //
 // The service's performance claim is amortization: a resident design
-// answers detect/embed requests from its cached TimingCache +
-// PlanContext, while a cold request pays parse + timing + planning
-// every time.  This bench drives the in-process Service (the same
-// handler the daemon and `lwm-scan` use) with mega designs at 1k ops
-// (and 100k ops outside --smoke) and times four request mixes:
+// answers detect/embed requests from its resident PlanContext, while a
+// cold request pays parse + timing + planning every time.  This bench
+// drives the in-process Service (the same handler the daemon and
+// `lwm-scan` use) with mega designs at 1k ops (and 100k ops outside
+// --smoke) and times four request mixes:
 //   * resident detect — design + schedule resident, detect frames only;
 //   * cold detect     — evict + load-design + load-schedule + detect
 //                       per request (the first-request experience);

@@ -22,7 +22,7 @@ int main() {
   hls::DatapathOptions base_opts;
   base_opts.filter = cdfg::EdgeFilter::specification();
   const hls::Datapath baseline = hls::synthesize_datapath(design, base_opts);
-  std::printf("baseline   : %s\n", baseline.to_string(base_opts).c_str());
+  std::printf("baseline   : %s\n", baseline.to_string().c_str());
 
   // --- layer 1: scheduling watermarks -----------------------------------------
   wm::SchedWmOptions sopts;
@@ -47,15 +47,15 @@ int main() {
   hls::DatapathOptions marked_opts;
   marked_opts.reg_constraints = wm::to_binding_constraints(reg_marks);
   const hls::Datapath protected_dp = hls::synthesize_datapath(design, marked_opts);
-  std::printf("protected  : %s\n", protected_dp.to_string(marked_opts).c_str());
+  std::printf("protected  : %s\n", protected_dp.to_string().c_str());
   std::printf("overhead   : latency %+d step(s), %+d unit(s), %+d register(s), "
               "area %+.1f (%.2f%%)\n",
               protected_dp.latency - baseline.latency,
               protected_dp.total_units() - baseline.total_units(),
               protected_dp.registers - baseline.registers,
-              protected_dp.area(marked_opts) - baseline.area(base_opts),
-              100.0 * (protected_dp.area(marked_opts) - baseline.area(base_opts)) /
-                  baseline.area(base_opts));
+              protected_dp.area() - baseline.area(),
+              100.0 * (protected_dp.area() - baseline.area()) /
+                  baseline.area());
 
   // --- archive the records -----------------------------------------------------
   wm::RecordArchive archive;

@@ -137,12 +137,6 @@ struct BoundedTimingInfo {
   std::vector<int> alap_min;  ///< latest start under all-d_min delays
   int critical_path_min = 0;  ///< minimum schedule length if every delay
                               ///< realizes at its lower bound
-
-  /// Width added to n's window by delay uncertainty (0 on exact graphs).
-  [[nodiscard]] int window_widening(NodeId n) const {
-    return (pess.asap[n.value] - asap_min[n.value]) +
-           (alap_min[n.value] - pess.alap[n.value]);
-  }
 };
 
 /// Computes the dual analysis — the library's one source of optimistic

@@ -319,13 +319,7 @@ Graph make_mega_design(const MegaConfig& config) {
         "width >= 1, got operations=" + std::to_string(config.operations) +
         ", width=" + std::to_string(config.width));
   }
-  const OpMix& mix = config.mix;
-  if (mix.alu < 0 || mix.mul < 0 || mix.mem < 0 || mix.branch < 0 ||
-      mix.alu + mix.mul + mix.mem + mix.branch <= 0) {
-    throw std::invalid_argument("make_mega_design('" + config.name +
-                                "'): op mix weights must be non-negative "
-                                "with a positive total");
-  }
+  const OpMix mix{};  // every shape draws the default op mix
 
   std::mt19937_64 rng(config.seed);
   Graph g(config.name);
@@ -387,9 +381,7 @@ Graph make_mega_design(const MegaConfig& config) {
       break;
     }
     case MegaShape::kStitchedClones: {
-      const int block_ops = config.block_operations > 0
-                                ? config.block_operations
-                                : 8 * config.width;
+      const int block_ops = 8 * config.width;
       std::vector<NodeId> boundary = inputs;
       int remaining = config.operations;
       while (remaining > 0) {

@@ -67,18 +67,16 @@ struct MegaConfig {
   MegaShape shape = MegaShape::kLayeredDeep;
   int operations = 100'000;
   /// Mean layer width (kLayeredDeep), accumulator lane count
-  /// (kUnrolledKernel), or block width (kStitchedClones).
+  /// (kUnrolledKernel), or block width (kStitchedClones, whose blocks
+  /// hold 8 * width executable ops, a MediaBench-app-sized block).
   int width = 64;
-  /// Executable ops per stitched block (kStitchedClones only; <= 0 means
-  /// 8 * width, a MediaBench-app-sized block).
-  int block_operations = 0;
-  OpMix mix{};
   std::uint64_t seed = 1;
 };
 
 /// Builds a mega-design in O(V + E): no quadratic operand-pool rebuilds,
-/// so 1M-node graphs construct in seconds.  Throws std::invalid_argument
-/// on infeasible parameters (operations < 1, width < 1, empty op mix).
+/// so 1M-node graphs construct in seconds.  Ops draw from the default
+/// OpMix.  Throws std::invalid_argument on infeasible parameters
+/// (operations < 1, width < 1).
 /// The result passes cdfg::validate and has exactly `config.operations`
 /// executable nodes.
 [[nodiscard]] cdfg::Graph make_mega_design(const MegaConfig& config);

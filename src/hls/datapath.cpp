@@ -13,19 +13,18 @@ using cdfg::EdgeId;
 using cdfg::Graph;
 using cdfg::NodeId;
 
-double Datapath::area(const DatapathOptions& opts) const {
+double Datapath::area() const {
   double a = 0.0;
-  a += units[static_cast<std::size_t>(cdfg::UnitClass::kAlu)] * opts.alu_area;
-  a += units[static_cast<std::size_t>(cdfg::UnitClass::kMul)] * opts.mul_area;
-  a += units[static_cast<std::size_t>(cdfg::UnitClass::kMem)] * opts.mem_area;
-  a += units[static_cast<std::size_t>(cdfg::UnitClass::kBranch)] *
-       opts.branch_area;
-  a += registers * opts.register_area;
-  a += mux_inputs * opts.mux_input_area;
+  a += units[static_cast<std::size_t>(cdfg::UnitClass::kAlu)] * kAluArea;
+  a += units[static_cast<std::size_t>(cdfg::UnitClass::kMul)] * kMulArea;
+  a += units[static_cast<std::size_t>(cdfg::UnitClass::kMem)] * kMemArea;
+  a += units[static_cast<std::size_t>(cdfg::UnitClass::kBranch)] * kBranchArea;
+  a += registers * kRegisterArea;
+  a += mux_inputs * kMuxInputArea;
   return a;
 }
 
-std::string Datapath::to_string(const DatapathOptions& opts) const {
+std::string Datapath::to_string() const {
   char buf[160];
   std::snprintf(buf, sizeof(buf),
                 "latency=%d units[alu=%d mul=%d mem=%d br=%d] regs=%d "
@@ -34,7 +33,7 @@ std::string Datapath::to_string(const DatapathOptions& opts) const {
                 units[static_cast<std::size_t>(cdfg::UnitClass::kMul)],
                 units[static_cast<std::size_t>(cdfg::UnitClass::kMem)],
                 units[static_cast<std::size_t>(cdfg::UnitClass::kBranch)],
-                registers, mux_inputs, area(opts));
+                registers, mux_inputs, area());
   return buf;
 }
 

@@ -21,6 +21,14 @@
 
 namespace lwm::hls {
 
+/// Relative area weights for the summary (adder-equivalents).
+inline constexpr double kAluArea = 1.0;
+inline constexpr double kMulArea = 4.0;
+inline constexpr double kMemArea = 2.0;
+inline constexpr double kBranchArea = 0.5;
+inline constexpr double kRegisterArea = 0.4;
+inline constexpr double kMuxInputArea = 0.1;
+
 struct DatapathOptions {
   /// Control-step budget; -1 = critical path.
   int latency = -1;
@@ -29,13 +37,6 @@ struct DatapathOptions {
   cdfg::EdgeFilter filter = cdfg::EdgeFilter::all();
   /// Extra register-binding constraints (e.g. from register watermarks).
   regbind::BindingConstraints reg_constraints;
-  /// Relative area weights for the summary (adder-equivalents).
-  double alu_area = 1.0;
-  double mul_area = 4.0;
-  double mem_area = 2.0;
-  double branch_area = 0.5;
-  double register_area = 0.4;
-  double mux_input_area = 0.1;
 };
 
 /// The synthesized datapath and its cost breakdown.
@@ -55,8 +56,8 @@ struct Datapath {
     for (const int u : units) t += u;
     return t;
   }
-  [[nodiscard]] double area(const DatapathOptions& opts) const;
-  [[nodiscard]] std::string to_string(const DatapathOptions& opts) const;
+  [[nodiscard]] double area() const;
+  [[nodiscard]] std::string to_string() const;
 };
 
 /// Synthesizes `g` into a datapath: force-directed-style time-constrained

@@ -92,7 +92,7 @@ std::string registry_json() {
     out += "\"" + json_escape(s->name()) + "\":{\"count\":" +
            std::to_string(s->count()) + ",\"total_ms\":" + ms + "}";
   }
-  out += "}}";
+  out += "},\"trace_dropped\":" + std::to_string(reg.dropped_events()) + "}";
   return out;
 }
 

@@ -11,16 +11,12 @@ using cdfg::Graph;
 using cdfg::NodeId;
 
 std::vector<Lifetime> compute_lifetimes(const Graph& g,
-                                        const sched::Schedule& s,
-                                        const LifetimeOptions& opts) {
+                                        const sched::Schedule& s) {
   std::vector<Lifetime> out;
   for (NodeId n : g.nodes()) {
     const cdfg::Node& node = g.node(n);
-    const bool executable = cdfg::is_executable(node.kind);
-    if (!executable && !(opts.include_sources && cdfg::is_source(node.kind))) {
-      continue;
-    }
-    if (executable && !s.is_scheduled(n)) {
+    if (!cdfg::is_executable(node.kind)) continue;
+    if (!s.is_scheduled(n)) {
       throw std::invalid_argument("compute_lifetimes: unscheduled operation '" +
                                   node.name + "'");
     }
@@ -43,7 +39,7 @@ std::vector<Lifetime> compute_lifetimes(const Graph& g,
 
     Lifetime lt;
     lt.producer = n;
-    lt.birth = executable ? s.start_of(n) + node.delay : 0;
+    lt.birth = s.start_of(n) + node.delay;
     lt.death = std::max(last_use + 1, lt.birth + 1);
     out.push_back(lt);
   }

@@ -18,7 +18,7 @@ namespace lwm::regbind {
 /// One variable's register requirement: the half-open step interval
 /// [birth, death) during which its value must be preserved.
 struct Lifetime {
-  cdfg::NodeId producer;  ///< operation (or primary input) defining the value
+  cdfg::NodeId producer;  ///< operation defining the value
   int birth = 0;          ///< first step the value exists
   int death = 0;          ///< first step the value is no longer needed
 
@@ -28,22 +28,16 @@ struct Lifetime {
   }
 };
 
-struct LifetimeOptions {
-  /// Include primary inputs/constants (they occupy registers from step 0
-  /// in a datapath without dedicated input ports).  Default off: the
-  /// classic binding formulation registers only intermediate values.
-  bool include_sources = false;
-};
-
-/// Computes lifetimes for every value with at least one consumer.
+/// Computes lifetimes for every value an operation produces with at
+/// least one consumer.  Primary inputs and constants get none: the
+/// classic binding formulation registers only intermediate values.
 /// A value is born when its producer finishes (start + delay) and dies
 /// after the start step of its last data consumer (+1: the consumer
 /// reads it during that step).  Values feeding only primary outputs die
 /// one step after birth (they are latched out immediately).
 /// Precondition: `s` schedules every executable node of `g`.
 [[nodiscard]] std::vector<Lifetime> compute_lifetimes(
-    const cdfg::Graph& g, const sched::Schedule& s,
-    const LifetimeOptions& opts = {});
+    const cdfg::Graph& g, const sched::Schedule& s);
 
 /// Maximum number of simultaneously live values — the lower bound on any
 /// register binding (interval-graph clique number).

@@ -84,15 +84,13 @@ bool have_avx2() noexcept {
 
 }  // namespace
 
-RefillFn select_refill_fn(bool allow_simd) noexcept {
-  if (allow_simd) {
+RefillFn select_refill_fn() noexcept {
 #if defined(LWM_SIMD_AVX512)
-    if (have_avx512()) return refill_force_avx512;
+  if (have_avx512()) return refill_force_avx512;
 #endif
 #if defined(LWM_SIMD_AVX2)
-    if (have_avx2()) return refill_force_avx2;
+  if (have_avx2()) return refill_force_avx2;
 #endif
-  }
   return refill_force_scalar;
 }
 

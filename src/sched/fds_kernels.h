@@ -75,9 +75,9 @@ void refill_force_avx512(const double* srow, int lo, int hi, int delay,
                          std::size_t nhot, double* out);
 #endif
 
-/// Best kernel for this build and CPU: AVX-512 when compiled in, allowed,
-/// and supported by the running machine; else AVX2 likewise; else scalar.
-[[nodiscard]] RefillFn select_refill_fn(bool allow_simd) noexcept;
+/// Best kernel for this build and CPU: AVX-512 when compiled in and
+/// supported by the running machine; else AVX2 likewise; else scalar.
+[[nodiscard]] RefillFn select_refill_fn() noexcept;
 
 /// True when any SIMD kernel is compiled in and this CPU supports it.
 [[nodiscard]] bool simd_available() noexcept;

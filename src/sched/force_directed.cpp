@@ -277,9 +277,9 @@ Schedule force_directed_schedule(const Graph& g, const FdsOptions& opts) {
 
   const int* wlo = cache.lo_data();
   const int* whi = cache.hi_data();
-  // Resolved once: AVX2 when built in, allowed, and the CPU has it;
-  // the bit-identical scalar kernel otherwise.
-  const fds::RefillFn kernel = fds::select_refill_fn(opts.allow_simd);
+  // Resolved once: a SIMD kernel when built in and the CPU has it; the
+  // bit-identical scalar kernel otherwise.
+  const fds::RefillFn kernel = fds::select_refill_fn();
   // Reciprocal table: 1.0 / k is a pure function of k, so replacing the
   // per-candidate divisions with lookups yields the identical doubles
   // (see fds_kernels.h) while removing millions of vdivpd per run.

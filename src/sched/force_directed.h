@@ -69,10 +69,6 @@ struct FdsOptions {
   /// mass / latency), so the same value means the same relative drift
   /// on a 20-op kernel and a 1755-op MediaBench app.
   double eps_dg = 0.0;
-  /// Permit the SIMD refill kernel (when built under LWM_SIMD and the
-  /// CPU supports it).  The SIMD and scalar kernels are bit-identical,
-  /// so this only exists for tests and A/B timing.
-  bool allow_simd = true;
   /// Optional work counters, written once at return.
   FdsStats* stats = nullptr;
 };

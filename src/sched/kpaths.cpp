@@ -151,17 +151,4 @@ std::vector<CriticalPath> k_worst_paths(const Graph& g, int k,
   return out;
 }
 
-std::vector<NodeId> k_worst_path_nodes(const Graph& g, int k,
-                                       EdgeFilter filter) {
-  std::vector<char> on_path(g.node_capacity(), 0);
-  for (const CriticalPath& p : k_worst_paths(g, k, filter)) {
-    for (NodeId n : p.nodes) on_path[n.value] = 1;
-  }
-  std::vector<NodeId> out;
-  for (std::uint32_t v = 0; v < on_path.size(); ++v) {
-    if (on_path[v]) out.push_back(NodeId{v});
-  }
-  return out;
-}
-
 }  // namespace lwm::sched

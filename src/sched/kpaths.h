@@ -1,13 +1,12 @@
 // kpaths.h — k-worst critical path extraction over the max-delay graph.
 //
 // Under the dynamically bounded delay model a single critical path
-// length is not enough: watermark planning wants to know *which* chains
-// of operations are (nearly) critical under worst-case delays, so it can
-// keep temporal constraints off them.  k_worst_paths() enumerates the k
-// longest source-to-sink paths by delay-weighted length with every delay
-// at its upper bound d_max, and reports each path's optimistic length
-// (all delays at d_min) alongside — the spread is the path's timing
-// uncertainty.
+// length is not enough: a timing report wants to know *which* chains of
+// operations are (nearly) critical under worst-case delays.
+// k_worst_paths() enumerates the k longest source-to-sink paths by
+// delay-weighted length with every delay at its upper bound d_max, and
+// reports each path's optimistic length (all delays at d_min) alongside
+// — the spread is the path's timing uncertainty.
 //
 // Algorithm: one reverse-topological pass computes tail[v], the longest
 // v-to-sink length; enumeration is then best-first over a *path tree* —
@@ -44,13 +43,6 @@ struct CriticalPath {
 /// paths[0].length always equals critical_path_length(g, filter).
 /// Throws std::invalid_argument if k < 1.
 [[nodiscard]] std::vector<CriticalPath> k_worst_paths(
-    const cdfg::Graph& g, int k,
-    cdfg::EdgeFilter filter = cdfg::EdgeFilter::all());
-
-/// Union of the nodes on the k worst paths, deduplicated, in ascending
-/// NodeId order — the "stay off the near-critical spine" mask the
-/// watermark planner consumes.
-[[nodiscard]] std::vector<cdfg::NodeId> k_worst_path_nodes(
     const cdfg::Graph& g, int k,
     cdfg::EdgeFilter filter = cdfg::EdgeFilter::all());
 

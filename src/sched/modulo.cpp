@@ -19,6 +19,10 @@ using cdfg::NodeId;
 
 namespace {
 
+/// IMS effort: scheduling operations stop after kBudgetRatio * ops
+/// placements per candidate II, then the search moves to II + 1.
+constexpr long long kBudgetRatio = 8;
+
 /// Occupancy of one op on its functional unit — must match the flat
 /// verifier (schedule.cpp): pipelined units hold only the issue slot.
 int occupancy(const cdfg::Node& node, bool pipelined) {
@@ -161,8 +165,7 @@ bool try_schedule_at_ii(const Graph& g, const std::vector<NodeId>& nodes,
   std::vector<NodeId> work = nodes;
   std::sort(work.begin(), work.end(), better);
 
-  long long budget =
-      static_cast<long long>(opts.budget_ratio) * static_cast<long long>(nodes.size());
+  long long budget = kBudgetRatio * static_cast<long long>(nodes.size());
   std::size_t scheduled = 0;
 
   while (scheduled < nodes.size()) {

@@ -44,9 +44,6 @@ struct ModuloOptions {
   /// is always feasible).
   int min_ii = -1;
   int max_ii = -1;
-  /// IMS effort: scheduling operations stop after budget_ratio * ops
-  /// placements per candidate II, then the search moves to II + 1.
-  int budget_ratio = 8;
 };
 
 struct ModuloResult {

@@ -24,7 +24,7 @@ StoredDesign::StoredDesign(std::uint64_t id_, std::size_t bytes, cdfg::Graph g)
     : id(id_),
       text_bytes(bytes),
       graph(std::move(g)),
-      plan(wm::PlanContext::build(graph, wm::SchedWmOptions{})),
+      plan(wm::PlanContext::build(graph)),
       critical_path_min(graph.has_bounded_delays()
                             ? cdfg::compute_timing_bounded(
                                   graph, -1, cdfg::EdgeFilter::specification())
@@ -115,7 +115,8 @@ DesignStore::load_schedule(const std::shared_ptr<const StoredDesign>& design,
   {
     std::shared_lock lock(shard.mutex);
     const auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
+    if (it != shard.map.end() &&
+        holds(*it->second->schedule, design->id, sched_id)) {
       it->second->last_used.store(tick(), std::memory_order_relaxed);
       hits_.fetch_add(1, std::memory_order_relaxed);
       LWM_COUNT("serve/store_hits", 1);
@@ -133,6 +134,10 @@ DesignStore::load_schedule(const std::shared_ptr<const StoredDesign>& design,
     std::unique_lock lock(shard.mutex);
     const auto [it, inserted] = shard.map.try_emplace(key);
     if (!inserted) {
+      // A forged key another (design, schedule) pair holds: answer this
+      // load with its own parse, but never make it resident, so no
+      // lookup can be served the other pair's schedule.
+      if (!holds(*it->second->schedule, design->id, sched_id)) return stored;
       it->second->last_used.store(tick(), std::memory_order_relaxed);
       hits_.fetch_add(1, std::memory_order_relaxed);
       LWM_COUNT("serve/store_hits", 1);
@@ -155,7 +160,8 @@ std::shared_ptr<const StoredSchedule> DesignStore::find_schedule(
   const ScheduleShard& shard = schedules_[shard_of(key)];
   std::shared_lock lock(shard.mutex);
   const auto it = shard.map.find(key);
-  if (it == shard.map.end()) {
+  if (it == shard.map.end() ||
+      !holds(*it->second->schedule, design_id, sched_id)) {
     misses_.fetch_add(1, std::memory_order_relaxed);
     LWM_COUNT("serve/store_misses", 1);
     return nullptr;

@@ -55,8 +55,8 @@ struct StoredDesign {
   std::uint64_t id;        ///< content_hash of the source text
   std::size_t text_bytes;  ///< size of the source text (budget proxy)
   cdfg::Graph graph;
-  /// Whole-graph planning state for embed requests (avoid_k_worst == 0,
-  /// so it is valid for any per-request k/tau/epsilon).  `plan.timing`
+  /// Whole-graph planning state for embed requests (option-free, so it
+  /// is valid for any per-request k/tau/epsilon).  `plan.timing`
   /// is the resident specification timing (temporal edges excluded,
   /// latency = critical path) that P_c estimates read as their windows.
   wm::PlanContext plan;
@@ -167,9 +167,18 @@ class DesignStore {
     return static_cast<std::size_t>((id ^ (id >> 32)) * 0x9E3779B97F4A7C15ull
                                     >> 60) % kShards;
   }
+  /// Mixes the pair into one map key.  A client that knows a resident
+  /// pair can forge another pair with the same key (the multiplier is
+  /// odd, so it inverts mod 2^64); every lookup therefore accepts an
+  /// entry only when holds() confirms both ids.
   [[nodiscard]] static std::uint64_t schedule_key(std::uint64_t design_id,
                                                  std::uint64_t sched_id) noexcept {
     return design_id ^ (sched_id * 0x9E3779B97F4A7C15ull + 0x632BE59BD9B4E019ull);
+  }
+  [[nodiscard]] static bool holds(const StoredSchedule& s,
+                                  std::uint64_t design_id,
+                                  std::uint64_t sched_id) noexcept {
+    return s.design->id == design_id && s.id == sched_id;
   }
   [[nodiscard]] std::uint64_t tick() const noexcept {
     return clock_.fetch_add(1, std::memory_order_relaxed) + 1;

@@ -9,20 +9,20 @@ namespace lwm::wm {
 FingerprintedCopy fingerprint_copy(const cdfg::Graph& original,
                                    const crypto::Signature& vendor,
                                    const std::string& recipient,
-                                   const FingerprintOptions& opts) {
+                                   const SchedWmOptions& opts) {
   FingerprintedCopy copy;
   copy.recipient = recipient;
   copy.design = original;
 
   const std::vector<SchedWatermark> own =
-      embed_local_watermarks(copy.design, vendor, opts.ownership_marks, opts.wm);
+      embed_local_watermarks(copy.design, vendor, kOwnershipMarks, opts);
   for (const SchedWatermark& m : own) {
     copy.ownership_records.push_back(SchedRecord::from(m, copy.design));
   }
 
   const crypto::Signature recipient_sig = vendor.derive(recipient);
   const std::vector<SchedWatermark> marks =
-      embed_local_watermarks(copy.design, recipient_sig, opts.copy_marks, opts.wm);
+      embed_local_watermarks(copy.design, recipient_sig, kCopyMarks, opts);
   for (const SchedWatermark& m : marks) {
     copy.copy_records.push_back(SchedRecord::from(m, copy.design));
   }

@@ -24,11 +24,10 @@
 
 namespace lwm::wm {
 
-struct FingerprintOptions {
-  SchedWmOptions wm;
-  int ownership_marks = 2;  ///< vendor-keyed watermarks per copy
-  int copy_marks = 3;       ///< recipient-keyed watermarks per copy
-};
+/// Watermarks per shipped copy: vendor-keyed ownership marks and
+/// recipient-keyed copy marks.
+inline constexpr int kOwnershipMarks = 2;
+inline constexpr int kCopyMarks = 3;
 
 /// One shipped, fingerprinted copy: the watermarked graph plus the
 /// vendor's archive entries.
@@ -40,12 +39,13 @@ struct FingerprintedCopy {
   std::vector<SchedRecord> copy_records;
 };
 
-/// Produces the fingerprinted copy for `recipient`: embeds ownership and
-/// copy marks, schedules (list scheduler), strips the constraints.
+/// Produces the fingerprinted copy for `recipient`: embeds
+/// kOwnershipMarks ownership and kCopyMarks copy marks planned with
+/// `opts`, schedules (list scheduler), strips the constraints.
 [[nodiscard]] FingerprintedCopy fingerprint_copy(const cdfg::Graph& original,
                                                  const crypto::Signature& vendor,
                                                  const std::string& recipient,
-                                                 const FingerprintOptions& opts);
+                                                 const SchedWmOptions& opts);
 
 /// Per-recipient evidence when auditing a suspect design.
 struct LeakScore {

@@ -10,17 +10,8 @@ using cdfg::Graph;
 
 namespace {
 
-sched::Schedule run_scheduler(const Graph& g, Scheduler which,
-                              const sched::ResourceSet& res,
+sched::Schedule run_scheduler(const Graph& g, const sched::ResourceSet& res,
                               cdfg::EdgeFilter filter) {
-  if (which == Scheduler::kForceDirected) {
-    sched::FdsOptions opts;
-    opts.filter = filter;
-    // FDS is time-constrained; use the (possibly watermark-lengthened)
-    // critical path as the bound.
-    opts.latency = cdfg::critical_path_length(g, filter);
-    return sched::force_directed_schedule(g, opts);
-  }
   sched::ListScheduleOptions opts;
   opts.resources = res;
   opts.filter = filter;
@@ -44,13 +35,12 @@ SchedProtocolResult run_sched_protocol(const Graph& original,
   }
 
   // Synthesis: the scheduler sees original + watermark constraints.
-  result.schedule = run_scheduler(result.solution, config.scheduler,
-                                  config.resources, cdfg::EdgeFilter::all());
+  result.schedule = run_scheduler(result.solution, config.resources,
+                                  cdfg::EdgeFilter::all());
   result.latency_marked = result.schedule.length(result.solution);
 
   // Baseline: the unconstrained tool on the original spec.
-  result.baseline = run_scheduler(result.solution, config.scheduler,
-                                  config.resources,
+  result.baseline = run_scheduler(result.solution, config.resources,
                                   cdfg::EdgeFilter::specification());
   result.latency_baseline = result.baseline.length(result.solution);
 

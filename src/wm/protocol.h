@@ -12,7 +12,6 @@
 
 #include "cdfg/graph.h"
 #include "crypto/signature.h"
-#include "sched/force_directed.h"
 #include "sched/list_sched.h"
 #include "tmatch/cover.h"
 #include "vliw/vliw_sched.h"
@@ -23,12 +22,9 @@
 
 namespace lwm::wm {
 
-enum class Scheduler { kList, kForceDirected };
-
 struct SchedProtocolConfig {
   SchedWmOptions wm;
   int watermark_count = 1;  ///< number of local watermarks to embed
-  Scheduler scheduler = Scheduler::kList;
   sched::ResourceSet resources = sched::ResourceSet::unlimited();
 };
 
@@ -87,12 +83,6 @@ struct TmProtocolResult {
   tmatch::ModuleAllocation alloc_marked;
   tmatch::ModuleAllocation alloc_baseline;
   PcEstimate pc;
-
-  [[nodiscard]] double module_overhead() const {
-    const int base = alloc_baseline.total();
-    return base == 0 ? 0.0
-                     : static_cast<double>(alloc_marked.total() - base) / base;
-  }
 };
 /// Runs the template-matching protocol; throws std::runtime_error if no
 /// watermark can be planned on this design.

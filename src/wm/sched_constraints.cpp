@@ -10,7 +10,6 @@
 #include "cdfg/analysis.h"
 #include "exec/parallel.h"
 #include "obs/obs.h"
-#include "sched/kpaths.h"
 
 namespace lwm::wm {
 
@@ -18,7 +17,7 @@ using cdfg::EdgeKind;
 using cdfg::Graph;
 using cdfg::NodeId;
 
-PlanContext PlanContext::build(const Graph& g, const SchedWmOptions& opts) {
+PlanContext PlanContext::build(const Graph& g) {
   PlanContext ctx;
   ctx.timing = cdfg::compute_timing(g, -1, cdfg::EdgeFilter::specification());
   const std::vector<NodeId> order =
@@ -26,13 +25,6 @@ PlanContext PlanContext::build(const Graph& g, const SchedWmOptions& opts) {
   ctx.topo_rank.assign(g.node_capacity(), 0);
   for (std::size_t i = 0; i < order.size(); ++i) {
     ctx.topo_rank[order[i].value] = static_cast<std::uint32_t>(i);
-  }
-  if (opts.avoid_k_worst > 0) {
-    ctx.on_worst_path.assign(g.node_capacity(), 0);
-    for (const NodeId n : sched::k_worst_path_nodes(
-             g, opts.avoid_k_worst, cdfg::EdgeFilter::specification())) {
-      ctx.on_worst_path[n.value] = 1;
-    }
   }
   for (const NodeId n : g.nodes()) {
     if (cdfg::is_executable(g.node(n).kind)) ctx.ops.push_back(n);
@@ -80,18 +72,12 @@ std::optional<SchedWatermark> plan_impl(const Graph& g, NodeId root,
   const cdfg::TimingInfo& timing = ctx.timing;
   const double laxity_bound = timing.critical_path * (1.0 - opts.epsilon);
 
-  // T': slack-rich executable nodes of T with an overlap partner.  Under
-  // bounded delays the laxity filter alone can admit a node on a
-  // worst-case-critical spine; avoid_k_worst masks those spines out.
+  // T': slack-rich executable nodes of T with an overlap partner (the
+  // laxity test reads Fig. 2's ">" as "<=", see the header).
   std::vector<NodeId> t_prime;
   for (const NodeId n : domain.selected) {
     if (!cdfg::is_executable(g.node(n).kind)) continue;
-    if (!ctx.on_worst_path.empty() && ctx.on_worst_path[n.value]) continue;
-    const int lax = timing.laxity(n);
-    const bool pass = opts.paper_literal_laxity
-                          ? (lax > laxity_bound)
-                          : (lax <= laxity_bound);
-    if (pass) t_prime.push_back(n);
+    if (timing.laxity(n) <= laxity_bound) t_prime.push_back(n);
   }
   // Overlap requirement: every member needs a window-overlap partner
   // among the other candidates.
@@ -206,7 +192,7 @@ std::vector<SchedWatermark> embed_marks(Graph& g, const crypto::Signature& sig,
   LWM_SPAN("wm/embed_marks");
   std::optional<PlanContext> own;
   const PlanContext& ctx =
-      resident != nullptr ? *resident : own.emplace(PlanContext::build(g, opts));
+      resident != nullptr ? *resident : own.emplace(PlanContext::build(g));
   if (ctx.ops.empty()) {
     throw std::invalid_argument("wm embed: graph has no executable operations");
   }
@@ -266,7 +252,7 @@ std::optional<SchedWatermark> plan_sched_watermark(const Graph& g, NodeId root,
                                                    const SchedWmOptions& opts) {
   std::size_t carved = 0;
   std::optional<SchedWatermark> wm =
-      plan_impl(g, root, sig, opts, PlanContext::build(g, opts),
+      plan_impl(g, root, sig, opts, PlanContext::build(g),
                 /*exact_guard=*/true, sig.stream(DomainKey::kCarveTag), carved);
   record_carves(std::array{carved});
   return wm;

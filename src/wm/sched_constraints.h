@@ -17,8 +17,7 @@
 // *excludes* nodes with laxity greater than C·(1-eps).  Constraining
 // near-critical nodes would do the opposite of the stated goal, so we
 // take the Fig. 2 comparison as a typo and admit nodes with
-// laxity <= C·(1-eps).  Set SchedWmOptions::paper_literal_laxity to
-// reproduce the literal text instead.
+// laxity <= C·(1-eps).
 #pragma once
 
 #include <cstdint>
@@ -58,15 +57,6 @@ struct SchedWmOptions {
   /// on regular designs whose localities are isomorphic; raising this
   /// floor shrinks the per-root coincidence probability exponentially.
   int min_edges = 1;
-  bool paper_literal_laxity = false;
-  /// When > 0, nodes lying on any of the `avoid_k_worst` worst critical
-  /// paths of the specification (max-delay lengths, sched::k_worst_paths)
-  /// are excluded from T'.  Under the bounded delay model the laxity
-  /// filter alone can admit a node that is near-critical on a worst-case
-  /// realization; this keeps temporal constraints off the k most timing-
-  /// critical spines entirely.  0 (default) preserves the paper's
-  /// laxity-only filter bit for bit.
-  int avoid_k_worst = 0;
   /// Purpose tag for the selection bitstream.
   static constexpr const char* kSelectTag = "lwm/sched-edges";
 };
@@ -90,8 +80,7 @@ struct SchedWatermark {
 ///     with the same order, so marks planned concurrently are jointly
 ///     acyclic by construction, with no closure state (V^2/64 bytes is
 ///     ~125 GB at 1M nodes) and no coordination;
-///   * `on_worst_path`, `ops` — the avoid_k_worst mask and the candidate
-///     roots.
+///   * `ops` — the candidate roots.
 ///
 /// The serial embedders use the *exact guard* instead: reachability
 /// among the K members of T'', seeded from the graph and closed over
@@ -102,11 +91,9 @@ struct SchedWatermark {
 struct PlanContext {
   cdfg::TimingInfo timing;
   std::vector<std::uint32_t> topo_rank;  ///< indexed by NodeId::value
-  std::vector<char> on_worst_path;       ///< nonempty iff avoid_k_worst > 0
   std::vector<cdfg::NodeId> ops;         ///< executable nodes, id order
 
-  [[nodiscard]] static PlanContext build(const cdfg::Graph& g,
-                                         const SchedWmOptions& opts);
+  [[nodiscard]] static PlanContext build(const cdfg::Graph& g);
 };
 
 /// Plans a watermark rooted at `root` without mutating `g` (exact guard).
@@ -150,8 +137,7 @@ struct PlanContext {
 /// entry point (serve::DesignStore keeps one PlanContext per design and
 /// amortizes it across requests).  `ctx` must have been built for a
 /// graph with the same live nodes and NodeIds as `g` (a copy of the
-/// context's graph qualifies) and with options whose `avoid_k_worst`
-/// matches `opts` — everything else in `opts` may vary per call.
+/// context's graph qualifies); `opts` may vary per call.
 /// Bit-identical to the context-building overload at any thread count.
 [[nodiscard]] std::vector<SchedWatermark> embed_local_watermarks_parallel(
     cdfg::Graph& g, const crypto::Signature& sig, int count,

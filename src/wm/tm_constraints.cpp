@@ -1,7 +1,6 @@
 #include "wm/tm_constraints.h"
 
 #include <algorithm>
-#include <array>
 #include <stdexcept>
 
 #include "cdfg/analysis.h"
@@ -19,16 +18,6 @@ std::optional<TmWatermark> plan_tm_watermark(const Graph& g,
                                              const TmWmOptions& opts) {
   if (opts.z <= 0 || opts.epsilon <= 0.0) {
     throw std::invalid_argument("plan_tm_watermark: need z > 0 and epsilon > 0");
-  }
-
-  // T: the whole CDFG or the signature-carved subtree.
-  std::unordered_set<NodeId> t_nodes;
-  if (opts.subtree_root.valid()) {
-    const Domain d = select_domain(g, opts.subtree_root, sig, opts.domain);
-    record_carves(std::array{d.selected.size()});
-    t_nodes.insert(d.selected.begin(), d.selected.end());
-  } else {
-    for (NodeId n : g.nodes()) t_nodes.insert(n);
   }
 
   // Exclude near-critical nodes: laxity greater than C * (1 - epsilon)
@@ -51,10 +40,9 @@ std::optional<TmWatermark> plan_tm_watermark(const Graph& g,
     tmatch::MatchConstraints cons;
     cons.ppo = wm.ppos;
     for (NodeId n : g.nodes()) {
-      const bool in_t = t_nodes.count(n) != 0;
       const bool slack_ok =
           cdfg::is_executable(g.node(n).kind) && timing.laxity(n) <= bound;
-      if (!in_t || !slack_ok || processed.count(n) != 0) {
+      if (!slack_ok || processed.count(n) != 0) {
         cons.excluded.insert(n);
       }
     }

@@ -6,7 +6,8 @@
 // is isolated by promoting the variables on its boundary to pseudo-
 // primary outputs (PPOs): a PPO value must stay visible, so no other
 // multi-operation module can swallow the neighborhood, and the enforced
-// matching survives the optimization pass untouched.
+// matching survives the optimization pass untouched.  T is the whole
+// CDFG, the paper's Table II configuration.
 #pragma once
 
 #include <optional>
@@ -17,7 +18,6 @@
 #include "crypto/signature.h"
 #include "tmatch/cover.h"
 #include "tmatch/matcher.h"
-#include "wm/domain.h"
 
 namespace lwm::wm {
 
@@ -29,11 +29,6 @@ struct TmWmOptions {
   /// (the tightest schedule, Fig. 5's literal C).  Table II's second row
   /// per design doubles this.
   int budget = -1;
-  /// If set, the protocol restricts enforcement to the signature-carved
-  /// subtree of this root; invalid NodeId means T = CDFG (the paper's
-  /// Table II configuration).
-  cdfg::NodeId subtree_root;
-  DomainKey domain;
   static constexpr const char* kSelectTag = "lwm/tm-match";
 };
 

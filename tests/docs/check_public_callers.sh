@@ -1,14 +1,26 @@
 #!/usr/bin/env bash
-# docs-check, public callers: every function declared at namespace scope
-# in a src/**/*.h header must be named, as a word, in some C++ file under
-# src/, bench/, examples/, tools/ or svcbench/ other than its own .h/.cpp.
-# A function only tests/ reaches is test surface in the shipped library:
-# delete it, or move it into test support.  Comments and string literals
-# do not count as a caller.  Member functions are not checked.
+# docs-check, public callers.  Two checks over the src/**/*.h headers,
+# each against the C++ files under src/, bench/, examples/, tools/ and
+# svcbench/ (the production files; tests/ does not count):
 #
-# Exceptions are the ALLOW list below, one name per line with its reason.
-# An ALLOW entry that is no longer declared, or that has gained a caller,
-# fails too, so the list stays short.
+#   * functions: every function declared at namespace scope must be
+#     named, as a word, in a production file other than its own .h/.cpp.
+#     A function only tests/ reaches is test surface in the shipped
+#     library: delete it, or move it into test support.
+#   * option fields: every data member of a struct named *Options,
+#     *Config or *Limits must be set in a production file other than its
+#     own header, as ".name =" (a compound assignment or a designated
+#     initializer too) or ".name." (a sub-field or a mutating call), or
+#     the same after "->".  A knob that only a test sets selects a code
+#     path no shipped flow runs: delete it with its branch, or make it a
+#     named constant.  Fields are matched by name, so two structs that
+#     share a field name share its setters.
+#
+# Comments, string literals and preprocessor lines never count.  Member
+# functions are not checked.  Exceptions are the ALLOW (functions) and
+# ALLOW_FIELDS lists below, one entry per line with its reason.  An
+# entry that is no longer declared, or that has gained a caller or a
+# setter, fails too, so the lists stay short.
 #
 # Usage: check_public_callers.sh <repo-root>
 set -u
@@ -38,6 +50,19 @@ write_trace_events	building block of write_chrome_trace, pinned by a golden test
 refill_force_scalar	scalar FDS kernel the SIMD kernels are checked against
 simd_available	dispatch probe the FDS kernel tests skip on
 enumeration_calls	building block of the exact P_c enumerator, tested directly
+EOF
+)
+
+# Struct::field <TAB> reason
+ALLOW_FIELDS=$(cat <<'EOF'
+ServiceOptions::max_marks	bound on untrusted embed/pc requests; tests probe the refusal at the default
+ServiceOptions::max_k	bound on untrusted embed requests; tests probe the refusal at the default
+ServiceOptions::max_tau	bound on untrusted embed/pc/detect requests; tests probe the refusal at the default
+ReadLimits::max_bytes	bound on untrusted input files; tests probe the refusal at the default
+StreamLimits::max_line_bytes	bound on untrusted streamed lines; tests lower it to reach the refusal
+StreamLimits::chunk_bytes	window size of the untrusted-stream reader; tests shrink it to put lines across chunk seams
+SchedPcAutoOptions::poisson_node_threshold	exact/Poisson dispatch threshold, left for the P_c front door to decide
+SchedPcAutoOptions::enumeration	exact-path enumeration limits, left for the P_c front door to decide
 EOF
 )
 
@@ -196,3 +221,137 @@ awk -v root="$ROOT/" '
     }
     exit status
   }' <(printf '%s\n--decls--\n%s\n--words--\n%s\n' "$ALLOW" "$decls" "$words")
+
+status=$?
+
+# ---- Option fields --------------------------------------------------------
+
+# Pass 3: "<Struct>::<field> <header>" for every data member of every
+# struct named *Options, *Config or *Limits.  Inside such a struct body
+# a statement ending in ";" is a field unless it is a declaration of
+# another kind (static, using, a nested type, a function); a braced
+# initializer stays part of its field, a function body or nested type
+# body is skipped.
+fields=$(
+  for h in $(cxx_files "$ROOT/src" | grep '\.h$'); do
+    awk "$STRIP" "$h" | awk -v file="$h" '
+      function field(s,    p) {
+        gsub(/[ \t]+/, " ", s)
+        sub(/^ /, "", s)
+        sub(/^(public|private|protected) ?: ?/, "", s)
+        if (s ~ /^(static|using|typedef|friend|enum|struct|class|union|template)([^A-Za-z0-9_]|$)/) return
+        p = index(s, "="); if (p > 0) s = substr(s, 1, p - 1)
+        p = index(s, "{"); if (p > 0) s = substr(s, 1, p - 1)
+        if (index(s, "(") > 0) return        # a function declaration
+        sub(/ ?\[[^]]*\] ?$/, "", s)         # an array bound
+        sub(/ +$/, "", s)
+        if (!match(s, /[A-Za-z_][A-Za-z0-9_]*$/)) return
+        print sname "::" substr(s, RSTART, RLENGTH), file
+      }
+      BEGIN { depth = 0; sdepth = 0; stmt = "" }
+      {
+        n = length($0)
+        for (i = 1; i <= n; ++i) {
+          c = substr($0, i, 1)
+          if (sdepth > 0 && depth > sdepth) {          # inside a member body
+            if (c == "{") ++depth
+            else if (c == "}" && --depth == sdepth) {
+              if (stmt ~ /\(/ || stmt ~ /^[ ]*(enum|struct|class|union)([^A-Za-z0-9_]|$)/) stmt = ""
+              else stmt = stmt "}"
+            }
+            continue
+          }
+          if (c == "{") {
+            ++depth
+            if (sdepth == 0) {
+              if (match(stmt, /(^|[^A-Za-z0-9_])struct +[A-Za-z_][A-Za-z0-9_]*(Options|Config|Limits)( +final)?( *:[^{]*)? *$/)) {
+                sname = substr(stmt, RSTART, RLENGTH)
+                sub(/^[^A-Za-z0-9_]?struct +/, "", sname)
+                sub(/[^A-Za-z0-9_].*$/, "", sname)
+                sdepth = depth
+              }
+              stmt = ""
+            } else stmt = stmt "{"
+          } else if (c == "}") {
+            if (sdepth > 0 && depth == sdepth) sdepth = 0
+            --depth
+            stmt = ""
+          } else if (c == ";") {
+            if (sdepth > 0 && depth == sdepth) field(stmt)
+            stmt = ""
+          } else stmt = stmt c
+        }
+        stmt = stmt " "
+      }'
+  done | sort -u
+)
+
+# Pass 4: "<field> <file>" for every ".field =" / ".field." (or "->")
+# in the production files, once per file.
+setters=$(
+  for f in $(cxx_files "$ROOT/src" "$ROOT/bench" "$ROOT/examples" \
+                       "$ROOT/tools" "$ROOT/svcbench"); do
+    awk "$STRIP" "$f" | awk -v file="$f" '
+      {
+        line = $0
+        while (match(line, /(\.|->)[A-Za-z_][A-Za-z0-9_]*[ \t]*(([-+*\/%&|^]|<<|>>)?=([^=]|$)|\.)/)) {
+          at = RSTART
+          tok = substr(line, RSTART, RLENGTH)
+          sub(/^(\.|->)/, "", tok)
+          match(tok, /^[A-Za-z_][A-Za-z0-9_]*/)
+          print substr(tok, RSTART, RLENGTH), file
+          line = substr(line, at + 1)
+        }
+      }' | sort -u
+  done
+)
+
+awk -v root="$ROOT/" '
+  section == 0 {
+    if ($0 == "--fields--") { section = 1; next }
+    if ($0 == "") next
+    split($0, f, "\t"); allow[f[1]] = 1; next
+  }
+  section == 1 {
+    if ($0 == "--setters--") { section = 2; next }
+    ++nf; fqual[nf] = $1; ffile[nf] = $2; declared[$1] = 1
+    name = $1; sub(/^.*::/, "", name); fname[nf] = name; wanted[name] = 1
+    next
+  }
+  section == 2 {
+    if ($1 in wanted) setters[$1] = setters[$1] " " $2 " "
+  }
+  END {
+    status = 0
+    for (i = 1; i <= nf; ++i) {
+      q = fqual[i]; h = ffile[i]
+      rest = setters[fname[i]]
+      key = " " h " "
+      while ((p = index(rest, key)) > 0) {
+        rest = substr(rest, 1, p - 1) " " substr(rest, p + length(key))
+      }
+      if (rest ~ /[^ ]/) { set[q] = 1; continue }
+      if (q in allow) continue
+      rel = h
+      if (index(rel, root) == 1) rel = substr(rel, length(root) + 1)
+      printf "no non-test setter: %s (declared in %s)\n", q, rel
+      status = 1
+    }
+    for (q in allow) {
+      if (!(q in declared)) {
+        printf "stale ALLOW_FIELDS entry: %s is not declared in src/\n", q
+        status = 1
+      } else if (q in set) {
+        printf "stale ALLOW_FIELDS entry: %s has a non-test setter\n", q
+        status = 1
+      }
+    }
+    if (status == 0) {
+      printf "PASS: all %d option fields are set outside tests/ or have" \
+             " an ALLOW_FIELDS entry\n", nf
+    }
+    exit status
+  }' <(printf '%s\n--fields--\n%s\n--setters--\n%s\n' "$ALLOW_FIELDS" \
+         "$fields" "$setters") || status=1
+
+exit "$status"

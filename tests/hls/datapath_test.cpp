@@ -48,13 +48,12 @@ TEST(DatapathTest, RelaxedBudgetTradesLatencyForArea) {
 
 TEST(DatapathTest, AreaBreakdownPositiveAndMonotone) {
   const Graph g = lwm::dfglib::make_dsp_design("dp_area", 12, 80, 202);
-  DatapathOptions opts;
-  const Datapath dp = synthesize_datapath(g, opts);
-  EXPECT_GT(dp.area(opts), 0.0);
-  DatapathOptions pricier = opts;
-  pricier.register_area *= 10;
-  EXPECT_GT(dp.area(pricier), dp.area(opts));
-  EXPECT_NE(dp.to_string(opts).find("regs="), std::string::npos);
+  const Datapath dp = synthesize_datapath(g);
+  EXPECT_GT(dp.area(), 0.0);
+  Datapath more_regs = dp;
+  more_regs.registers += 1;
+  EXPECT_NEAR(more_regs.area() - dp.area(), kRegisterArea, 1e-9);
+  EXPECT_NE(dp.to_string().find("regs="), std::string::npos);
 }
 
 TEST(DatapathTest, WatermarkEdgesRaiseCostObservably) {

@@ -140,6 +140,22 @@ TEST(ObsRegistry, JsonDumpHasAllSections) {
   EXPECT_NE(dump.find("\"json/span\""), std::string::npos);
 }
 
+TEST(ObsRegistry, JsonDumpReportsTraceDrops) {
+  Registry::instance().reset();
+  EXPECT_NE(lwm::obs::registry_json().find("\"trace_dropped\":0}"),
+            std::string::npos);
+  // One span past the per-thread cap of 2^18 trace events.
+  Registry::instance().enable_tracing(true);
+  for (int i = 0; i < (1 << 18) + 1; ++i) {
+    LWM_SPAN("test/flood");
+  }
+  Registry::instance().enable_tracing(false);
+  EXPECT_EQ(Registry::instance().trace_events().size(), std::size_t{1} << 18);
+  EXPECT_NE(lwm::obs::registry_json().find("\"trace_dropped\":1}"),
+            std::string::npos);
+  Registry::instance().reset();
+}
+
 TEST(ObsRegistry, TracingOffRecordsNoEvents) {
   Registry::instance().reset();
   Registry::instance().enable_tracing(false);

@@ -128,25 +128,5 @@ TEST(FdsEpsTest, DefaultEpsKeepsQualityParity) {
   }
 }
 
-TEST(FdsEpsTest, SimdAndScalarAgreeAtAnyEps) {
-  // allow_simd only swaps bit-identical kernels, so the schedule must
-  // not depend on it — in exact and approximate mode alike.
-  const cdfg::Graph g = dfglib::make_dsp_design("eps_simd", 10, 160, 3);
-  for (const double eps : {0.0, kDefaultEpsDg}) {
-    FdsOptions opts;
-    opts.latency = slack_latency(g);
-    opts.eps_dg = eps;
-    opts.allow_simd = true;
-    const Schedule simd = force_directed_schedule(g, opts);
-    opts.allow_simd = false;
-    const Schedule scalar = force_directed_schedule(g, opts);
-    for (const cdfg::NodeId n : g.nodes()) {
-      if (!cdfg::is_executable(g.node(n).kind)) continue;
-      EXPECT_EQ(simd.start_of(n), scalar.start_of(n))
-          << g.node(n).name << " eps_dg=" << eps;
-    }
-  }
-}
-
 }  // namespace
 }  // namespace lwm::sched

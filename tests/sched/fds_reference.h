@@ -18,9 +18,8 @@
 
 namespace lwm::sched {
 
-/// Serial (ignores opts.pool, opts.eps_dg, opts.allow_simd and
-/// opts.stats).  Throws std::invalid_argument if the latency bound is
-/// below the critical path.
+/// Serial (ignores opts.pool, opts.eps_dg and opts.stats).  Throws
+/// std::invalid_argument if the latency bound is below the critical path.
 [[nodiscard]] Schedule force_directed_schedule_reference(
     const cdfg::Graph& g, const FdsOptions& opts = {});
 

@@ -133,18 +133,6 @@ TEST(KPathsTest, DeterministicAcrossCalls) {
   }
 }
 
-TEST(KPathsTest, PathNodesAreSortedUnionOfPaths) {
-  const Graph g = dfglib::iir4_parallel();
-  const auto paths = k_worst_paths(g, 4);
-  std::vector<NodeId> expect;
-  for (const auto& p : paths) {
-    expect.insert(expect.end(), p.nodes.begin(), p.nodes.end());
-  }
-  std::sort(expect.begin(), expect.end());
-  expect.erase(std::unique(expect.begin(), expect.end()), expect.end());
-  EXPECT_EQ(k_worst_path_nodes(g, 4), expect);
-}
-
 TEST(KPathsTest, RejectsNonPositiveK) {
   const Graph g = dfglib::iir4_parallel();
   EXPECT_THROW((void)k_worst_paths(g, 0), std::invalid_argument);
@@ -154,7 +142,6 @@ TEST(KPathsTest, RejectsNonPositiveK) {
 TEST(KPathsTest, EmptyGraphYieldsNoPaths) {
   const Graph g("empty");
   EXPECT_TRUE(k_worst_paths(g, 5).empty());
-  EXPECT_TRUE(k_worst_path_nodes(g, 5).empty());
 }
 
 TEST(KPathsTest, SingleChainHasExactlyOnePath) {

@@ -13,6 +13,7 @@
 #include "cdfg/analysis.h"
 #include "cdfg/serialize.h"
 #include "dfglib/synth.h"
+#include "forged_schedule_id.h"
 #include "sched/schedule_io.h"
 #include "serve/design_store.h"
 
@@ -156,6 +157,22 @@ TEST(DesignStoreTest, SchedulesAreKeyedByDesignAndText) {
   EXPECT_EQ(store.find_schedule(d.value()->id, s.value()->id).get(),
             s.value().get());
   EXPECT_EQ(store.find_schedule(d.value()->id + 1, s.value()->id), nullptr);
+}
+
+TEST(DesignStoreTest, ForgedScheduleKeyNeverAliasesAnotherDesign) {
+  DesignStore store;
+  auto a = store.load_design(kTinyDesign);
+  auto b = store.load_design(design_text(1));
+  ASSERT_TRUE(a.ok() && b.ok());
+  auto s = store.load_schedule(
+      a.value(), "schedule tiny\nat in1 0\nat a 1\nat m 2\nat out1 5\n");
+  ASSERT_TRUE(s.ok());
+  const std::uint64_t forged = test_support::forged_schedule_id(
+      a.value()->id, s.value()->id, b.value()->id);
+  // B's graph must never be checked against A's schedule.
+  EXPECT_EQ(store.find_schedule(b.value()->id, forged), nullptr);
+  EXPECT_EQ(store.find_schedule(a.value()->id, s.value()->id).get(),
+            s.value().get());
 }
 
 TEST(DesignStoreTest, EvictDropsDesignAndItsSchedules) {

@@ -19,6 +19,7 @@
 #include "dfglib/kernels.h"
 #include "dfglib/synth.h"
 #include "exec/thread_pool.h"
+#include "forged_schedule_id.h"
 #include "obs/obs.h"
 #include "serve/frame.h"
 #include "serve/service.h"
@@ -278,6 +279,23 @@ TEST(ServiceTest, MissingDesignAndScheduleAreNotFound) {
   PayloadReader lr(loaded.payload);
   fx.design_id = lr.get_u64();  // design resident, schedule still missing
   EXPECT_EQ(error_code(service.handle(detect_frame(fx, "k"))), kErrNotFound);
+}
+
+TEST(ServiceTest, ForgedScheduleIdIsNotFound) {
+  Service service;
+  LoadedFixture fx = load_and_embed(service, "alice-key");
+  const Frame other = service.handle(load_design_frame(fixture_text(200)));
+  ASSERT_EQ(other.type, MsgType::kDesignLoaded);
+  PayloadReader r(other.payload);
+  const std::uint64_t design_b = r.get_u64();
+  ASSERT_NE(design_b, fx.design_id);
+  // A schedule id that maps design B onto the resident (A, s) key: the
+  // detect must not run B's graph against A's schedule.
+  fx.sched_id =
+      test_support::forged_schedule_id(fx.design_id, fx.sched_id, design_b);
+  fx.design_id = design_b;
+  EXPECT_EQ(error_code(service.handle(detect_frame(fx, "alice-key"))),
+            kErrNotFound);
 }
 
 TEST(ServiceTest, MalformedPayloadsAreParseErrors) {

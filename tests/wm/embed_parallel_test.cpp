@@ -166,7 +166,7 @@ TEST(EmbedParallelTest, RejectsGraphWithoutExecutableNodes) {
        }},
       {"embed_local_watermarks_parallel(ctx)",
        [&](Graph& g, int budget) {
-         const PlanContext ctx = PlanContext::build(g, opts);
+         const PlanContext ctx = PlanContext::build(g);
          return embed_local_watermarks_parallel(g, alice(), budget, opts,
                                                 nullptr, ctx);
        }},

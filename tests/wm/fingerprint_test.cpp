@@ -13,16 +13,14 @@ using cdfg::Graph;
 
 crypto::Signature vendor() { return {"acme", "acme-vendor-master-key"}; }
 
-FingerprintOptions fp_options() {
-  FingerprintOptions opts;
-  opts.wm.domain.tau = 8;
-  opts.wm.k = 5;
-  opts.wm.min_edges = 3;  // strong marks: isomorphic localities abound in
-                          // regular DSP code, so constraint count is what
-                          // separates recipients
-  opts.wm.epsilon = 0.3;
-  opts.ownership_marks = 2;
-  opts.copy_marks = 3;
+SchedWmOptions fp_options() {
+  SchedWmOptions opts;
+  opts.domain.tau = 8;
+  opts.k = 5;
+  opts.min_edges = 3;  // strong marks: isomorphic localities abound in
+                       // regular DSP code, so constraint count is what
+                       // separates recipients
+  opts.epsilon = 0.3;
   return opts;
 }
 
@@ -113,7 +111,7 @@ TEST(DecoyAttackTest, PreservesScheduleQualityAndLegality) {
 
 TEST(DecoyAttackTest, DegradesButRarelyDestroysDetection) {
   Graph g = base_design();
-  SchedWmOptions opts = fp_options().wm;
+  SchedWmOptions opts = fp_options();
   const auto marks = embed_local_watermarks(g, vendor(), 5, opts);
   ASSERT_GE(marks.size(), 3u);
   std::vector<SchedRecord> records;

@@ -37,20 +37,6 @@ TEST(SchedProtocolTest, EndToEndOnSyntheticDesign) {
   EXPECT_GE(r.latency_overhead(), 0.0);
 }
 
-TEST(SchedProtocolTest, ForceDirectedVariantWorks) {
-  const Graph g = lwm::dfglib::make_dsp_design("proto_fds", 10, 50, 52);
-  SchedProtocolConfig cfg;
-  cfg.wm.domain.tau = 5;
-  cfg.wm.k = 2;
-  cfg.wm.epsilon = 0.3;
-  cfg.watermark_count = 2;
-  cfg.scheduler = Scheduler::kForceDirected;
-  const SchedProtocolResult r = run_sched_protocol(g, alice(), cfg);
-  const auto check = sched::verify_schedule(
-      r.solution, r.schedule, cdfg::EdgeFilter::specification());
-  EXPECT_TRUE(check.ok) << (check.errors.empty() ? "" : check.errors.front());
-}
-
 TEST(SchedProtocolTest, OverheadStaysSmall) {
   // The laxity filter exists to keep the watermark out of the critical
   // path; on a slack-rich design the latency overhead should be tiny.
@@ -91,7 +77,11 @@ TEST(TmProtocolTest, EndToEndModuleOverhead) {
   EXPECT_FALSE(r.watermark.enforced.empty());
   EXPECT_GT(r.alloc_baseline.total(), 0);
   EXPECT_GT(r.alloc_marked.total(), 0);
-  EXPECT_GT(r.module_overhead(), -0.5);  // heuristic covering may drift slightly either way
+  const int base = r.alloc_baseline.total();
+  const double module_overhead =
+      static_cast<double>(r.alloc_marked.total() - base) / base;
+  // Heuristic covering may drift slightly either way.
+  EXPECT_GT(module_overhead, -0.5);
   EXPECT_LE(r.pc.log10_pc, 0.0);
 
   // The enforced matchings are part of the marked cover.

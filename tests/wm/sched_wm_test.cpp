@@ -8,7 +8,6 @@
 #include "cdfg/validate.h"
 #include "dfglib/iir4.h"
 #include "dfglib/synth.h"
-#include "sched/kpaths.h"
 #include "sched/list_sched.h"
 
 namespace lwm::wm {
@@ -96,52 +95,6 @@ TEST(SchedWmTest, ConstraintsSelectSlackRichNodes) {
   }
 }
 
-TEST(SchedWmTest, AvoidKWorstKeepsConstraintsOffWorstPaths) {
-  const Graph g = lwm::dfglib::make_dsp_design("kw", 14, 90, 23);
-  // Pick a root deep enough to carve a usable cone.
-  const cdfg::TimingInfo t =
-      cdfg::compute_timing(g, -1, cdfg::EdgeFilter::specification());
-  NodeId root;
-  for (NodeId n : g.node_ids()) {
-    if (!cdfg::is_executable(g.node(n).kind)) continue;
-    if (!root.valid() || t.asap[n.value] > t.asap[root.value]) root = n;
-  }
-  ASSERT_TRUE(root.valid());
-  SchedWmOptions opts;
-  opts.domain.tau = 8;
-  opts.domain.keep_num = 1;
-  opts.domain.keep_den = 1;
-  opts.k = 3;
-  opts.epsilon = 0.2;
-  opts.avoid_k_worst = 4;
-  const auto wm = plan_sched_watermark(g, root, alice(), opts);
-  if (!wm) GTEST_SKIP() << "no watermark fits this design";
-  std::set<NodeId> masked;
-  for (NodeId n : sched::k_worst_path_nodes(
-           g, opts.avoid_k_worst, cdfg::EdgeFilter::specification())) {
-    masked.insert(n);
-  }
-  for (const TemporalConstraint& c : wm->constraints) {
-    EXPECT_FALSE(masked.count(c.src)) << g.node(c.src).name;
-    EXPECT_FALSE(masked.count(c.dst)) << g.node(c.dst).name;
-  }
-}
-
-TEST(SchedWmTest, AvoidKWorstZeroIsBitIdentical) {
-  const Graph g = lwm::dfglib::iir4_parallel();
-  SchedWmOptions opts = iir_options();
-  ASSERT_EQ(opts.avoid_k_worst, 0);  // the default must stay off
-  const auto base = plan_sched_watermark(g, g.find("A9"), alice(), opts);
-  opts.avoid_k_worst = 0;
-  const auto same = plan_sched_watermark(g, g.find("A9"), alice(), opts);
-  ASSERT_TRUE(base && same);
-  ASSERT_EQ(base->constraints.size(), same->constraints.size());
-  for (std::size_t i = 0; i < base->constraints.size(); ++i) {
-    EXPECT_EQ(base->constraints[i].src, same->constraints[i].src);
-    EXPECT_EQ(base->constraints[i].dst, same->constraints[i].dst);
-  }
-}
-
 TEST(SchedWmTest, ScheduleSatisfiesEmbeddedConstraints) {
   Graph g = lwm::dfglib::iir4_parallel();
   const auto wm = embed_sched_watermark(g, g.find("A9"), alice(), iir_options());
@@ -204,20 +157,6 @@ TEST(SchedWmTest, MaterializeUnitOpsReplacesTemporalEdges) {
     EXPECT_TRUE(cdfg::reaches(g, c.src, c.dst));
   }
   EXPECT_TRUE(cdfg::validate(g).empty());
-}
-
-TEST(SchedWmTest, LiteralLaxityModeSelectsNearCriticalNodes) {
-  const Graph g = lwm::dfglib::iir4_parallel();
-  SchedWmOptions opts = iir_options();
-  opts.paper_literal_laxity = true;
-  opts.epsilon = 0.5;
-  const auto wm = plan_sched_watermark(g, g.find("A9"), alice(), opts);
-  if (!wm) GTEST_SKIP() << "literal mode found no candidates here";
-  const cdfg::TimingInfo t =
-      cdfg::compute_timing(g, -1, cdfg::EdgeFilter::specification());
-  for (const TemporalConstraint& c : wm->constraints) {
-    EXPECT_GT(t.laxity(c.src), t.critical_path * 0.5);
-  }
 }
 
 }  // namespace

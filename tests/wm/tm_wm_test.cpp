@@ -110,25 +110,6 @@ TEST(TmWmTest, PposIncludeMatchRoots) {
   }
 }
 
-TEST(TmWmTest, SubtreeRestrictedModeStaysInsideCone) {
-  const Graph g = lwm::dfglib::iir4_parallel();
-  const tmatch::TemplateLibrary lib = tmatch::TemplateLibrary::standard();
-  TmWmOptions opts = tm_options(1);
-  opts.subtree_root = g.find("A4");
-  opts.domain.tau = 4;
-  opts.domain.keep_num = 1;
-  opts.domain.keep_den = 1;
-  const auto wm = plan_tm_watermark(g, lib, alice(), opts);
-  if (!wm) GTEST_SKIP() << "cone too slack-poor for enforcement";
-  const Domain d = select_domain(g, opts.subtree_root, alice(), opts.domain);
-  const std::unordered_set<NodeId> cone(d.selected.begin(), d.selected.end());
-  for (const tmatch::Match& m : wm->enforced) {
-    for (const NodeId n : m.nodes) {
-      EXPECT_TRUE(cone.count(n) != 0) << g.node(n).name;
-    }
-  }
-}
-
 TEST(TmWmTest, ZeroEnforceableReturnsNullopt) {
   // Serial chain: every node is critical; nothing qualifies.
   const Graph g = lwm::dfglib::make_dsp_design("tm_serial", 10, 10, 4);
