@@ -21,7 +21,7 @@ using cdfg::NodeId;
 
 namespace {
 
-// Everything about (graph, filter) the search needs but no search step
+// Everything about the graph the search needs but no search step
 // mutates — built once and shared by every branch.
 struct SearchContext {
   const Graph* g = nullptr;
@@ -31,7 +31,8 @@ struct SearchContext {
   std::vector<std::vector<std::size_t>> succ; // by op index: dependent ops
 };
 
-SearchContext build_context(const Graph& g, cdfg::EdgeFilter filter) {
+SearchContext build_context(const Graph& g) {
+  constexpr cdfg::EdgeFilter filter = cdfg::EdgeFilter::all();
   SearchContext ctx;
   ctx.g = &g;
 
@@ -375,11 +376,10 @@ BnbResult bnb_min_latency(const Graph& g, const BnbOptions& opts) {
   // Seed the incumbent with list scheduling — gives a tight initial bound.
   ListScheduleOptions lopts;
   lopts.resources = opts.resources;
-  lopts.filter = opts.filter;
   const Schedule seed = list_schedule(g, lopts);
   const int seed_latency = seed.length(g);
 
-  const SearchContext ctx = build_context(g, opts.filter);
+  const SearchContext ctx = build_context(g);
   const SolveOutcome sol = solve(ctx, opts.resources, seed_latency + 1,
                                  opts.node_limit, opts.pool);
 

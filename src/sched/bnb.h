@@ -35,8 +35,6 @@
 //     outcomes.
 #pragma once
 
-
-#include "cdfg/analysis.h"
 #include "cdfg/graph.h"
 #include "sched/resources.h"
 #include "sched/schedule.h"
@@ -49,7 +47,6 @@ namespace lwm::sched {
 
 struct BnbOptions {
   ResourceSet resources = ResourceSet::unlimited();
-  cdfg::EdgeFilter filter = cdfg::EdgeFilter::all();
   /// Abort knob: give up after this many search nodes (0 = unlimited).
   std::uint64_t node_limit = 50'000'000;
   /// Optional pool: splits the first branching level.  Results are

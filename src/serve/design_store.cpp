@@ -2,7 +2,6 @@
 
 #include <exception>
 #include <utility>
-#include <vector>
 
 #include "cdfg/analysis.h"
 #include "cdfg/serialize.h"
@@ -38,28 +37,69 @@ wm::ConeMemo& StoredDesign::cone_memo(int tau) const {
   return *memo_;
 }
 
-DesignStore::DesignStore(DesignStoreOptions opts) : opts_(opts) {}
+namespace {
+
+template <class Map>
+const typename Map::mapped_type* find_in(const Map& map, std::uint64_t key) {
+  const auto it = map.find(key);
+  return it == map.end() ? nullptr : &it->second;
+}
+
+}  // namespace
+
+template <class T>
+std::shared_ptr<const T> DesignStore::hit(const Entry<T>& e) const {
+  e.last_used = ++clock_;
+  ++counts_.hits;
+  LWM_COUNT("serve/store_hits", 1);
+  return e.ptr;
+}
+
+template <class T>
+std::shared_ptr<const T> DesignStore::lookup(const Entry<T>* e) const {
+  if (e) return hit(*e);
+  ++counts_.misses;
+  LWM_COUNT("serve/store_misses", 1);
+  return nullptr;
+}
+
+template <class T>
+void DesignStore::admit(Entry<T>& e, std::shared_ptr<const T> p,
+                        std::uint64_t keep_design_id, Graveyard& dead) {
+  counts_.resident_bytes += p->text_bytes;
+  e.ptr = std::move(p);
+  e.last_used = ++clock_;
+  ++counts_.misses;
+  LWM_COUNT("serve/store_misses", 1);
+  enforce_budget(keep_design_id, dead);
+}
+
+template <class T>
+void DesignStore::retire(std::shared_ptr<const T>& p, Graveyard& dead) {
+  counts_.resident_bytes -= p->text_bytes;
+  ++counts_.evictions;
+  LWM_COUNT("serve/store_evictions", 1);
+  dead.push_back(std::move(p));
+}
 
 io::ParseResult<std::shared_ptr<const StoredDesign>> DesignStore::load_design(
-    std::string_view text, std::string_view source_name) {
+    std::string_view text, std::string_view source_name, bool* was_resident) {
   const std::uint64_t id = content_hash(text);
-  DesignShard& shard = designs_[shard_of(id)];
+  if (was_resident) *was_resident = false;
   {
-    std::shared_lock lock(shard.mutex);
-    const auto it = shard.map.find(id);
-    if (it != shard.map.end()) {
-      it->second->last_used.store(tick(), std::memory_order_relaxed);
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      LWM_COUNT("serve/store_hits", 1);
-      return it->second->design;
+    std::lock_guard lock(mutex_);
+    if (const DesignEntry* e = find_in(designs_, id)) {
+      if (was_resident) *was_resident = true;
+      return hit(*e);
     }
   }
 
-  // Miss: parse and build every derived structure outside any lock.
+  // Miss: parse and build every derived structure outside the lock.
   io::ParseResult<cdfg::Graph> parsed = cdfg::parse_cdfg(text, source_name);
   if (!parsed.ok()) return parsed.diag();
   std::shared_ptr<const StoredDesign> design;
   try {
+    LWM_SPAN("serve/store_build");
     design = std::make_shared<const StoredDesign>(id, text.size(),
                                                   std::move(parsed).value());
   } catch (const std::exception& e) {
@@ -68,41 +108,22 @@ io::ParseResult<std::shared_ptr<const StoredDesign>> DesignStore::load_design(
     return io::Diagnostic{std::string(source_name), 0, 0, e.what()};
   }
 
-  {
-    std::unique_lock lock(shard.mutex);
-    const auto [it, inserted] = shard.map.try_emplace(id);
-    if (!inserted) {
-      // Lost the insert race: first wins, our build is discarded.
-      it->second->last_used.store(tick(), std::memory_order_relaxed);
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      LWM_COUNT("serve/store_hits", 1);
-      return it->second->design;
-    }
-    it->second = std::make_shared<DesignEntry>();
-    it->second->design = design;
-    it->second->last_used.store(tick(), std::memory_order_relaxed);
+  Graveyard dead;
+  std::lock_guard lock(mutex_);
+  const auto [it, inserted] = designs_.try_emplace(id);
+  if (!inserted) {
+    // Lost the insert race: first wins, our build is discarded.
+    if (was_resident) *was_resident = true;
+    return hit(it->second);
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  LWM_COUNT("serve/store_misses", 1);
-  resident_bytes_.fetch_add(text.size(), std::memory_order_relaxed);
-  enforce_budget(id);
+  admit<StoredDesign>(it->second, design, id, dead);
   return design;
 }
 
 std::shared_ptr<const StoredDesign> DesignStore::find_design(
     std::uint64_t id) const {
-  const DesignShard& shard = designs_[shard_of(id)];
-  std::shared_lock lock(shard.mutex);
-  const auto it = shard.map.find(id);
-  if (it == shard.map.end()) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    LWM_COUNT("serve/store_misses", 1);
-    return nullptr;
-  }
-  it->second->last_used.store(tick(), std::memory_order_relaxed);
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  LWM_COUNT("serve/store_hits", 1);
-  return it->second->design;
+  std::lock_guard lock(mutex_);
+  return lookup<StoredDesign>(find_in(designs_, id));
 }
 
 io::ParseResult<std::shared_ptr<const StoredSchedule>>
@@ -110,17 +131,11 @@ DesignStore::load_schedule(const std::shared_ptr<const StoredDesign>& design,
                            std::string_view text,
                            std::string_view source_name) {
   const std::uint64_t sched_id = content_hash(text);
-  const std::uint64_t key = schedule_key(design->id, sched_id);
-  ScheduleShard& shard = schedules_[shard_of(key)];
   {
-    std::shared_lock lock(shard.mutex);
-    const auto it = shard.map.find(key);
-    if (it != shard.map.end() &&
-        holds(*it->second->schedule, design->id, sched_id)) {
-      it->second->last_used.store(tick(), std::memory_order_relaxed);
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      LWM_COUNT("serve/store_hits", 1);
-      return it->second->schedule;
+    std::lock_guard lock(mutex_);
+    const DesignEntry* d = find_in(designs_, design->id);
+    if (const auto* e = d ? find_in(d->schedules, sched_id) : nullptr) {
+      return hit(*e);
     }
   }
 
@@ -130,172 +145,85 @@ DesignStore::load_schedule(const std::shared_ptr<const StoredDesign>& design,
   auto stored = std::make_shared<const StoredSchedule>(StoredSchedule{
       sched_id, text.size(), design, std::move(parsed).value()});
 
-  {
-    std::unique_lock lock(shard.mutex);
-    const auto [it, inserted] = shard.map.try_emplace(key);
-    if (!inserted) {
-      // A forged key another (design, schedule) pair holds: answer this
-      // load with its own parse, but never make it resident, so no
-      // lookup can be served the other pair's schedule.
-      if (!holds(*it->second->schedule, design->id, sched_id)) return stored;
-      it->second->last_used.store(tick(), std::memory_order_relaxed);
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      LWM_COUNT("serve/store_hits", 1);
-      return it->second->schedule;
-    }
-    it->second = std::make_shared<ScheduleEntry>();
-    it->second->schedule = stored;
-    it->second->last_used.store(tick(), std::memory_order_relaxed);
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  LWM_COUNT("serve/store_misses", 1);
-  resident_bytes_.fetch_add(text.size(), std::memory_order_relaxed);
-  enforce_budget(design->id);
+  Graveyard dead;
+  std::lock_guard lock(mutex_);
+  const auto d = designs_.find(design->id);
+  // The design left the store while the text parsed: answer this load
+  // with its parse but make nothing resident, so no schedule outlives
+  // its design's entry (and pins bytes the budget no longer counts).
+  if (d == designs_.end() || d->second.ptr != design) return stored;
+  const auto [it, inserted] = d->second.schedules.try_emplace(sched_id);
+  if (!inserted) return hit(it->second);
+  admit<StoredSchedule>(it->second, stored, design->id, dead);
   return stored;
 }
 
 std::shared_ptr<const StoredSchedule> DesignStore::find_schedule(
     std::uint64_t design_id, std::uint64_t sched_id) const {
-  const std::uint64_t key = schedule_key(design_id, sched_id);
-  const ScheduleShard& shard = schedules_[shard_of(key)];
-  std::shared_lock lock(shard.mutex);
-  const auto it = shard.map.find(key);
-  if (it == shard.map.end() ||
-      !holds(*it->second->schedule, design_id, sched_id)) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    LWM_COUNT("serve/store_misses", 1);
-    return nullptr;
-  }
-  it->second->last_used.store(tick(), std::memory_order_relaxed);
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  LWM_COUNT("serve/store_hits", 1);
-  return it->second->schedule;
+  std::lock_guard lock(mutex_);
+  const DesignEntry* d = find_in(designs_, design_id);
+  return lookup(d ? find_in(d->schedules, sched_id) : nullptr);
 }
 
-bool DesignStore::evict_design_locked_free(std::uint64_t id) {
-  std::size_t freed = 0;
-  bool existed = false;
-  std::uint64_t removed = 0;
-  {
-    DesignShard& shard = designs_[shard_of(id)];
-    std::unique_lock lock(shard.mutex);
-    const auto it = shard.map.find(id);
-    if (it != shard.map.end()) {
-      freed += it->second->design->text_bytes;
-      shard.map.erase(it);
-      existed = true;
-      ++removed;
-    }
-  }
-  if (existed) {
-    // Drop every schedule parsed against the design: their graph is gone
-    // from the store, so their ids must stop resolving too (in-flight
-    // holders keep both alive through their shared_ptrs).
-    for (ScheduleShard& shard : schedules_) {
-      std::unique_lock lock(shard.mutex);
-      for (auto it = shard.map.begin(); it != shard.map.end();) {
-        if (it->second->schedule->design->id == id) {
-          freed += it->second->schedule->text_bytes;
-          it = shard.map.erase(it);
-          ++removed;
-        } else {
-          ++it;
-        }
-      }
-    }
-  }
-  if (freed > 0) resident_bytes_.fetch_sub(freed, std::memory_order_relaxed);
-  if (removed > 0) {
-    evictions_.fetch_add(removed, std::memory_order_relaxed);
-    LWM_COUNT("serve/store_evictions", removed);
-  }
-  return existed;
+void DesignStore::unlink_design(DesignMap::iterator it, Graveyard& dead) {
+  // The design's schedules go with it: their ids resolve only through
+  // this entry (in-flight holders keep both alive via their shared_ptrs).
+  for (auto& [sched_id, s] : it->second.schedules) retire(s.ptr, dead);
+  retire(it->second.ptr, dead);
+  designs_.erase(it);
 }
 
 bool DesignStore::evict_design(std::uint64_t id) {
-  std::lock_guard guard(evict_mutex_);
-  return evict_design_locked_free(id);
+  Graveyard dead;
+  std::lock_guard lock(mutex_);
+  const auto it = designs_.find(id);
+  if (it == designs_.end()) return false;
+  unlink_design(it, dead);
+  return true;
 }
 
-void DesignStore::enforce_budget(std::uint64_t keep_design_id) {
-  if (resident_bytes_.load(std::memory_order_relaxed) <=
-      opts_.max_resident_bytes) {
-    return;
-  }
-  std::lock_guard guard(evict_mutex_);
-  while (resident_bytes_.load(std::memory_order_relaxed) >
-         opts_.max_resident_bytes) {
-    // Global LRU sweep over both kinds of entries.  Eviction is rare
-    // (only when the budget trips) so the scan cost is acceptable; the
-    // newest design is exempt so an over-budget store still serves the
-    // request that grew it.
-    bool found = false;
-    bool victim_is_design = false;
-    std::uint64_t victim_design = 0;
-    std::uint64_t victim_key = 0;
-    std::size_t victim_shard = 0;
+void DesignStore::enforce_budget(std::uint64_t keep_design_id,
+                                 Graveyard& dead) {
+  while (counts_.resident_bytes > opts_.max_resident_bytes) {
+    // Global LRU sweep over designs and individual schedules, so one hot
+    // design cannot collect unbounded schedules.  Eviction is rare (only
+    // when the budget trips) so the scan cost is acceptable; the design
+    // just inserted or loaded against is exempt so an over-budget store
+    // still serves the request that grew it.
     std::uint64_t oldest = ~std::uint64_t{0};
-    for (const DesignShard& shard : designs_) {
-      std::shared_lock lock(shard.mutex);
-      for (const auto& [id, entry] : shard.map) {
-        if (id == keep_design_id) continue;
-        const std::uint64_t used =
-            entry->last_used.load(std::memory_order_relaxed);
-        if (used < oldest) {
-          oldest = used;
-          found = true;
-          victim_is_design = true;
-          victim_design = id;
-        }
+    auto victim = designs_.end();
+    ScheduleMap::iterator victim_sched;  // victim's schedules.end(): the design
+    const auto consider = [&](std::uint64_t used, DesignMap::iterator d,
+                              ScheduleMap::iterator s) {
+      if (used >= oldest) return;
+      oldest = used;
+      victim = d;
+      victim_sched = s;
+    };
+    for (auto d = designs_.begin(); d != designs_.end(); ++d) {
+      ScheduleMap& scheds = d->second.schedules;
+      if (d->first != keep_design_id) {
+        consider(d->second.last_used, d, scheds.end());
+      }
+      for (auto s = scheds.begin(); s != scheds.end(); ++s) {
+        consider(s->second.last_used, d, s);
       }
     }
-    for (std::size_t s = 0; s < kShards; ++s) {
-      const ScheduleShard& shard = schedules_[s];
-      std::shared_lock lock(shard.mutex);
-      for (const auto& [key, entry] : shard.map) {
-        const std::uint64_t used =
-            entry->last_used.load(std::memory_order_relaxed);
-        if (used < oldest) {
-          oldest = used;
-          found = true;
-          victim_is_design = false;
-          victim_key = key;
-          victim_shard = s;
-        }
-      }
-    }
-    if (!found) break;  // only the protected design remains
-    if (victim_is_design) {
-      evict_design_locked_free(victim_design);
+    if (victim == designs_.end()) break;  // only the protected design remains
+    if (victim_sched == victim->second.schedules.end()) {
+      unlink_design(victim, dead);
     } else {
-      ScheduleShard& shard = schedules_[victim_shard];
-      std::unique_lock lock(shard.mutex);
-      const auto it = shard.map.find(victim_key);
-      if (it != shard.map.end()) {
-        resident_bytes_.fetch_sub(it->second->schedule->text_bytes,
-                                  std::memory_order_relaxed);
-        shard.map.erase(it);
-        evictions_.fetch_add(1, std::memory_order_relaxed);
-        LWM_COUNT("serve/store_evictions", 1);
-      }
+      retire(victim_sched->second.ptr, dead);
+      victim->second.schedules.erase(victim_sched);
     }
   }
 }
 
 DesignStoreStats DesignStore::stats() const {
-  DesignStoreStats s;
-  for (const DesignShard& shard : designs_) {
-    std::shared_lock lock(shard.mutex);
-    s.designs += shard.map.size();
-  }
-  for (const ScheduleShard& shard : schedules_) {
-    std::shared_lock lock(shard.mutex);
-    s.schedules += shard.map.size();
-  }
-  s.resident_bytes = resident_bytes_.load(std::memory_order_relaxed);
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.evictions = evictions_.load(std::memory_order_relaxed);
+  std::lock_guard lock(mutex_);
+  DesignStoreStats s = counts_;
+  s.designs = designs_.size();
+  for (const auto& [id, d] : designs_) s.schedules += d.schedules.size();
   return s;
 }
 

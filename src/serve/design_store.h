@@ -23,19 +23,19 @@
 //     A request holding the pointer keeps the design alive until it
 //     finishes — there is no use-after-evict by construction.
 //
-// Schedules are resident too (keyed by design id + schedule text hash):
-// a detect request against a resident (design, schedule) pair carries
-// only ids and records, no re-parse.  Invariants are documented in
-// DESIGN.md §11.
+// Schedules are resident too, each in its design's entry keyed by the
+// schedule text hash: a detect request against a resident (design,
+// schedule) pair carries only ids and records, no re-parse, and a
+// schedule id resolves only under the design it was parsed against.
+// Invariants are documented in DESIGN.md §11.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "cdfg/graph.h"
 #include "io/parse_result.h"
@@ -90,9 +90,11 @@ struct StoredSchedule {
 
 struct DesignStoreOptions {
   /// Soft cap on resident bytes (text-size proxy).  When an insert puts
-  /// the store over, least-recently-used entries are evicted until the
-  /// budget holds again — except the entry just inserted, which always
-  /// stays (otherwise a single over-budget design would thrash forever).
+  /// the store over, least-recently-used entries (designs with their
+  /// schedules, or single schedules) are evicted until the budget holds
+  /// again — except the design just inserted or loaded against, which
+  /// always stays (otherwise a single over-budget design would thrash
+  /// forever).
   std::size_t max_resident_bytes = std::size_t{256} << 20;
 };
 
@@ -105,28 +107,33 @@ struct DesignStoreStats {
   std::uint64_t evictions = 0;
 };
 
-/// Sharded read-mostly map: lookups take one shard's shared lock;
-/// inserts parse and build *outside* any lock and only then take the
-/// exclusive lock (an insert race is resolved first-wins, preserving
-/// the same-bytes ⇒ same-instance guarantee).
+/// One map under one mutex: each design entry owns its schedules, so a
+/// schedule resolves only through its own design and leaves with it.
+/// Lookups are O(1) probes under the lock; inserts parse and build
+/// *outside* it and only then insert (an insert race is resolved
+/// first-wins, preserving the same-bytes ⇒ same-instance guarantee).
 class DesignStore {
  public:
-  explicit DesignStore(DesignStoreOptions opts = {});
+  explicit DesignStore(DesignStoreOptions opts = {}) : opts_(opts) {}
 
   /// Parses `text` through the trust-boundary core and makes the design
   /// resident.  Malformed text, cyclic precedence, and every other
   /// construction failure come back as a located Diagnostic (never an
   /// exception).  If the same bytes are already resident the existing
-  /// instance is returned (a hit) without re-parsing.
+  /// instance is returned (a hit) without re-parsing; `was_resident`,
+  /// when given, says which of the two happened.
   [[nodiscard]] io::ParseResult<std::shared_ptr<const StoredDesign>> load_design(
-      std::string_view text, std::string_view source_name = "<design>");
+      std::string_view text, std::string_view source_name = "<design>",
+      bool* was_resident = nullptr);
 
   /// nullptr when not resident.
   [[nodiscard]] std::shared_ptr<const StoredDesign> find_design(
       std::uint64_t id) const;
 
-  /// Parses a schedule against `design` and makes it resident under
-  /// (design->id, content_hash(text)).
+  /// Parses a schedule against `design` and makes it resident under that
+  /// design's entry, keyed by content_hash(text).  When `design` is no
+  /// longer resident (evicted while the text parsed) the parse is
+  /// returned and nothing becomes resident.
   [[nodiscard]] io::ParseResult<std::shared_ptr<const StoredSchedule>>
   load_schedule(const std::shared_ptr<const StoredDesign>& design,
                 std::string_view text,
@@ -142,59 +149,40 @@ class DesignStore {
   [[nodiscard]] DesignStoreStats stats() const;
 
  private:
-  static constexpr std::size_t kShards = 16;
+  template <class T>
+  struct Entry {
+    std::shared_ptr<const T> ptr;
+    mutable std::uint64_t last_used = 0;  ///< LRU tick
+  };
+  using ScheduleMap = std::unordered_map<std::uint64_t, Entry<StoredSchedule>>;
+  struct DesignEntry : Entry<StoredDesign> {
+    ScheduleMap schedules;  ///< keyed by schedule text hash
+  };
+  using DesignMap = std::unordered_map<std::uint64_t, DesignEntry>;
+  /// Entries unlinked under mutex_.  Declared before the lock guard, so
+  /// they are destroyed after it is released: no lookup waits on a
+  /// large graph's destructor.
+  using Graveyard = std::vector<std::shared_ptr<const void>>;
 
-  struct DesignEntry {
-    std::shared_ptr<const StoredDesign> design;
-    mutable std::atomic<std::uint64_t> last_used{0};
-  };
-  struct ScheduleEntry {
-    std::shared_ptr<const StoredSchedule> schedule;
-    mutable std::atomic<std::uint64_t> last_used{0};
-  };
-  struct DesignShard {
-    mutable std::shared_mutex mutex;
-    std::unordered_map<std::uint64_t, std::shared_ptr<DesignEntry>> map;
-  };
-  struct ScheduleShard {
-    mutable std::shared_mutex mutex;
-    std::unordered_map<std::uint64_t, std::shared_ptr<ScheduleEntry>> map;
-  };
-
-  [[nodiscard]] static std::size_t shard_of(std::uint64_t id) noexcept {
-    // Mix before masking: content hashes are well distributed, but ids
-    // arriving from a client are attacker-chosen bytes.
-    return static_cast<std::size_t>((id ^ (id >> 32)) * 0x9E3779B97F4A7C15ull
-                                    >> 60) % kShards;
-  }
-  /// Mixes the pair into one map key.  A client that knows a resident
-  /// pair can forge another pair with the same key (the multiplier is
-  /// odd, so it inverts mod 2^64); every lookup therefore accepts an
-  /// entry only when holds() confirms both ids.
-  [[nodiscard]] static std::uint64_t schedule_key(std::uint64_t design_id,
-                                                 std::uint64_t sched_id) noexcept {
-    return design_id ^ (sched_id * 0x9E3779B97F4A7C15ull + 0x632BE59BD9B4E019ull);
-  }
-  [[nodiscard]] static bool holds(const StoredSchedule& s,
-                                  std::uint64_t design_id,
-                                  std::uint64_t sched_id) noexcept {
-    return s.design->id == design_id && s.id == sched_id;
-  }
-  [[nodiscard]] std::uint64_t tick() const noexcept {
-    return clock_.fetch_add(1, std::memory_order_relaxed) + 1;
-  }
-  bool evict_design_locked_free(std::uint64_t id);
-  void enforce_budget(std::uint64_t keep_design_id);
+  // Every private member function requires mutex_ held.
+  template <class T>
+  std::shared_ptr<const T> hit(const Entry<T>& e) const;
+  template <class T>
+  std::shared_ptr<const T> lookup(const Entry<T>* e) const;
+  template <class T>
+  void admit(Entry<T>& e, std::shared_ptr<const T> p,
+             std::uint64_t keep_design_id, Graveyard& dead);
+  template <class T>
+  void retire(std::shared_ptr<const T>& p, Graveyard& dead);
+  void unlink_design(DesignMap::iterator it, Graveyard& dead);
+  void enforce_budget(std::uint64_t keep_design_id, Graveyard& dead);
 
   DesignStoreOptions opts_;
-  DesignShard designs_[kShards];
-  ScheduleShard schedules_[kShards];
-  mutable std::atomic<std::uint64_t> clock_{0};
-  std::atomic<std::size_t> resident_bytes_{0};
-  mutable std::atomic<std::uint64_t> hits_{0};
-  mutable std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> evictions_{0};
-  std::mutex evict_mutex_;  ///< serializes budget enforcement
+  mutable std::mutex mutex_;
+  DesignMap designs_;
+  mutable std::uint64_t clock_ = 0;
+  /// Bytes and traffic; stats() counts designs and schedules on demand.
+  mutable DesignStoreStats counts_;
 };
 
 }  // namespace lwm::serve

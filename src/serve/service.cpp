@@ -163,14 +163,10 @@ Frame Service::handle_load_design(const Frame& request) {
   const std::string_view text = r.get_str();
   if (!r.complete()) return payload_error(request.type, r);
 
-  const std::uint64_t id = content_hash(text);
-  std::shared_ptr<const StoredDesign> design = store_.find_design(id);
-  const bool already = design != nullptr;
-  if (!design) {
-    auto loaded = store_.load_design(text, "<design>");
-    if (!loaded.ok()) return error_frame(kErrParse, loaded.diag());
-    design = std::move(loaded).value();
-  }
+  bool already = false;
+  auto loaded = store_.load_design(text, "<design>", &already);
+  if (!loaded.ok()) return error_frame(kErrParse, loaded.diag());
+  const std::shared_ptr<const StoredDesign> design = std::move(loaded).value();
 
   PayloadWriter w;
   w.put_u64(design->id);

@@ -11,8 +11,8 @@
 // artifact, missing design, out-of-bounds parameter, unexpected
 // exception — becomes a kError frame carrying an ErrorCode plus the
 // same io::Diagnostic shape the text parsers emit.  handle() is safe to
-// call from many threads at once (the store is sharded; everything else
-// per-request).
+// call from many threads at once (the store holds its one mutex only to
+// probe and link entries, never to parse; everything else is per-request).
 #pragma once
 
 #include <cstdint>

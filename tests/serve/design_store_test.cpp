@@ -4,6 +4,7 @@
 // LRU budget that always keeps the just-inserted design.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <random>
 #include <string>
@@ -14,6 +15,7 @@
 #include "cdfg/serialize.h"
 #include "dfglib/synth.h"
 #include "forged_schedule_id.h"
+#include "obs/obs.h"
 #include "sched/schedule_io.h"
 #include "serve/design_store.h"
 
@@ -29,6 +31,18 @@ constexpr std::string_view kTinyDesign =
     "edge in1 a\n"
     "edge a m\n"
     "edge m out1\n";
+
+constexpr std::string_view kTinySchedule =
+    "schedule tiny\nat in1 0\nat a 1\nat m 2\nat out1 5\n";
+
+/// kTinyDesign under another graph name: different bytes (so a different
+/// design id), same nodes (so kTinySchedule parses against it).
+std::string tiny_variant(int i) {
+  std::string text(kTinyDesign);
+  text.replace(0, std::string_view("cdfg tiny").size(),
+               "cdfg tiny" + std::to_string(i));
+  return text;
+}
 
 std::string design_text(int seed, int ops = 120) {
   dfglib::MegaConfig cfg;
@@ -189,6 +203,73 @@ TEST(DesignStoreTest, EvictDropsDesignAndItsSchedules) {
   EXPECT_EQ(store.stats().resident_bytes, 0u);
 }
 
+TEST(DesignStoreTest, ScheduleForEvictedDesignIsNeverResident) {
+  // A load_schedule that lost a race with evict_design: the caller still
+  // holds the design, but the store no longer does, so the schedule must
+  // not become resident (it would pin the design's graph and plan while
+  // the budget no longer counts them).
+  DesignStore store;
+  auto d = store.load_design(kTinyDesign);
+  ASSERT_TRUE(d.ok());
+  const std::shared_ptr<const StoredDesign> held = d.value();
+  ASSERT_TRUE(store.evict_design(held->id));
+  auto s = store.load_schedule(held, kTinySchedule);
+  ASSERT_TRUE(s.ok());  // the parse still answers the request
+  EXPECT_EQ(s.value()->design.get(), held.get());
+  const DesignStoreStats st = store.stats();
+  EXPECT_EQ(st.designs, 0u);
+  EXPECT_EQ(st.schedules, 0u);
+  EXPECT_EQ(st.resident_bytes, 0u);
+  EXPECT_EQ(store.find_schedule(held->id, s.value()->id), nullptr);
+}
+
+TEST(DesignStoreTest, OneScheduleTextUnderTwoDesignsIsTwoEntries) {
+  DesignStore store;
+  auto a = store.load_design(kTinyDesign);
+  auto b = store.load_design(tiny_variant(2));
+  ASSERT_TRUE(a.ok() && b.ok());
+  const std::uint64_t da = a.value()->id, db = b.value()->id;
+  ASSERT_NE(da, db);
+  auto sa = store.load_schedule(a.value(), kTinySchedule);
+  ASSERT_TRUE(sa.ok());
+  // Only A loaded the text: B does not resolve it.
+  EXPECT_EQ(store.find_schedule(db, sa.value()->id), nullptr);
+
+  auto sb = store.load_schedule(b.value(), kTinySchedule);
+  ASSERT_TRUE(sb.ok());
+  EXPECT_EQ(sa.value()->id, sb.value()->id);  // same text, same id
+  EXPECT_NE(sa.value().get(), sb.value().get());
+  EXPECT_EQ(sb.value()->design.get(), b.value().get());
+  EXPECT_EQ(store.stats().schedules, 2u);
+
+  // Evicting A takes only A's entry; B's stays findable.
+  ASSERT_TRUE(store.evict_design(da));
+  EXPECT_EQ(store.find_schedule(da, sa.value()->id), nullptr);
+  EXPECT_EQ(store.find_schedule(db, sb.value()->id).get(), sb.value().get());
+  const DesignStoreStats st = store.stats();
+  EXPECT_EQ(st.designs, 1u);
+  EXPECT_EQ(st.schedules, 1u);
+  EXPECT_EQ(st.resident_bytes,
+            tiny_variant(2).size() + kTinySchedule.size());
+}
+
+TEST(DesignStoreTest, ColdLoadRecordsOneBuildSpan) {
+#if LWM_OBS_ENABLED
+  obs::SpanSite& build =
+      obs::Registry::instance().span_site("serve/store_build");
+  DesignStore store;
+  const std::string text = design_text(5);
+  std::uint64_t before = build.count();
+  ASSERT_TRUE(store.load_design(text).ok());
+  EXPECT_EQ(build.count() - before, 1u);
+  before = build.count();
+  ASSERT_TRUE(store.load_design(text).ok());  // warm: no build
+  EXPECT_EQ(build.count() - before, 0u);
+#else
+  GTEST_SKIP() << "span counting needs LWM_OBS=ON";
+#endif
+}
+
 TEST(DesignStoreTest, EvictionNeverInvalidatesInFlightReaders) {
   DesignStore store;
   auto d = store.load_design(design_text(4));
@@ -316,6 +397,99 @@ TEST(DesignStoreTest, EvictionAccountingSurvivesConcurrentChurn) {
   // by the budget): misses counts the true inserts, so the books balance.
   EXPECT_EQ(s.misses, recount_designs + s.evictions);
   EXPECT_EQ(store.find_design(content_hash(rejected)), nullptr);
+}
+
+TEST(DesignStoreTest, ScheduleAccountingSurvivesConcurrentChurn) {
+  // The churn property with schedules in the mix: threads load designs,
+  // load and find schedules against them, and evict designs, under a
+  // budget tight enough that designs and single schedules are both LRU
+  // victims.  Afterwards resident_bytes must equal the recount over
+  // every design and schedule still findable, every found schedule must
+  // belong to the design it was asked under, and the books must balance.
+  std::vector<std::string> designs;
+  for (int s = 0; s < 3; ++s) designs.push_back(design_text(300 + s));
+  const std::size_t first_tiny = designs.size();
+  for (int i = 0; i < 4; ++i) designs.push_back(tiny_variant(i));
+  std::vector<std::string> schedules;
+  for (int v = 0; v < 4; ++v) {
+    schedules.push_back("# variant " + std::to_string(v) + "\n" +
+                        std::string(kTinySchedule));
+  }
+
+  DesignStoreOptions opts;
+  opts.max_resident_bytes = designs[0].size() * 2;
+  DesignStore store(opts);
+
+  constexpr int kThreads = 8;
+  constexpr int kIters = 96;
+  std::atomic<std::uint64_t> lookup_misses{0};
+  std::vector<std::thread> workers;
+  workers.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      std::minstd_rand rng(static_cast<unsigned>(31 * t + 7));
+      for (int i = 0; i < kIters; ++i) {
+        const std::string& tiny =
+            designs[first_tiny + rng() % (designs.size() - first_tiny)];
+        const std::string& sched = schedules[rng() % schedules.size()];
+        switch (rng() % 4) {
+          case 0: {
+            const std::string& text = designs[rng() % designs.size()];
+            ASSERT_TRUE(store.load_design(text).ok());
+            break;
+          }
+          case 1: {
+            auto d = store.load_design(tiny);
+            ASSERT_TRUE(d.ok());
+            auto s = store.load_schedule(d.value(), sched);
+            ASSERT_TRUE(s.ok());
+            EXPECT_EQ(s.value()->design->id, d.value()->id);
+            break;
+          }
+          case 2: {
+            const auto s =
+                store.find_schedule(content_hash(tiny), content_hash(sched));
+            if (!s) {
+              lookup_misses.fetch_add(1, std::memory_order_relaxed);
+            } else {
+              EXPECT_EQ(s->design->id, content_hash(tiny));
+              EXPECT_EQ(s->id, content_hash(sched));
+            }
+            break;
+          }
+          default:
+            (void)store.evict_design(
+                content_hash(designs[rng() % designs.size()]));
+        }
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+
+  const DesignStoreStats s = store.stats();
+  std::size_t recount_bytes = 0;
+  std::size_t recount_designs = 0;
+  std::size_t recount_schedules = 0;
+  for (const std::string& text : designs) {
+    const auto d = store.find_design(content_hash(text));
+    if (!d) continue;
+    recount_bytes += d->text_bytes;
+    ++recount_designs;
+    for (const std::string& sched : schedules) {
+      if (const auto r = store.find_schedule(d->id, content_hash(sched))) {
+        recount_bytes += r->text_bytes;
+        ++recount_schedules;
+      }
+    }
+  }
+  EXPECT_EQ(s.designs, recount_designs);
+  EXPECT_EQ(s.schedules, recount_schedules);
+  EXPECT_EQ(s.resident_bytes, recount_bytes);
+  EXPECT_GT(s.evictions, 0u) << "the budget must have tripped";
+  // misses = inserts + lookups that found nothing; every insert is still
+  // resident or was evicted.
+  EXPECT_EQ(s.misses, recount_designs + recount_schedules + s.evictions +
+                          lookup_misses.load());
 }
 
 TEST(DesignStoreTest, ConcurrentSameBytesConvergeToOneInstance) {

@@ -1,11 +1,13 @@
 // forged_schedule_id.h — the schedule id a hostile client would send to
 // alias another design's resident schedule.
 //
-// DesignStore keys a schedule by key(d, s) = d ^ (s·K + C) with K odd,
-// so s ↦ s·K is a bijection mod 2^64 and, given a resident pair
-// (design_a, sched_a), every other design id has exactly one schedule
-// id that lands on the same key.  The constants mirror
-// DesignStore::schedule_key.
+// The forgery targets a store that keeps every schedule in one map under
+// the mixed key key(d, s) = d ^ (s·K + C) with K odd: s ↦ s·K is a
+// bijection mod 2^64, so given a resident pair (design_a, sched_a),
+// every other design id has exactly one schedule id that lands on the
+// same key.  DesignStore nests each schedule under its own design, so
+// the regression tests built on this helper pin that no forged id
+// resolves.
 #pragma once
 
 #include <cstdint>

@@ -171,6 +171,23 @@ TEST(ServiceTest, LoadDesignReportsShapeAndResidency) {
   EXPECT_EQ(r2.get_u8(), 1);  // already resident
 }
 
+TEST(ServiceTest, ColdLoadCountsOneStoreMiss) {
+  // One load request is one store lookup: a cold load is one miss (the
+  // insert), a warm one a hit, and neither probes the store twice.
+  Service service;
+  const std::string text = fixture_text();
+  ASSERT_EQ(service.handle(load_design_frame(text)).type,
+            MsgType::kDesignLoaded);
+  DesignStoreStats s = service.store().stats();
+  EXPECT_EQ(s.hits, 0u);
+  EXPECT_EQ(s.misses, 1u);
+  ASSERT_EQ(service.handle(load_design_frame(text)).type,
+            MsgType::kDesignLoaded);
+  s = service.store().stats();
+  EXPECT_EQ(s.hits, 1u);
+  EXPECT_EQ(s.misses, 1u);
+}
+
 TEST(ServiceTest, LoadDesignParseErrorCarriesLocation) {
   Service service;
   const Frame r = service.handle(load_design_frame("cdfg x\nnode ??\n"));
