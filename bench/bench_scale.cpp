@@ -11,8 +11,10 @@
 //     against all records (root prefilter + shared carve per root);
 //   * streaming parse — cdfg::parse_cdfg over an istream of the
 //     serialized text, the path that carries >16 MiB graph files;
-//   * P_c — sched_pc_poisson over all embedded marks (the large-design
-//     estimator sched_pc_auto dispatches to at this scale).
+//   * P_c — sched_pc_auto over all embedded marks, the figure the
+//     serve embed and pc requests report: the Poisson model above 2048
+//     nodes, exact enumeration (bounded per mark, Poisson on saturation)
+//     at or below it, so only the 1k design takes the exact path.
 // The suspect schedule is the ASAP schedule of the watermarked graph
 // over all edges (temporal included), so every embedded constraint holds
 // and detection must recover every record.
@@ -159,7 +161,7 @@ int main(int argc, char** argv) {
       return 1;
     }
 
-    row.pc_log10 = wm::sched_pc_poisson(g, marks).log10_pc;
+    row.pc_log10 = wm::sched_pc_auto(g, marks).log10_pc;
     rows.push_back(row);
   }
 

@@ -23,6 +23,7 @@
 #include "cdfg/stats.h"
 #include "dfglib/synth.h"
 #include "sched/list_sched.h"
+#include "sched/modulo.h"
 #include "sched/schedule_io.h"
 #include "wm/detector.h"
 #include "wm/pc.h"
@@ -114,7 +115,10 @@ int cmd_embed(int argc, char** argv) {
     archive.sched.push_back(wm::SchedRecord::from(m, g));
   }
   const sched::Schedule s = sched::list_schedule(g);
-  const double pc = wm::sched_pc_window_model(g, marks).log10_pc;
+  // The P_c an lwm-serve embed reports: a marked graph counts periodic
+  // schedules at its recurrence-minimum II.
+  const int ii = g.has_token_edges() ? sched::recurrence_min_ii(g) : 0;
+  const double pc = wm::sched_pc_auto(g, marks, ii).log10_pc;
   g.strip_temporal_edges();
 
   spit(prefix + ".cdfg", cdfg::to_text(g));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -16,7 +17,6 @@
 #include "sched/schedule_io.h"
 #include "wm/detector.h"
 #include "wm/pc.h"
-#include "wm/periodic.h"
 #include "wm/records_io.h"
 #include "wm/sched_constraints.h"
 
@@ -88,6 +88,50 @@ wm::SchedWmOptions wm_options(const WmParams& p) {
   o.k = static_cast<int>(p.k);
   o.epsilon = p.epsilon;
   return o;
+}
+
+/// A resident design marked on a copy, with the P_c of its marks.
+struct MarkedCopy {
+  cdfg::Graph marked;
+  std::vector<wm::SchedWatermark> marks;
+  wm::PcEstimate pc;
+};
+
+/// What embed and pc share: read and check the parameters, find the
+/// design, embed on a copy and estimate P_c through sched_pc_auto.
+/// Returns the error frame to answer with, or nullopt with `out` filled,
+/// so both request types report the same log10_pc bit for bit.
+std::optional<Frame> mark_copy(const Frame& request, DesignStore& store,
+                               const ServiceOptions& opts, MarkedCopy& out) {
+  PayloadReader r(request.payload);
+  WmParams p;
+  if (!read_wm_params(r, p)) return payload_error(request.type, r);
+  if (const char* bad = check_wm_params(p, opts)) {
+    return error_text(kErrTooLarge, bad);
+  }
+  const auto design = store.find_design(p.design_id);
+  if (!design) return error_text(kErrNotFound, "design not resident");
+  if (design->plan.ops.empty()) {
+    return error_text(kErrParse, "design has no executable operations");
+  }
+
+  // Embedding mutates; the resident graph is immutable, so mark a copy.
+  // Copying preserves NodeIds, which keeps the resident PlanContext
+  // valid for the copy (the overload's documented precondition).
+  out.marked = design->graph;
+  out.marks = wm::embed_local_watermarks_parallel(
+      out.marked, crypto::Signature("serve-client", p.key),
+      static_cast<int>(p.marks), wm_options(p), opts.pool, design->plan);
+
+  // Flat windows are the resident specification timing (temporal edges
+  // don't move them).  A marked graph's alternatives are periodic
+  // schedules, counted at its recurrence-minimum II: resources are
+  // unconstrained here, so RecMII is MinII, the interval an
+  // unconstrained flow would achieve.
+  const int ii =
+      out.marked.has_token_edges() ? sched::recurrence_min_ii(out.marked) : 0;
+  out.pc = wm::sched_pc_auto(out.marked, out.marks, ii, &design->plan.timing);
+  return std::nullopt;
 }
 
 }  // namespace
@@ -197,62 +241,34 @@ Frame Service::handle_load_schedule(const Frame& request) {
 }
 
 Frame Service::handle_embed(const Frame& request) {
-  PayloadReader r(request.payload);
-  WmParams p;
-  if (!read_wm_params(r, p)) return payload_error(request.type, r);
-  if (const char* bad = check_wm_params(p, opts_)) {
-    return error_text(kErrTooLarge, bad);
+  MarkedCopy mc;
+  if (auto error = mark_copy(request, store_, opts_, mc)) {
+    return std::move(*error);
   }
-  const auto design = store_.find_design(p.design_id);
-  if (!design) return error_text(kErrNotFound, "design not resident");
-  if (design->plan.ops.empty()) {
-    return error_text(kErrParse, "design has no executable operations");
-  }
-
-  // Embedding mutates; the resident graph is immutable, so mark a copy.
-  // Copying preserves NodeIds, which keeps the resident PlanContext
-  // valid for the copy (the overload's documented precondition).
-  const crypto::Signature sig("serve-client", p.key);
-  const wm::SchedWmOptions wm_opts = wm_options(p);
-  cdfg::Graph marked = design->graph;
-  const std::vector<wm::SchedWatermark> marks =
-      wm::embed_local_watermarks_parallel(marked, sig,
-                                          static_cast<int>(p.marks), wm_opts,
-                                          opts_.pool, design->plan);
 
   wm::RecordArchive archive;
   std::uint32_t edges = 0;
-  for (const wm::SchedWatermark& m : marks) {
+  for (const wm::SchedWatermark& m : mc.marks) {
     edges += static_cast<std::uint32_t>(m.constraints.size());
-    archive.sched.push_back(wm::SchedRecord::from(m, marked));
+    archive.sched.push_back(wm::SchedRecord::from(m, mc.marked));
   }
 
   // The constraint-honoring witness schedule a marked flow would
   // produce, returned so a client can round-trip straight into detect.
   // Dispatched by design shape: a marked graph (loop-carried token
   // edges) needs the periodic scheduler; an acyclic design takes the
-  // "enumerate" witness, which is the ASAP schedule in closed form —
-  // wire bytes identical to the historical inline computation.  (The
-  // marked *graph* is not returned — after strip_temporal_edges it
+  // "enumerate" witness, which is the ASAP schedule in closed form.
+  // (The marked *graph* is not returned — after strip_temporal_edges it
   // equals the design the client already has.)
-  const bool periodic = marked.has_token_edges();
-  const sched::BackendResult br =
-      sched::schedule_with(periodic ? "modulo" : "enumerate", marked);
-
-  // P_c over the schedule space the flow actually drew from: flat
-  // windows for a DAG (the resident specification timing — temporal
-  // edges don't move them), modulo-II windows at the achieved interval
-  // for a marked graph.
-  const wm::PcEstimate pc =
-      periodic ? wm::sched_pc_periodic_poisson(marked, marks, br.ii)
-               : wm::sched_pc_window_model(marked, marks, &design->plan.timing);
+  const sched::BackendResult br = sched::schedule_with(
+      mc.marked.has_token_edges() ? "modulo" : "enumerate", mc.marked);
 
   PayloadWriter w;
-  w.put_u32(static_cast<std::uint32_t>(marks.size()));
+  w.put_u32(static_cast<std::uint32_t>(mc.marks.size()));
   w.put_u32(edges);
-  w.put_f64(pc.log10_pc);
+  w.put_f64(mc.pc.log10_pc);
   w.put_str(wm::to_text(archive));
-  w.put_str(sched::schedule_to_text(marked, br.schedule));
+  w.put_str(sched::schedule_to_text(mc.marked, br.schedule));
   return Frame{MsgType::kEmbedded, std::move(w).take()};
 }
 
@@ -302,44 +318,16 @@ Frame Service::handle_detect(const Frame& request) {
 }
 
 Frame Service::handle_pc(const Frame& request) {
-  PayloadReader r(request.payload);
-  WmParams p;
-  if (!read_wm_params(r, p)) return payload_error(request.type, r);
-  if (const char* bad = check_wm_params(p, opts_)) {
-    return error_text(kErrTooLarge, bad);
+  MarkedCopy mc;
+  if (auto error = mark_copy(request, store_, opts_, mc)) {
+    return std::move(*error);
   }
-  const auto design = store_.find_design(p.design_id);
-  if (!design) return error_text(kErrNotFound, "design not resident");
-  if (design->plan.ops.empty()) {
-    return error_text(kErrParse, "design has no executable operations");
-  }
-
-  const crypto::Signature sig("serve-client", p.key);
-  cdfg::Graph marked = design->graph;
-  const std::vector<wm::SchedWatermark> marks =
-      wm::embed_local_watermarks_parallel(marked, sig,
-                                          static_cast<int>(p.marks),
-                                          wm_options(p), opts_.pool,
-                                          design->plan);
-
-  // Per-mark size-dispatched estimate (exact psi enumeration on small
-  // designs, Poisson above the threshold); log-probabilities sum.  Flat
-  // windows are the resident specification timing; a marked graph's
-  // alternatives are periodic schedules, counted at its recurrence-
-  // minimum II (resources are unconstrained here, so RecMII is MinII —
-  // the interval an unconstrained flow would achieve).
-  wm::SchedPcAutoOptions auto_opts;
-  if (marked.has_token_edges()) {
-    auto_opts.ii = sched::recurrence_min_ii(marked);
-  }
-  const wm::PcEstimate pc =
-      wm::sched_pc_auto(marked, marks, auto_opts, &design->plan.timing);
 
   PayloadWriter w;
-  w.put_f64(pc.log10_pc);
-  w.put_u8(pc.exact ? 1 : 0);
-  w.put_u8(pc.degenerate ? 1 : 0);
-  w.put_u32(static_cast<std::uint32_t>(marks.size()));
+  w.put_f64(mc.pc.log10_pc);
+  w.put_u8(mc.pc.exact ? 1 : 0);
+  w.put_u8(mc.pc.degenerate ? 1 : 0);
+  w.put_u32(static_cast<std::uint32_t>(mc.marks.size()));
   return Frame{MsgType::kPcEstimated, std::move(w).take()};
 }
 

@@ -1,81 +1,54 @@
 #include "wm/pc.h"
 
 #include <algorithm>
+#include <climits>
 #include <cmath>
+#include <cstdint>
 #include <optional>
 #include <random>
 #include <stdexcept>
+#include <string>
 
 #include "cdfg/analysis.h"
 #include "exec/parallel.h"
 #include "exec/thread_pool.h"
 #include "obs/obs.h"
+#include "sched/enumerate.h"
 #include "tmatch/exact_cover.h"
-#include "wm/periodic.h"
 
 namespace lwm::wm {
 
+using cdfg::EdgeFilter;
+using cdfg::EdgeId;
 using cdfg::Graph;
 using cdfg::NodeId;
 
 namespace {
+
+// The policy of sched_pc_auto.  Above kPoissonNodeThreshold graph nodes
+// the exact path is skipped outright; 2048 keeps every design of the
+// original experiment suite (<= ~1.8k ops) on it while mega-designs go
+// straight to the closed form.  kExactLimit bounds each exact count, and
+// with it the work of one mark: counting stops there and the mark takes
+// the Poisson model.  At 1e6 a mark costs at most about 0.1 s on a
+// 1,957-node mega design where one unbounded count ran past a minute.
+constexpr std::size_t kPoissonNodeThreshold = 2048;
+constexpr std::uint64_t kExactLimit = 1'000'000;
 
 /// The caller's specification windows, or a fresh pass into `own`.
 const cdfg::TimingInfo& spec_windows(const Graph& g,
                                      const cdfg::TimingInfo* spec_timing,
                                      std::optional<cdfg::TimingInfo>& own) {
   if (spec_timing != nullptr) return *spec_timing;
-  own = cdfg::compute_timing(g, -1, cdfg::EdgeFilter::specification());
+  own = cdfg::compute_timing(g, -1, EdgeFilter::specification());
   return *own;
 }
 
-}  // namespace
-
-PcEstimate sched_pc_exact(const Graph& g, const SchedWatermark& wm,
-                          const sched::EnumerationOptions& opts,
-                          const cdfg::TimingInfo* spec_timing) {
-  LWM_SPAN("wm/pc_exact");
-  LWM_COUNT("wm/psi_evals", 2);  // denominator + numerator enumeration
-  // Enumerate over the executable members of the carved subtree.
-  std::vector<NodeId> subset;
-  for (const NodeId n : wm.subtree) {
-    if (cdfg::is_executable(g.node(n).kind)) subset.push_back(n);
-  }
-  std::vector<sched::ExtraPrecedence> extra;
-  for (const TemporalConstraint& c : wm.constraints) {
-    extra.push_back(sched::ExtraPrecedence{c.src, c.dst});
-  }
-  sched::EnumerationOptions eopts = opts;
-  eopts.filter = cdfg::EdgeFilter::specification();
-  // count_schedules' default bound is the specification critical path —
-  // exactly what resident windows already carry.
-  if (spec_timing != nullptr && eopts.latency < 0) {
-    eopts.latency = spec_timing->critical_path;
-  }
-
-  const sched::EnumerationResult denom =
-      sched::count_schedules(g, subset, {}, eopts);
-  const sched::EnumerationResult numer =
-      sched::count_schedules(g, subset, extra, eopts);
-
-  if (denom.saturated || numer.saturated || denom.count == 0) {
-    // Too large to enumerate — approximate instead.
-    const SchedWatermark marks[] = {wm};
-    return sched_pc_window_model(g, marks, spec_timing);
-  }
-  PcEstimate est;
-  est.exact = true;
-  if (numer.count == 0) {
-    est.degenerate = true;
-    // Zero coincidence within the bound; report a floor instead of -inf.
-    est.log10_pc = -std::log10(static_cast<double>(denom.count)) - 1.0;
-  } else {
-    est.log10_pc = std::log10(static_cast<double>(numer.count)) -
-                   std::log10(static_cast<double>(denom.count));
-  }
-  return est;
-}
-
+/// Window-model order probability of one temporal edge: independent
+/// uniform starts in the two [asap, alap] windows, src finishing at or
+/// before dst starts.  Closed form, O(1): the favorable-draw count is a
+/// clipped arithmetic series over src's window, evaluated exactly in
+/// integers — bit-identical to the per-step summation at any window size.
 double edge_order_probability(const cdfg::TimingInfo& timing, const Graph& g,
                               NodeId src, NodeId dst) {
   const int la = timing.asap[src.value];
@@ -88,7 +61,6 @@ double edge_order_probability(const cdfg::TimingInfo& timing, const Graph& g,
   // Favorable (ta, tb) pairs: tb >= ta + da.  As a function of ta this
   // is a clipped ramp — the full dst window while ta + da <= lb, then an
   // arithmetic ramp down to zero — so the sum collapses to two terms.
-  // Integer arithmetic throughout: bit-identical to the per-step loop.
   long long favorable = 0;
   // Saturated region: ta in [la, min(ha, lb - da)] sees the whole window.
   const long long flat_hi = std::min<long long>(ha, static_cast<long long>(lb) - da);
@@ -107,6 +79,294 @@ double edge_order_probability(const cdfg::TimingInfo& timing, const Graph& g,
   }
   return static_cast<double>(favorable) / static_cast<double>(total);
 }
+
+/// Poisson model of one mark over `windows` (flat or periodic): lambda =
+/// sum (1 - p_i) over its temporal edges, P_c = e^-lambda.
+PcEstimate poisson_model(const Graph& g, const SchedWatermark& wm,
+                         const cdfg::TimingInfo& windows) {
+  LWM_SPAN("wm/pc_poisson");
+  LWM_COUNT("wm/pc_auto_poisson", 1);
+  PcEstimate est;
+  double lambda = 0.0;
+  for (const TemporalConstraint& c : wm.constraints) {
+    const double p = edge_order_probability(windows, g, c.src, c.dst);
+    if (p <= 0.0) {
+      // Unsatisfiable by a free schedule: a full expected violation.
+      est.degenerate = true;
+      lambda += 1.0;
+      continue;
+    }
+    lambda += 1.0 - p;
+  }
+  est.log10_pc = -lambda / std::log(10.0);
+  return est;
+}
+
+/// The exact estimate psi_w / psi_n; a zero numerator is zero
+/// coincidence within the bound, reported as a floor one decade below
+/// 1/psi_n instead of -inf.
+PcEstimate exact_ratio(std::uint64_t psi_w, std::uint64_t psi_n) {
+  PcEstimate est;
+  est.exact = true;
+  if (psi_w == 0) {
+    est.degenerate = true;
+    est.log10_pc = -std::log10(static_cast<double>(psi_n)) - 1.0;
+  } else {
+    est.log10_pc = std::log10(static_cast<double>(psi_w)) -
+                   std::log10(static_cast<double>(psi_n));
+  }
+  return est;
+}
+
+/// The node set both exact counters enumerate: the executable members of
+/// the mark's carved subtree.
+std::vector<NodeId> executable_subtree(const Graph& g,
+                                       const SchedWatermark& wm) {
+  std::vector<NodeId> subset;
+  for (const NodeId n : wm.subtree) {
+    if (cdfg::is_executable(g.node(n).kind)) subset.push_back(n);
+  }
+  return subset;
+}
+
+/// Exact flat P_c of one mark, or nullopt when psi_n reaches kExactLimit
+/// or is empty.  The enumeration's latency bound is the specification
+/// critical path, read from `spec`.  psi_w counts a subset of psi_n's
+/// space, so it is enumerated only once psi_n is known to fit.
+std::optional<PcEstimate> flat_exact(const Graph& g, const SchedWatermark& wm,
+                                     const cdfg::TimingInfo& spec) {
+  const std::vector<NodeId> subset = executable_subtree(g, wm);
+  sched::EnumerationOptions eopts;
+  eopts.limit = kExactLimit;
+  eopts.latency = spec.critical_path;
+  LWM_COUNT("wm/psi_evals", 1);
+  const sched::EnumerationResult denom =
+      sched::count_schedules(g, subset, {}, eopts);
+  if (denom.saturated || denom.count == 0) return std::nullopt;
+  std::vector<sched::ExtraPrecedence> extra;
+  for (const TemporalConstraint& c : wm.constraints) {
+    extra.push_back(sched::ExtraPrecedence{c.src, c.dst});
+  }
+  LWM_COUNT("wm/psi_evals", 1);
+  const sched::EnumerationResult numer =
+      sched::count_schedules(g, subset, extra, eopts);
+  if (numer.saturated) return std::nullopt;
+  return exact_ratio(numer.count, denom.count);
+}
+
+// ---- Periodic schedule space ----------------------------------------------
+//
+// A marked graph scheduled at initiation interval II admits many periodic
+// schedules, as a DAG admits many flat ones.  An embedded temporal edge
+// src -> dst constrains the flat (iteration-0) start offsets, start(dst)
+// >= start(src) + delay(src), which every iteration repeats at + i * II;
+// sched::modulo_schedule honors temporal edges in precisely this sense,
+// so the flat-start detector recovers periodic marks unchanged.  What
+// changes is the counting: windows and separations are token-weighted,
+// w(e) = delay(src) - II * tokens, possibly negative — a loop-carried
+// edge gives slack instead of taking it.
+
+/// The unwatermarked marked graph: specification edges plus loop-carried
+/// token edges, temporal (watermark) edges excluded as specification()
+/// excludes them in the flat counters.
+constexpr EdgeFilter kPeriodicCounting{true, true, false, true};
+
+// The periodic constraint start(dst) + II * tokens >= start(src) +
+// delay(src) rearranges to start(dst) >= start(src) + w.
+long long edge_weight(const Graph& g, const cdfg::Edge& ed, int ii) {
+  return static_cast<long long>(g.node(ed.src).delay) -
+         static_cast<long long>(ii) * ed.tokens;
+}
+
+constexpr long long kNegInf = LLONG_MIN / 4;
+
+/// Periodic start windows at interval `ii` as a TimingInfo: asap / alap
+/// are the earliest / latest flat starts within the minimum feasible flat
+/// makespan, which is both critical_path and latency.  Throws
+/// std::runtime_error when some token-weighted cycle has positive weight
+/// (`ii` below the recurrence bound).
+cdfg::TimingInfo periodic_windows(const Graph& g, int ii) {
+  LWM_COUNT("cdfg/timing_passes", 1);
+  const std::size_t cap = g.node_capacity();
+
+  // Earliest flat starts: fixed point of the token-weighted relaxation,
+  // floored at 0 (iteration-0 offsets are nonnegative).  A pass count
+  // beyond node_count still producing changes certifies a positive-
+  // weight cycle.
+  std::vector<long long> est(cap, 0);
+  const std::size_t passes = g.node_count() + 1;
+  bool changed = true;
+  for (std::size_t pass = 0; pass < passes && changed; ++pass) {
+    changed = false;
+    for (EdgeId e : g.edges()) {
+      const cdfg::Edge& ed = g.edge(e);
+      if (!kPeriodicCounting.accepts(ed)) continue;
+      const long long cand = est[ed.src.value] + edge_weight(g, ed, ii);
+      if (cand > est[ed.dst.value]) {
+        est[ed.dst.value] = cand;
+        changed = true;
+      }
+    }
+  }
+  if (changed) {
+    throw std::runtime_error(
+        "sched_pc_auto: no periodic schedule exists for '" + g.name() +
+        "' at II=" + std::to_string(ii) +
+        " (a token-weighted cycle has positive weight; raise II to the "
+        "recurrence bound)");
+  }
+
+  long long span = 0;
+  for (NodeId n : g.nodes()) {
+    if (!cdfg::is_executable(g.node(n).kind)) continue;
+    span = std::max(span, est[n.value] + g.node(n).delay);
+  }
+
+  // Latest flat starts within the span: backward fixed point, feasible
+  // because the earliest-start schedule itself fits.
+  std::vector<long long> lst(cap, 0);
+  for (NodeId n : g.nodes()) lst[n.value] = span - g.node(n).delay;
+  changed = true;
+  for (std::size_t pass = 0; pass < passes && changed; ++pass) {
+    changed = false;
+    for (EdgeId e : g.edges()) {
+      const cdfg::Edge& ed = g.edge(e);
+      if (!kPeriodicCounting.accepts(ed)) continue;
+      const long long cand = lst[ed.dst.value] - edge_weight(g, ed, ii);
+      if (cand < lst[ed.src.value]) {
+        lst[ed.src.value] = cand;
+        changed = true;
+      }
+    }
+  }
+
+  cdfg::TimingInfo t;
+  t.critical_path = t.latency = static_cast<int>(span);
+  t.asap.assign(cap, -1);
+  t.alap.assign(cap, -1);
+  for (NodeId n : g.nodes()) {
+    t.asap[n.value] = static_cast<int>(est[n.value]);
+    t.alap[n.value] = static_cast<int>(lst[n.value]);
+  }
+  return t;
+}
+
+// Longest token-weighted distance from `src` to every node, or kNegInf
+// when unconstrained.  Bellman-Ford over live edges; converges within
+// node_count passes because periodic_windows has already certified that
+// no positive-weight cycle exists at this II.
+std::vector<long long> longest_from(const Graph& g, NodeId src, int ii) {
+  std::vector<long long> dist(g.node_capacity(), kNegInf);
+  dist[src.value] = 0;
+  const std::size_t passes = g.node_count() + 1;
+  for (std::size_t pass = 0; pass < passes; ++pass) {
+    bool changed = false;
+    for (EdgeId e : g.edges()) {
+      const cdfg::Edge& ed = g.edge(e);
+      if (!kPeriodicCounting.accepts(ed)) continue;
+      if (dist[ed.src.value] == kNegInf) continue;
+      const long long cand = dist[ed.src.value] + edge_weight(g, ed, ii);
+      if (cand > dist[ed.dst.value]) {
+        dist[ed.dst.value] = cand;
+        changed = true;
+      }
+    }
+    if (!changed) break;
+  }
+  return dist;
+}
+
+/// Exact periodic P_c of one mark at `ii`, or nullopt when psi_n reaches
+/// kExactLimit or is empty.  psi_n counts flat starts of the subtree's
+/// executable members inside their periodic `windows` with every pairwise
+/// token-weighted separation honored; psi_w additionally satisfies every
+/// temporal constraint of the mark in the flat sense.
+std::optional<PcEstimate> periodic_exact(const Graph& g,
+                                         const SchedWatermark& wm, int ii,
+                                         const cdfg::TimingInfo& windows) {
+  LWM_SPAN("wm/periodic_psi");
+  const std::vector<NodeId> subset = executable_subtree(g, wm);
+  if (subset.empty()) return exact_ratio(1, 1);
+
+  // Pairwise token-weighted separation matrix over the subset: sep[i][j]
+  // is the minimum required start(j) - start(i), kNegInf when the graph
+  // leaves the pair free.  Paths through nodes outside the subset are
+  // captured here, so the DFS below needs only direct pairwise checks.
+  const std::size_t m = subset.size();
+  std::vector<std::vector<long long>> sep(m);
+  std::vector<std::size_t> index_of(g.node_capacity(), m);
+  for (std::size_t i = 0; i < m; ++i) index_of[subset[i].value] = i;
+  for (std::size_t i = 0; i < m; ++i) {
+    const std::vector<long long> dist = longest_from(g, subset[i], ii);
+    sep[i].resize(m, kNegInf);
+    for (std::size_t j = 0; j < m; ++j) {
+      if (j == i) continue;
+      sep[i][j] = dist[subset[j].value];
+    }
+  }
+
+  // The mark's temporal constraints as flat separations start(dst) >=
+  // start(src) + delay(src).  Constraints with an endpoint outside the
+  // subset are skipped (they can only shrink psi_w; skipping over-reports
+  // P_c, the safe direction).  Every member gets a start, so each hop of
+  // a chain is checked directly, with no transitive closure.
+  std::vector<std::vector<long long>> wsep = sep;
+  for (const TemporalConstraint& c : wm.constraints) {
+    const std::size_t i = index_of[c.src.value];
+    const std::size_t j = index_of[c.dst.value];
+    if (i >= m || j >= m || i == j) continue;
+    wsep[i][j] = std::max(wsep[i][j],
+                          static_cast<long long>(g.node(c.src).delay));
+  }
+
+  // Deterministic DFS order: by (earliest start, id).
+  std::vector<std::size_t> order(m);
+  for (std::size_t i = 0; i < m; ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    const int ea = windows.asap[subset[a].value];
+    const int eb = windows.asap[subset[b].value];
+    if (ea != eb) return ea < eb;
+    return subset[a] < subset[b];
+  });
+
+  std::vector<long long> start(m, 0);
+  // Counts assignments of flat starts to `order[pos..]` given the starts
+  // already fixed for order[0..pos); stops at kExactLimit.
+  auto count = [&](const std::vector<std::vector<long long>>& s,
+                   auto&& self, std::size_t pos,
+                   std::uint64_t acc) -> std::uint64_t {
+    if (pos == m) return acc + 1;
+    const std::size_t cur = order[pos];
+    const NodeId n = subset[cur];
+    long long lo = windows.asap[n.value];
+    long long hi = windows.alap[n.value];
+    for (std::size_t k = 0; k < pos; ++k) {
+      const std::size_t prev = order[k];
+      if (s[prev][cur] != kNegInf) {
+        lo = std::max(lo, start[prev] + s[prev][cur]);
+      }
+      if (s[cur][prev] != kNegInf) {
+        hi = std::min(hi, start[prev] - s[cur][prev]);
+      }
+    }
+    for (long long tstep = lo; tstep <= hi; ++tstep) {
+      start[cur] = tstep;
+      acc = self(s, self, pos + 1, acc);
+      if (acc >= kExactLimit) return acc;
+    }
+    return acc;
+  };
+
+  LWM_COUNT("wm/psi_evals", 1);
+  const std::uint64_t psi_n = count(sep, count, 0, 0);
+  if (psi_n >= kExactLimit || psi_n == 0) return std::nullopt;
+  LWM_COUNT("wm/psi_evals", 1);
+  const std::uint64_t psi_w = count(wsep, count, 0, 0);
+  if (psi_w >= kExactLimit) return std::nullopt;
+  return exact_ratio(psi_w, psi_n);
+}
+
+}  // namespace
 
 PcEstimate sched_pc_window_model(const Graph& g,
                                  std::span<const SchedWatermark> marks,
@@ -132,79 +392,34 @@ PcEstimate sched_pc_window_model(const Graph& g,
   return est;
 }
 
-PcEstimate sched_pc_poisson(const Graph& g,
-                            std::span<const SchedWatermark> marks,
-                            const cdfg::TimingInfo* spec_timing) {
-  LWM_SPAN("wm/pc_poisson");
-  std::optional<cdfg::TimingInfo> own;
-  const cdfg::TimingInfo& timing = spec_windows(g, spec_timing, own);
-  PcEstimate est;
-  est.exact = false;
-  double lambda = 0.0;
-  for (const SchedWatermark& wm : marks) {
-    for (const TemporalConstraint& c : wm.constraints) {
-      const double p = edge_order_probability(timing, g, c.src, c.dst);
-      if (p <= 0.0) {
-        // Unsatisfiable by a free schedule: a full expected violation.
-        est.degenerate = true;
-        lambda += 1.0;
-        continue;
-      }
-      lambda += 1.0 - p;
-    }
-  }
-  est.log10_pc = -lambda / std::log(10.0);
-  return est;
-}
-
 PcEstimate sched_pc_auto(const Graph& g, std::span<const SchedWatermark> marks,
-                         const SchedPcAutoOptions& opts,
-                         const cdfg::TimingInfo* spec_timing) {
+                         int ii, const cdfg::TimingInfo* spec_timing) {
   PcEstimate total;
   total.exact = !marks.empty();
   if (marks.empty()) return total;
-  const bool poisson = g.node_count() > opts.poisson_node_threshold;
-  const auto add = [&total](const PcEstimate& e) {
-    total.log10_pc += e.log10_pc;
-    total.exact = total.exact && e.exact;
-    total.degenerate = total.degenerate || e.degenerate;
-  };
-  if (opts.ii > 0) {
-    // Periodic schedule space: count modulo-II alternatives instead of
-    // flat ones (wm/periodic.h), every mark against the same windows.
-    const PeriodicTiming windows = compute_periodic_timing(
-        g, opts.ii, -1, periodic_counting_filter());
-    for (const SchedWatermark& wm : marks) {
-      if (poisson) {
-        LWM_COUNT("wm/pc_auto_periodic_poisson", 1);
-        const SchedWatermark one[] = {wm};
-        add(sched_pc_periodic_poisson(g, one, opts.ii, &windows));
-      } else {
-        LWM_COUNT("wm/pc_auto_periodic_exact", 1);
-        add(sched_pc_periodic(g, wm, opts.ii, opts.enumeration, &windows));
-      }
-    }
-    return total;
-  }
   std::optional<cdfg::TimingInfo> own;
-  const cdfg::TimingInfo& windows = spec_windows(g, spec_timing, own);
+  const cdfg::TimingInfo& windows =
+      ii > 0 ? own.emplace(periodic_windows(g, ii))
+             : spec_windows(g, spec_timing, own);
+  const bool try_exact = g.node_count() <= kPoissonNodeThreshold;
   for (const SchedWatermark& wm : marks) {
-    if (poisson) {
-      LWM_COUNT("wm/pc_auto_poisson", 1);
-      const SchedWatermark one[] = {wm};
-      add(sched_pc_poisson(g, one, &windows));
-    } else {
+    std::optional<PcEstimate> e;
+    if (try_exact) {
+      LWM_SPAN("wm/pc_exact");
       LWM_COUNT("wm/pc_auto_exact", 1);
-      add(sched_pc_exact(g, wm, opts.enumeration, &windows));
+      e = ii > 0 ? periodic_exact(g, wm, ii, windows)
+                 : flat_exact(g, wm, windows);
     }
+    if (!e) e = poisson_model(g, wm, windows);
+    total.log10_pc += e->log10_pc;
+    total.exact = total.exact && e->exact;
+    total.degenerate = total.degenerate || e->degenerate;
   }
   return total;
 }
 
-PcEstimate sched_pc_auto(const Graph& g, const SchedWatermark& wm,
-                         const SchedPcAutoOptions& opts) {
-  const SchedWatermark one[] = {wm};
-  return sched_pc_auto(g, one, opts);
+PcEstimate sched_pc_auto(const Graph& g, const SchedWatermark& wm, int ii) {
+  return sched_pc_auto(g, std::span<const SchedWatermark>(&wm, 1), ii);
 }
 
 PcEstimate sched_pc_sampled(const Graph& g,

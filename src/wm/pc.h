@@ -6,11 +6,9 @@
 //
 // Scheduling (paper §IV-A):  P_c ≈ Π_i psi_W(e_i)/psi_N(e_i).  For small
 // localities both counts come from exhaustive enumeration (the 15/166 of
-// the motivational example); at scale, per-edge ratios come from an
-// independence model over the operations' ASAP–ALAP windows (the paper
-// assumes Poisson-distributed window positions; we use the windows
-// themselves, uniform and independent — same spirit, fully determined by
-// the graph).
+// the motivational example); at scale, violations of the temporal
+// constraints are Poisson with rates from the operations' ASAP–ALAP
+// windows.  sched_pc_auto is the one dispatch between the two.
 //
 // Template matching (paper §IV-B):  P_c ≈ Π_{i=1..Z} Solutions(m_i)^{-1},
 // where Solutions(m) counts the distinct matchings covering m's nodes.
@@ -19,7 +17,6 @@
 #include <span>
 
 #include "cdfg/graph.h"
-#include "sched/enumerate.h"
 #include "tmatch/matcher.h"
 #include "tmatch/template_lib.h"
 #include "wm/sched_constraints.h"
@@ -39,29 +36,20 @@ struct PcEstimate {
 
 // Resident windows.  The flat estimators below read the specification
 // timing of `g` — compute_timing(g, -1, EdgeFilter::specification()) —
-// and each takes it as an optional trailing `spec_timing` argument.
-// When null they compute it themselves (one O(V+E) pass per call); when
-// given it must be the specification timing of a graph with the same
-// live nodes, NodeIds and delays as `g`.  Temporal edges may differ:
-// the specification filter ignores them, so the windows of a pristine
-// design serve every marked copy of it (serve::StoredDesign passes its
-// resident PlanContext::timing).  Results are bit-identical either way.
-
-/// Exact P_c of one scheduling watermark by exhaustive enumeration over
-/// the executable nodes of the carved subtree: schedules satisfying all
-/// constraints / all schedules.  Saturates at `opts.limit`; on saturation
-/// falls back to the window model (exact == false).  With `spec_timing`
-/// the enumeration's default latency bound (the critical path) and the
-/// fallback both read it instead of re-timing the graph.
-[[nodiscard]] PcEstimate sched_pc_exact(
-    const cdfg::Graph& g, const SchedWatermark& wm,
-    const sched::EnumerationOptions& opts = {},
-    const cdfg::TimingInfo* spec_timing = nullptr);
+// and sched_pc_window_model and the span sched_pc_auto take it as an
+// optional trailing `spec_timing` argument.  When null they compute it
+// themselves (one O(V+E) pass per call); when given it must be the
+// specification timing of a graph with the same live nodes, NodeIds and
+// delays as `g`.  Temporal edges may differ: the specification filter
+// ignores them, so the windows of a pristine design serve every marked
+// copy of it (serve::StoredDesign passes its resident
+// PlanContext::timing).  Results are bit-identical either way.
 
 /// Window-model P_c of a set of scheduling watermarks: per temporal edge
 /// e(src -> dst), the probability that independent uniform draws from the
 /// two [ASAP, ALAP] windows put src's finish at or before dst's start;
-/// log-probabilities sum over all edges of all watermarks.
+/// log-probabilities sum over all edges of all watermarks.  Table I's P_c
+/// column and the protocol report it.
 [[nodiscard]] PcEstimate sched_pc_window_model(
     const cdfg::Graph& g, std::span<const SchedWatermark> marks,
     const cdfg::TimingInfo* spec_timing = nullptr);
@@ -87,73 +75,47 @@ struct PcEstimate {
                                           int latency = -1,
                                           exec::ThreadPool* pool = nullptr);
 
-/// Poisson large-design model (the paper's own large-N approximation):
-/// the number of violated temporal constraints in a random schedule is
-/// treated as Poisson with mean lambda = sum_i (1 - p_i), where p_i is
-/// the window-model order probability of edge i, so P_c = P(0
-/// violations) = e^-lambda and log10_pc = -lambda / ln 10.  Compared to
-/// the full window model this never multiplies per-edge probabilities —
-/// only the O(E_wm) lambda sum and one O(V+E) timing pass (none with
-/// `spec_timing`) — and it is the estimator sched_pc_auto switches to
-/// above its node threshold, where exhaustive psi enumeration is
-/// hopeless.  For edges with high
-/// p_i the two agree to first order (e^-(1-p) ~ p near 1); an
-/// unsatisfiable edge (p_i = 0) adds a full expected violation and marks
-/// the estimate degenerate.
-[[nodiscard]] PcEstimate sched_pc_poisson(
-    const cdfg::Graph& g, std::span<const SchedWatermark> marks,
-    const cdfg::TimingInfo* spec_timing = nullptr);
-
-struct SchedPcAutoOptions {
-  /// Above this many graph nodes, exhaustive psi enumeration is skipped
-  /// outright in favor of the Poisson model.  At or below it, the exact
-  /// path runs (with its own saturation fallback).  2048 keeps every
-  /// design of the original experiment suite (<= ~1.8k ops) on the exact
-  /// path while mega-designs go straight to the closed form.
-  std::size_t poisson_node_threshold = 2048;
-  sched::EnumerationOptions enumeration{};
-  /// Initiation interval of a periodic (marked-graph) schedule.  0 (the
-  /// default) selects the flat estimators; ii > 0 counts *periodic*
-  /// schedules instead — sched_pc_periodic below the threshold,
-  /// sched_pc_periodic_poisson above (wm/periodic.h) — so P_c stays
-  /// meaningful when the watermark was embedded modulo II.
-  int ii = 0;
-};
-
-/// Size-dispatched P_c of a set of scheduling watermarks, one mark at a
-/// time: sched_pc_exact below the threshold, sched_pc_poisson above.
+/// The scheduling P_c front door (paper §IV-A), one mark at a time:
+///   * exact — at most 2048 graph nodes: psi_w / psi_n by exhaustive
+///     enumeration over the executable members of the mark's carved
+///     subtree.  Each count stops at 1e6 schedules; a mark whose count
+///     reaches that budget (or whose space is empty) takes the Poisson
+///     model below on the same windows, so no mark costs more than the
+///     budget.  No schedule satisfying the mark gives a floor one decade
+///     below 1/psi_n, flagged degenerate.
+///   * Poisson — above 2048 nodes, or on that fallback: the number of
+///     violated temporal constraints in a random schedule is Poisson
+///     with mean lambda = sum_i (1 - p_i), p_i the window-model order
+///     probability of edge i, so log10_pc = -lambda / ln 10.  An
+///     unsatisfiable edge (p_i = 0) adds one full expected violation and
+///     flags the estimate degenerate.
+///
+/// `ii` selects the schedule space.  0 counts flat schedules of the
+/// acyclic design inside its specification [ASAP, ALAP] windows; ii > 0
+/// counts *periodic* schedules of a marked graph at initiation interval
+/// `ii` — flat (iteration-0) starts inside token-weighted windows
+/// (edge weight delay(src) - ii * tokens), every temporal constraint
+/// taken in the flat sense the detector checks.  Throws
+/// std::runtime_error when `ii` is below the recurrence bound (no
+/// periodic schedule exists).
+///
 /// The per-mark estimates combine in mark order — log10_pc summed from
 /// +0.0, `exact` the AND over marks (false for an empty span),
-/// `degenerate` the OR — so the result is a pure function of the
-/// per-mark estimates.
+/// `degenerate` the OR.  The windows are built at most once per call:
+/// the flat space reads `spec_timing` (contract above) or makes one
+/// compute_timing pass when it is null; ii > 0 makes one periodic pass
+/// and ignores `spec_timing`.  An empty span builds nothing.
 ///
-/// The windows are built at most once per call, not once per mark: the
-/// flat path reads `spec_timing` (contract above) or makes one
-/// compute_timing pass when it is null; with opts.ii > 0 one
-/// compute_periodic_timing pass at opts.ii feeds every mark and
-/// `spec_timing` is unused.  An empty span builds nothing.
-///
-/// The dispatch is observable: `wm/pc_auto_exact` and
-/// `wm/pc_auto_poisson` count the branch taken per mark (lwm::obs); with
-/// opts.ii > 0 the periodic estimators run instead and the counters are
-/// `wm/pc_auto_periodic_exact` / `wm/pc_auto_periodic_poisson`.
+/// The dispatch is observable (lwm::obs): `wm/pc_auto_exact` counts the
+/// marks that tried the exact path, `wm/pc_auto_poisson` the marks the
+/// Poisson model estimated, and `wm/psi_evals` the enumerations run.
 [[nodiscard]] PcEstimate sched_pc_auto(
-    const cdfg::Graph& g, std::span<const SchedWatermark> marks,
-    const SchedPcAutoOptions& opts = {},
+    const cdfg::Graph& g, std::span<const SchedWatermark> marks, int ii = 0,
     const cdfg::TimingInfo* spec_timing = nullptr);
 
 /// The same dispatch for one watermark (a batch of one).
 [[nodiscard]] PcEstimate sched_pc_auto(const cdfg::Graph& g,
-                                       const SchedWatermark& wm,
-                                       const SchedPcAutoOptions& opts = {});
-
-/// Per-edge window-model probability (exposed for tests and ablations).
-/// Closed form, O(1): the favorable-draw count is a clipped arithmetic
-/// series over src's window, evaluated exactly in integers — bit-
-/// identical to the original per-step summation at any window size.
-[[nodiscard]] double edge_order_probability(const cdfg::TimingInfo& timing,
-                                            const cdfg::Graph& g,
-                                            cdfg::NodeId src, cdfg::NodeId dst);
+                                       const SchedWatermark& wm, int ii = 0);
 
 /// Template-matching P_c: Π 1/Solutions(m_i) over the enforced
 /// matchings, Solutions counted with matches_covering on the

@@ -40,7 +40,6 @@ library_to_text	writer half of the parse_library round trip
 plan_reg_watermark	building block of plan_reg_watermarks, tested directly
 plan_color_watermark	building block of plan_color_watermarks, tested directly
 order_ball	building block of the locality ordering, tested directly
-periodic_psi_counts	building block of sched_pc_periodic, tested against a hand oracle
 resource_min_ii	building block of modulo_schedule's MinII, tested directly
 matches_at	building block of the template matcher, tested directly
 known_type	building block of the frame decoder, tested directly
@@ -61,8 +60,6 @@ ServiceOptions::max_tau	bound on untrusted embed/pc/detect requests; tests probe
 ReadLimits::max_bytes	bound on untrusted input files; tests probe the refusal at the default
 StreamLimits::max_line_bytes	bound on untrusted streamed lines; tests lower it to reach the refusal
 StreamLimits::chunk_bytes	window size of the untrusted-stream reader; tests shrink it to put lines across chunk seams
-SchedPcAutoOptions::poisson_node_threshold	exact/Poisson dispatch threshold, left for the P_c front door to decide
-SchedPcAutoOptions::enumeration	exact-path enumeration limits, left for the P_c front door to decide
 EOF
 )
 

@@ -240,8 +240,8 @@ TEST_P(DspDesignProperties, DecoyInsertionThenNormalizationIsIdentity) {
 }
 
 TEST_P(DspDesignProperties, ExactSchedulePcBoundsWindowModel) {
-  // On localities small enough to enumerate, the exact P_c and the
-  // window model must both be probabilities (<= 1, i.e. log10 <= 0).
+  // On localities small enough to enumerate, the front door's exact P_c
+  // and the window model must both be probabilities (log10 <= 0).
   Graph g = make();
   const crypto::Signature sig("prop", "prop-key");
   wm::SchedWmOptions opts;
@@ -251,7 +251,7 @@ TEST_P(DspDesignProperties, ExactSchedulePcBoundsWindowModel) {
   const auto marks = wm::embed_local_watermarks(g, sig, 1, opts, 300);
   if (marks.empty()) GTEST_SKIP() << "no locality accepted a mark";
   g.strip_temporal_edges();
-  const wm::PcEstimate exact = wm::sched_pc_exact(g, marks.front());
+  const wm::PcEstimate exact = wm::sched_pc_auto(g, marks.front());
   const wm::PcEstimate window = wm::sched_pc_window_model(g, marks);
   EXPECT_LE(exact.log10_pc, 0.0);
   EXPECT_LE(window.log10_pc, 0.0);

@@ -4,6 +4,7 @@
 // exception or a crash.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -22,6 +23,7 @@
 #include "forged_schedule_id.h"
 #include "obs/obs.h"
 #include "serve/frame.h"
+#include "sched/modulo.h"
 #include "serve/service.h"
 #include "wm/pc.h"
 #include "wm/sched_constraints.h"
@@ -29,13 +31,17 @@
 namespace lwm::serve {
 namespace {
 
-std::string fixture_text(int ops = 300) {
+cdfg::Graph fixture_graph(int ops = 300, int width = 12) {
   dfglib::MegaConfig cfg;
   cfg.name = "svc";
   cfg.operations = ops;
-  cfg.width = 12;
+  cfg.width = width;
   cfg.seed = 7;
-  return cdfg::to_text(dfglib::make_mega_design(cfg));
+  return dfglib::make_mega_design(cfg);
+}
+
+std::string fixture_text(int ops = 300) {
+  return cdfg::to_text(fixture_graph(ops));
 }
 
 Frame load_design_frame(std::string_view text) {
@@ -538,60 +544,116 @@ Rebuilt rebuild(std::string_view text, std::string_view key,
   return r;
 }
 
-TEST(ServiceTest, EmbedAndPcMatchFromScratchEstimatorsBitForBit) {
+/// The log10_pc of an embed response.
+double embed_log10_pc(const Frame& embedded) {
+  EXPECT_EQ(embedded.type, MsgType::kEmbedded);
+  PayloadReader er(embedded.payload);
+  (void)er.get_u32();  // marks
+  (void)er.get_u32();  // edges
+  return er.get_f64();
+}
+
+TEST(ServiceTest, EmbedAndPcReportTheSameLog10PcBitForBit) {
+  // embed and pc share one path to sched_pc_auto, so the same request
+  // parameters give the same bits on both, and the same bits as the
+  // front door run from scratch on a freshly parsed and marked design.
   // 300 ops stays on the exact-enumeration path; 3000 ops crosses the
   // Poisson threshold, with enough marks that summing them in another
-  // order moves the last bit.
-  for (const int ops : {300, 3000}) {
-    SCOPED_TRACE(ops);
-    const std::uint32_t count = ops == 300 ? 3 : 24;
+  // order moves the last bit; the marked graph counts periodic schedules
+  // at its recurrence-minimum II.
+  cdfg::Graph looped = fixture_graph();
+  (void)dfglib::add_feedback(looped, 2);
+  const struct {
+    const char* what;
+    std::string text;
+    std::uint32_t marks;
+    bool periodic;
+  } cases[] = {{"300 ops", fixture_text(300), 3, false},
+               {"3000 ops", fixture_text(3000), 24, false},
+               {"marked graph", cdfg::to_text(looped), 3, true}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.what);
     Service service;
-    const std::string text = fixture_text(ops);
-    const std::uint64_t id = load_id(service, text);
-    const Rebuilt r = rebuild(text, "alice-key", count);
+    const std::uint64_t id = load_id(service, c.text);
+    const Rebuilt r = rebuild(c.text, "alice-key", c.marks);
     ASSERT_FALSE(r.marks.empty());
-    const bool poisson =
-        r.marked.node_count() > wm::SchedPcAutoOptions{}.poisson_node_threshold;
-    EXPECT_EQ(poisson, ops == 3000);
+    ASSERT_EQ(r.marked.has_token_edges(), c.periodic);
+    const int ii = c.periodic ? sched::recurrence_min_ii(r.marked) : 0;
+    const wm::PcEstimate scratch = wm::sched_pc_auto(r.marked, r.marks, ii);
 
-    const Frame embedded = service.handle(embed_frame(id, "alice-key", count));
-    ASSERT_EQ(embedded.type, MsgType::kEmbedded);
-    PayloadReader er(embedded.payload);
-    EXPECT_EQ(er.get_u32(), r.marks.size());
-    std::uint32_t edges = 0;
-    for (const wm::SchedWatermark& m : r.marks) {
-      edges += static_cast<std::uint32_t>(m.constraints.size());
-    }
-    EXPECT_EQ(er.get_u32(), edges);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(er.get_f64()),
-              std::bit_cast<std::uint64_t>(
-                  wm::sched_pc_window_model(r.marked, r.marks).log10_pc));
-
-    Frame req = embed_frame(id, "alice-key", count);
+    const double embedded =
+        embed_log10_pc(service.handle(embed_frame(id, "alice-key", c.marks)));
+    Frame req = embed_frame(id, "alice-key", c.marks);
     req.type = MsgType::kPc;
     const Frame pc = service.handle(req);
     ASSERT_EQ(pc.type, MsgType::kPcEstimated);
-    // The handler's former per-mark loop, every estimator timing the
-    // marked graph itself.
-    double log10_pc = 0.0;
-    bool exact = true;
-    bool degenerate = false;
-    for (const wm::SchedWatermark& m : r.marks) {
-      const wm::SchedWatermark one[] = {m};
-      const wm::PcEstimate e = poisson ? wm::sched_pc_poisson(r.marked, one)
-                                       : wm::sched_pc_exact(r.marked, m);
-      log10_pc += e.log10_pc;
-      exact = exact && e.exact;
-      degenerate = degenerate || e.degenerate;
-    }
     PayloadReader pr(pc.payload);
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(pr.get_f64()),
-              std::bit_cast<std::uint64_t>(log10_pc));
-    EXPECT_EQ(pr.get_u8(), exact ? 1 : 0);
-    EXPECT_EQ(pr.get_u8(), degenerate ? 1 : 0);
+    const double estimated = pr.get_f64();
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(embedded),
+              std::bit_cast<std::uint64_t>(estimated));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(estimated),
+              std::bit_cast<std::uint64_t>(scratch.log10_pc));
+    EXPECT_EQ(pr.get_u8(), scratch.exact ? 1 : 0);
+    EXPECT_EQ(pr.get_u8(), scratch.degenerate ? 1 : 0);
     EXPECT_EQ(pr.get_u32(), r.marks.size());
     EXPECT_TRUE(pr.complete());
   }
+}
+
+TEST(ServiceTest, PcAndEmbedBoundEveryExactAttemptByTheBudget) {
+  // A 1,957-node design sits under the exact path's 2048-node threshold,
+  // yet at tau 8 and k 3 six of its eight marks have schedule spaces far
+  // past the exact budget: unbounded, the second mark counted for
+  // minutes.  Both requests must stop each of those six at the budget
+  // (one psi_n enumeration, no psi_w) and fall back to the Poisson
+  // model; the other two complete both counts.  The counts pin the work,
+  // so an unbounded path fails here (or at the ctest TIMEOUT) instead of
+  // pinning a core.
+  const std::string text =
+      cdfg::to_text(fixture_graph(1500, 64));
+  Service service;
+  const std::uint64_t id = load_id(service, text);
+  ASSERT_EQ(service.store().find_design(id)->graph.node_count(), 1957u);
+  constexpr std::uint32_t kMarks = 8;
+#if LWM_OBS_ENABLED
+  obs::Registry& reg = obs::Registry::instance();
+  const auto totals = [&reg] {
+    return std::array<std::uint64_t, 3>{
+        reg.counter("wm/pc_auto_exact").total(),
+        reg.counter("wm/pc_auto_poisson").total(),
+        reg.counter("wm/psi_evals").total()};
+  };
+#endif
+  double log10_pc[2] = {};
+  for (const MsgType type : {MsgType::kPc, MsgType::kEmbed}) {
+    SCOPED_TRACE(type == MsgType::kPc ? "pc" : "embed");
+#if LWM_OBS_ENABLED
+    const auto before = totals();
+#endif
+    Frame req = embed_frame(id, "alice-key", kMarks, 8, 3);
+    req.type = type;
+    const Frame r = service.handle(req);
+    if (type == MsgType::kPc) {
+      ASSERT_EQ(r.type, MsgType::kPcEstimated);
+      PayloadReader pr(r.payload);
+      log10_pc[0] = pr.get_f64();
+      EXPECT_EQ(pr.get_u8(), 0) << "exact";
+      EXPECT_EQ(pr.get_u8(), 0) << "degenerate";
+      EXPECT_EQ(pr.get_u32(), kMarks);
+      EXPECT_TRUE(pr.complete());
+    } else {
+      log10_pc[1] = embed_log10_pc(r);
+    }
+#if LWM_OBS_ENABLED
+    const auto after = totals();
+    EXPECT_EQ(after[0] - before[0], kMarks) << "exact attempts";
+    EXPECT_EQ(after[1] - before[1], 6u) << "Poisson fallbacks";
+    EXPECT_EQ(after[2] - before[2], 2 * kMarks - 6) << "enumerations";
+#endif
+  }
+  EXPECT_LT(log10_pc[0], 0.0);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(log10_pc[0]),
+            std::bit_cast<std::uint64_t>(log10_pc[1]));
 }
 
 TEST(ServiceTest, LoadDesignReportsBoundedCriticalPaths) {
@@ -622,15 +684,16 @@ TEST(ServiceTest, LoadDesignReportsBoundedCriticalPaths) {
 
 TEST(ServiceTest, WmRequestsReuseResidentWindows) {
 #if LWM_OBS_ENABLED
-  // Work guard: every compute_timing / compute_periodic_timing pass
-  // bumps cdfg/timing_passes.  A flat pc request reads the resident
-  // windows at any mark count; embed's one pass is its witness schedule.
+  // Work guard: every compute_timing pass and every periodic-window pass
+  // of sched_pc_auto bumps cdfg/timing_passes.  A flat pc request reads
+  // the resident windows at any mark count; embed's one pass is its
+  // witness schedule.
   obs::Counter& passes = obs::Registry::instance().counter("cdfg/timing_passes");
   Service service;
   const std::string text = fixture_text(3000);
   const std::uint64_t id = load_id(service, text);
   ASSERT_GT(service.store().find_design(id)->graph.node_count(),
-            wm::SchedPcAutoOptions{}.poisson_node_threshold);
+            2048u);  // sched_pc_auto's Poisson threshold
   for (const std::uint32_t marks : {4u, 64u}) {
     Frame req = embed_frame(id, "alice-key", marks);
     req.type = MsgType::kPc;

@@ -1,16 +1,20 @@
-// sched_pc_poisson parity and the sched_pc_auto size dispatch.
+// The Poisson branch of sched_pc_auto, and its size dispatch.
 //
-// The Poisson estimator is an approximation with an exact analytic
-// relationship to the window model it replaces: per temporal edge with
-// order probability p, the log-factor gap is
+// The Poisson model is an approximation with an exact analytic
+// relationship to the window model: per temporal edge with order
+// probability p, the log-factor gap is
 //     0 <= -ln p - (1 - p) <= (1 - p)^2 / (2 p),
 // so over a whole mark set  window <= poisson <= window + B  where
 // B = sum_i (1-p_i)^2 / (2 p_i) / ln 10.  That bound is asserted on
 // every design of the experiment suite (dfglib kernels + the eight
-// MediaBench apps).  Against exhaustive-psi sched_pc_exact — a different
-// state space (subtree schedules, not independent windows) — the
-// documented tolerance is two decades: |poisson - exact| <= 2.0 on every
-// design where enumeration completes (observed max gap 1.4, JPEG.c).
+// MediaBench apps).  Against the exact path — a different state space
+// (subtree schedules, not independent windows) — the documented
+// tolerance is two decades: |poisson - exact| <= 2.0 on every design
+// where enumeration completes (observed max gap 1.4, JPEG.c).
+//
+// The suite designs sit below the front door's node threshold, so the
+// Poisson figures come from copies padded past it (poisson_padding.h),
+// whose windows are the originals'.
 #include "wm/pc.h"
 
 #include <gtest/gtest.h>
@@ -28,13 +32,15 @@
 #include "dfglib/mediabench.h"
 #include "dfglib/synth.h"
 #include "obs/obs.h"
+#include "poisson_padding.h"
+#include "sched/enumerate.h"
 #include "sched/modulo.h"
-#include "wm/periodic.h"
 
 namespace lwm::wm {
 namespace {
 
 using cdfg::Graph;
+using cdfg::NodeId;
 
 crypto::Signature alice() { return {"alice", "alice-design-key-2001"}; }
 
@@ -60,19 +66,69 @@ std::vector<std::pair<std::string, Graph>> experiment_suite() {
   return suite;
 }
 
+/// Window-model order probability by the per-step summation over src's
+/// window: the count of (ta, tb) pairs with tb >= ta + delay(src).
+double order_probability(const cdfg::TimingInfo& t, const Graph& g,
+                         NodeId src, NodeId dst) {
+  long long favorable = 0;
+  for (int ta = t.asap[src.value]; ta <= t.alap[src.value]; ++ta) {
+    for (int tb = t.asap[dst.value]; tb <= t.alap[dst.value]; ++tb) {
+      if (tb >= ta + g.node(src).delay) ++favorable;
+    }
+  }
+  const long long total =
+      static_cast<long long>(t.alap[src.value] - t.asap[src.value] + 1) *
+      (t.alap[dst.value] - t.asap[dst.value] + 1);
+  return static_cast<double>(favorable) / static_cast<double>(total);
+}
+
+cdfg::TimingInfo spec_timing(const Graph& g) {
+  return cdfg::compute_timing(g, -1, cdfg::EdgeFilter::specification());
+}
+
+/// The Poisson model of one mark written out: lambda = sum (1 - p_i), a
+/// full violation per impossible edge, log10 P_c = -lambda / ln 10.
+PcEstimate poisson_reference(const Graph& g, const SchedWatermark& m) {
+  const cdfg::TimingInfo t = spec_timing(g);
+  PcEstimate est;
+  double lambda = 0.0;
+  for (const TemporalConstraint& c : m.constraints) {
+    const double p = order_probability(t, g, c.src, c.dst);
+    est.degenerate = est.degenerate || p <= 0.0;
+    lambda += p <= 0.0 ? 1.0 : 1.0 - p;
+  }
+  est.log10_pc = -lambda / std::log(10.0);
+  return est;
+}
+
 /// The second-order remainder bound on poisson - window (log10 decades).
 double analytic_gap_bound(const Graph& g,
                           std::span<const SchedWatermark> marks) {
-  const cdfg::TimingInfo timing =
-      cdfg::compute_timing(g, -1, cdfg::EdgeFilter::specification());
+  const cdfg::TimingInfo timing = spec_timing(g);
   double bound = 0.0;
   for (const SchedWatermark& m : marks) {
     for (const TemporalConstraint& c : m.constraints) {
-      const double p = edge_order_probability(timing, g, c.src, c.dst);
+      const double p = order_probability(timing, g, c.src, c.dst);
       if (p > 0.0) bound += (1.0 - p) * (1.0 - p) / (2.0 * p);
     }
   }
   return bound / std::log(10.0);
+}
+
+/// log10 psi_w / psi_n of one mark by direct enumeration, unbounded.
+double enumerated_log10_ratio(const Graph& g, const SchedWatermark& m) {
+  std::vector<NodeId> subset;
+  for (const NodeId n : m.subtree) {
+    if (cdfg::is_executable(g.node(n).kind)) subset.push_back(n);
+  }
+  std::vector<sched::ExtraPrecedence> extra;
+  for (const TemporalConstraint& c : m.constraints) {
+    extra.push_back({c.src, c.dst});
+  }
+  const auto denom = sched::count_schedules(g, subset);
+  const auto numer = sched::count_schedules(g, subset, extra);
+  return std::log10(static_cast<double>(numer.count)) -
+         std::log10(static_cast<double>(denom.count));
 }
 
 TEST(SchedPcPoissonTest, WithinAnalyticBoundOfWindowModelOnEveryDesign) {
@@ -83,7 +139,7 @@ TEST(SchedPcPoissonTest, WithinAnalyticBoundOfWindowModelOnEveryDesign) {
     ++covered;
     g.strip_temporal_edges();
     const PcEstimate window = sched_pc_window_model(g, marks);
-    const PcEstimate poisson = sched_pc_poisson(g, marks);
+    const PcEstimate poisson = sched_pc_auto(past_exact_threshold(g), marks);
     EXPECT_FALSE(poisson.exact);
     EXPECT_LT(poisson.log10_pc, 0.0) << name;
     // window <= poisson <= window + B, B the second-order remainder.
@@ -96,22 +152,20 @@ TEST(SchedPcPoissonTest, WithinAnalyticBoundOfWindowModelOnEveryDesign) {
 }
 
 TEST(SchedPcPoissonTest, WithinTwoDecadesOfExactOnEveryDesign) {
-  // A tight saturation budget keeps the exhaustive counts fast; marks
-  // whose psi-space is larger simply fall out of the comparison (the
-  // whole reason sched_pc_auto exists).
-  sched::EnumerationOptions eopts;
-  eopts.limit = 100'000;
+  // Marks whose psi-space outgrows the exact budget fall out of the
+  // comparison (the front door takes the Poisson model for them).
   int compared = 0;
   for (auto& [name, g] : experiment_suite()) {
     const auto marks = embed_local_watermarks(g, alice(), 2, suite_options());
     if (marks.empty()) continue;
     g.strip_temporal_edges();
+    const Graph padded = past_exact_threshold(g);
     for (const SchedWatermark& m : marks) {
-      const PcEstimate exact = sched_pc_exact(g, m, eopts);
+      const PcEstimate exact = sched_pc_auto(g, m);
       if (!exact.exact) continue;  // enumeration saturated
       ++compared;
-      const SchedWatermark one[] = {m};
-      const PcEstimate poisson = sched_pc_poisson(g, one);
+      const PcEstimate poisson = sched_pc_auto(padded, m);
+      EXPECT_FALSE(poisson.exact);
       EXPECT_NEAR(poisson.log10_pc, exact.log10_pc, 2.0) << name;
     }
   }
@@ -127,12 +181,10 @@ TEST(SchedPcPoissonTest, AdditiveOverMarksAndDegenerateOnImpossibleEdge) {
   const auto marks = embed_local_watermarks(g, alice(), 3, opts);
   ASSERT_GE(marks.size(), 2u);
   g.strip_temporal_edges();
-  const double all = sched_pc_poisson(g, marks).log10_pc;
+  const Graph padded = past_exact_threshold(g);
+  const double all = sched_pc_auto(padded, marks).log10_pc;
   double sum = 0.0;
-  for (const SchedWatermark& m : marks) {
-    const SchedWatermark one[] = {m};
-    sum += sched_pc_poisson(g, one).log10_pc;
-  }
+  for (const SchedWatermark& m : marks) sum += sched_pc_auto(padded, m).log10_pc;
   EXPECT_NEAR(all, sum, 1e-9) << "lambda sums over edges";
 
   // An order-impossible edge (dst strictly precedes src) has p = 0: one
@@ -140,11 +192,11 @@ TEST(SchedPcPoissonTest, AdditiveOverMarksAndDegenerateOnImpossibleEdge) {
   SchedWatermark bad = marks[0];
   bad.constraints.clear();
   const cdfg::TimingInfo t = cdfg::compute_timing(g);
-  cdfg::NodeId lo, hi;
+  NodeId lo, hi;
   bool found = false;
-  for (const cdfg::NodeId n : g.node_ids()) {
+  for (const NodeId n : g.node_ids()) {
     if (!cdfg::is_executable(g.node(n).kind)) continue;
-    for (const cdfg::NodeId m2 : g.node_ids()) {
+    for (const NodeId m2 : g.node_ids()) {
       if (!cdfg::is_executable(g.node(m2).kind)) continue;
       if (t.alap[m2.value] + g.node(m2).delay <= t.asap[n.value]) {
         lo = m2;
@@ -157,14 +209,13 @@ TEST(SchedPcPoissonTest, AdditiveOverMarksAndDegenerateOnImpossibleEdge) {
   }
   ASSERT_TRUE(found);
   bad.constraints.push_back({hi, lo, 0, 1});  // hi must precede lo: impossible
-  const SchedWatermark badset[] = {bad};
-  const PcEstimate est = sched_pc_poisson(g, badset);
+  const PcEstimate est = sched_pc_auto(padded, bad);
   EXPECT_TRUE(est.degenerate);
   EXPECT_LE(est.log10_pc, -1.0 / std::log(10.0) + 1e-12);
 }
 
 TEST(SchedPcAutoTest, DispatchesBySizeAndLogsTheBranch) {
-  // Small design: under the default 2048-node threshold -> exact path.
+  // Small design: under the 2048-node threshold -> exact path.
   Graph small = dfglib::iir4_parallel();
   const auto small_marks =
       embed_local_watermarks(small, alice(), 1, suite_options());
@@ -184,7 +235,7 @@ TEST(SchedPcAutoTest, DispatchesBySizeAndLogsTheBranch) {
   const auto mega_marks = embed_local_watermarks(mega, alice(), 1, mopts);
   ASSERT_FALSE(mega_marks.empty());
   mega.strip_temporal_edges();
-  ASSERT_GT(mega.node_count(), SchedPcAutoOptions{}.poisson_node_threshold);
+  ASSERT_GT(mega.node_count(), kDocumentedPoissonThreshold);
 
 #if LWM_OBS_ENABLED
   obs::Registry::instance().reset();
@@ -192,18 +243,17 @@ TEST(SchedPcAutoTest, DispatchesBySizeAndLogsTheBranch) {
   const PcEstimate small_est = sched_pc_auto(small, small_marks[0]);
   EXPECT_TRUE(small_est.exact);
   EXPECT_DOUBLE_EQ(small_est.log10_pc,
-                   sched_pc_exact(small, small_marks[0]).log10_pc);
+                   enumerated_log10_ratio(small, small_marks[0]));
 
   const PcEstimate mega_est = sched_pc_auto(mega, mega_marks[0]);
   EXPECT_FALSE(mega_est.exact);
-  const SchedWatermark one[] = {mega_marks[0]};
-  EXPECT_DOUBLE_EQ(mega_est.log10_pc, sched_pc_poisson(mega, one).log10_pc);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(mega_est.log10_pc),
+            std::bit_cast<std::uint64_t>(
+                poisson_reference(mega, mega_marks[0]).log10_pc));
 
-  // Forcing the threshold below the small design proves the fallback
+  // Padding the small design past the threshold proves the Poisson path
   // engages on size alone, not on some property of mega-designs.
-  SchedPcAutoOptions tiny;
-  tiny.poisson_node_threshold = 4;
-  EXPECT_FALSE(sched_pc_auto(small, small_marks[0], tiny).exact);
+  EXPECT_FALSE(sched_pc_auto(past_exact_threshold(small), small_marks[0]).exact);
 
 #if LWM_OBS_ENABLED
   EXPECT_EQ(obs::Registry::instance().counter("wm/pc_auto_exact").total(), 1u);
@@ -212,13 +262,59 @@ TEST(SchedPcAutoTest, DispatchesBySizeAndLogsTheBranch) {
 #endif
 }
 
+TEST(SchedPcAutoTest, ImpliedConstraintsGiveZeroLog10Pc) {
+  // in -> a -> b -> c -> out beside a five-op chain that sets the
+  // critical path to 5, so a, b and c have windows [0,2], [1,3], [2,4].
+  // The constraints a -> b and a -> c are implied by specification
+  // paths: every schedule satisfies them, psi_w == psi_n, and the exact
+  // path reports log10 P_c = 0 exactly.  The window model, which draws
+  // the two windows independently, still claims a proof for them.
+  Graph g;
+  g.set_name("implied");
+  const NodeId in = g.add_node(cdfg::OpKind::kInput, "in");
+  const NodeId out = g.add_node(cdfg::OpKind::kOutput, "out");
+  const NodeId a = g.add_node(cdfg::OpKind::kAdd, "a");
+  const NodeId b = g.add_node(cdfg::OpKind::kAdd, "b");
+  const NodeId c = g.add_node(cdfg::OpKind::kAdd, "c");
+  g.add_edge(in, a);
+  g.add_edge(a, b);
+  g.add_edge(b, c);
+  g.add_edge(c, out);
+  NodeId prev = in;
+  for (int i = 0; i < 5; ++i) {
+    const NodeId x = g.add_node(cdfg::OpKind::kAdd, "x" + std::to_string(i));
+    g.add_edge(prev, x);
+    prev = x;
+  }
+  g.add_edge(prev, out);
+
+  SchedWatermark wm;
+  wm.root = c;
+  wm.subtree = {a, b, c, prev};
+  wm.constraints.push_back({a, b, 0, 1});
+  wm.constraints.push_back({a, c, 0, 2});
+  const PcEstimate est = sched_pc_auto(g, wm);
+  EXPECT_TRUE(est.exact);
+  EXPECT_FALSE(est.degenerate);
+  EXPECT_EQ(est.log10_pc, 0.0);
+  const SchedWatermark one[] = {wm};
+  EXPECT_LT(sched_pc_window_model(g, one).log10_pc, 0.0);
+
+  // c -> x4 (x4 pinned at step 4) is not implied: it drops every
+  // schedule with c at step 4, 4 of the 10 remain.
+  wm.constraints.push_back({c, prev, 2, 3});
+  const PcEstimate proof = sched_pc_auto(g, wm);
+  EXPECT_TRUE(proof.exact);
+  EXPECT_DOUBLE_EQ(proof.log10_pc, std::log10(4.0 / 10.0));
+}
+
 // ---- Resident windows ------------------------------------------------------
 //
-// Every estimator that takes the caller's windows must return the same
-// bits as when it times the graph itself.  The windows come from the
-// *pristine* design while the estimators run on the marked copy, whose
-// temporal edges the counting filters ignore — the exact situation of a
-// resident serve::StoredDesign.
+// The front door must return the same bits with the caller's windows as
+// when it times the graph itself.  The windows come from the *pristine*
+// design while the estimate runs on the marked copy, whose temporal
+// edges the counting filters ignore — the exact situation of a resident
+// serve::StoredDesign.
 
 void expect_same_bits(const PcEstimate& a, const PcEstimate& b,
                       const std::string& what) {
@@ -229,8 +325,8 @@ void expect_same_bits(const PcEstimate& a, const PcEstimate& b,
   EXPECT_EQ(a.degenerate, b.degenerate) << what;
 }
 
-/// The per-mark loop the span sched_pc_auto replaces: each mark's
-/// estimator run from scratch, log10 summed from +0.0 in mark order.
+/// Per-mark estimates combined the way the span sched_pc_auto documents:
+/// log10 summed from +0.0 in mark order.
 template <typename PerMark>
 PcEstimate per_mark_reference(std::span<const SchedWatermark> marks,
                               PerMark&& one) {
@@ -257,6 +353,38 @@ MarkedDesign mark(Graph g, int count, const SchedWmOptions& opts) {
   return d;
 }
 
+/// The 1,957-node layered-deep mega design whose second mark's unbounded
+/// exact count ran for minutes: at tau 8 and k 3 most marks' schedule
+/// spaces outgrow the exact budget.
+MarkedDesign saturating_design(int count) {
+  dfglib::MegaConfig cfg;
+  cfg.name = "budget_mega";
+  cfg.operations = 1500;
+  cfg.width = 64;
+  cfg.seed = 7;
+  SchedWmOptions opts;
+  opts.domain.tau = 8;
+  opts.k = 3;
+  return mark(dfglib::make_mega_design(cfg), count, opts);
+}
+
+/// Every mark of `marks` the exact path leaves (its count reached the
+/// budget) carries the padded copy's Poisson estimate, bit for bit; at
+/// least one must.
+void expect_fallback_is_poisson(const Graph& g,
+                                std::span<const SchedWatermark> marks,
+                                int ii) {
+  const Graph padded = past_exact_threshold(g);
+  int fell_back = 0;
+  for (const SchedWatermark& m : marks) {
+    const PcEstimate e = sched_pc_auto(g, m, ii);
+    if (e.exact) continue;
+    ++fell_back;
+    expect_same_bits(e, sched_pc_auto(padded, m, ii), "fallback == Poisson");
+  }
+  EXPECT_GT(fell_back, 0) << "the budget must force a fallback";
+}
+
 TEST(ResidentWindowsTest, FlatEstimatorsAreBitIdenticalAboveThreshold) {
   dfglib::MegaConfig cfg;
   cfg.name = "resident_mega";
@@ -269,22 +397,17 @@ TEST(ResidentWindowsTest, FlatEstimatorsAreBitIdenticalAboveThreshold) {
   // Enough marks that summing them in another order moves the last bit.
   const MarkedDesign d = mark(dfglib::make_mega_design(cfg), 24, opts);
   ASSERT_GE(d.marks.size(), 16u);
-  ASSERT_GT(d.marked.node_count(), SchedPcAutoOptions{}.poisson_node_threshold);
-  const cdfg::TimingInfo spec = cdfg::compute_timing(
-      d.pristine, -1, cdfg::EdgeFilter::specification());
+  ASSERT_GT(d.marked.node_count(), kDocumentedPoissonThreshold);
+  const cdfg::TimingInfo spec = spec_timing(d.pristine);
 
   expect_same_bits(sched_pc_window_model(d.marked, d.marks, &spec),
                    sched_pc_window_model(d.marked, d.marks), "window");
-  expect_same_bits(sched_pc_poisson(d.marked, d.marks, &spec),
-                   sched_pc_poisson(d.marked, d.marks), "poisson");
 
   const PcEstimate reference = per_mark_reference(
-      d.marks, [&](const SchedWatermark& m) {
-        const SchedWatermark one[] = {m};
-        return sched_pc_poisson(d.marked, one);
-      });
+      d.marks,
+      [&](const SchedWatermark& m) { return poisson_reference(d.marked, m); });
   EXPECT_FALSE(reference.exact);
-  expect_same_bits(sched_pc_auto(d.marked, d.marks, {}, &spec), reference,
+  expect_same_bits(sched_pc_auto(d.marked, d.marks, 0, &spec), reference,
                    "auto, resident windows");
   expect_same_bits(sched_pc_auto(d.marked, d.marks), reference,
                    "auto, own windows");
@@ -293,110 +416,86 @@ TEST(ResidentWindowsTest, FlatEstimatorsAreBitIdenticalAboveThreshold) {
 TEST(ResidentWindowsTest, FlatEstimatorsAreBitIdenticalBelowThreshold) {
   const MarkedDesign d = mark(dfglib::iir4_parallel(), 2, suite_options());
   ASSERT_GE(d.marks.size(), 2u);
-  ASSERT_LE(d.marked.node_count(), SchedPcAutoOptions{}.poisson_node_threshold);
-  const cdfg::TimingInfo spec = cdfg::compute_timing(
-      d.pristine, -1, cdfg::EdgeFilter::specification());
+  ASSERT_LE(d.marked.node_count(), kDocumentedPoissonThreshold);
+  const cdfg::TimingInfo spec = spec_timing(d.pristine);
 
-  // Exact enumeration, and the saturation fallback (a limit of 1
-  // saturates every count) into the window model.
-  sched::EnumerationOptions saturate;
-  saturate.limit = 1;
-  for (const SchedWatermark& m : d.marks) {
-    const PcEstimate exact = sched_pc_exact(d.marked, m, {}, &spec);
-    EXPECT_TRUE(exact.exact);
-    expect_same_bits(exact, sched_pc_exact(d.marked, m), "exact");
-    const PcEstimate fallback = sched_pc_exact(d.marked, m, saturate, &spec);
-    EXPECT_FALSE(fallback.exact) << "the limit must force the fallback";
-    expect_same_bits(fallback, sched_pc_exact(d.marked, m, saturate),
-                     "exact fallback");
-  }
-
-  SchedPcAutoOptions auto_opts;
-  const PcEstimate reference = per_mark_reference(
-      d.marks,
-      [&](const SchedWatermark& m) { return sched_pc_exact(d.marked, m); });
+  const PcEstimate reference =
+      per_mark_reference(d.marks, [&](const SchedWatermark& m) {
+        return sched_pc_auto(d.marked, m);
+      });
   EXPECT_TRUE(reference.exact);
-  expect_same_bits(sched_pc_auto(d.marked, d.marks, auto_opts, &spec),
-                   reference, "auto exact, resident windows");
-  expect_same_bits(sched_pc_auto(d.marked, d.marks, auto_opts), reference,
+  expect_same_bits(sched_pc_auto(d.marked, d.marks, 0, &spec), reference,
+                   "auto exact, resident windows");
+  expect_same_bits(sched_pc_auto(d.marked, d.marks), reference,
                    "auto exact, own windows");
 
-  auto_opts.enumeration = saturate;
-  const PcEstimate fallback_reference = per_mark_reference(
-      d.marks, [&](const SchedWatermark& m) {
-        return sched_pc_exact(d.marked, m, saturate);
-      });
-  EXPECT_FALSE(fallback_reference.exact);
-  expect_same_bits(sched_pc_auto(d.marked, d.marks, auto_opts, &spec),
-                   fallback_reference, "auto fallback, resident windows");
+  // A mark whose count reaches the budget takes the Poisson model on the
+  // same windows: the padded copy's estimate.
+  const MarkedDesign big = saturating_design(4);
+  ASSERT_EQ(big.marks.size(), 4u);
+  ASSERT_LE(big.marked.node_count(), kDocumentedPoissonThreshold);
+  const cdfg::TimingInfo big_spec = spec_timing(big.pristine);
+  const PcEstimate batch = sched_pc_auto(big.marked, big.marks, 0, &big_spec);
+  EXPECT_FALSE(batch.exact) << "the budget must force a fallback";
+  expect_same_bits(batch, sched_pc_auto(big.marked, big.marks),
+                   "auto with fallbacks, own windows");
+  expect_fallback_is_poisson(big.marked, big.marks, 0);
 }
 
 TEST(ResidentWindowsTest, PeriodicEstimatorsAreBitIdentical) {
   MarkedDesign d = mark(dfglib::iir4_parallel(), 2, suite_options());
   ASSERT_FALSE(d.marks.empty());
   (void)dfglib::add_feedback(d.marked, 2);
-  d.pristine = d.marked;
-  d.pristine.strip_temporal_edges();
-  ASSERT_TRUE(d.pristine.has_token_edges());
+  ASSERT_TRUE(d.marked.has_token_edges());
   const int ii = sched::recurrence_min_ii(d.marked);
   ASSERT_GT(ii, 0);
-  const PeriodicTiming windows = compute_periodic_timing(
-      d.pristine, ii, -1, periodic_counting_filter());
 
-  expect_same_bits(sched_pc_periodic_poisson(d.marked, d.marks, ii, &windows),
-                   sched_pc_periodic_poisson(d.marked, d.marks, ii),
-                   "periodic poisson");
-  sched::EnumerationOptions saturate;
-  saturate.limit = 1;
-  for (const SchedWatermark& m : d.marks) {
-    const PcEstimate exact = sched_pc_periodic(d.marked, m, ii, {}, &windows);
-    EXPECT_TRUE(exact.exact);
-    expect_same_bits(exact, sched_pc_periodic(d.marked, m, ii),
-                     "periodic exact");
-    const PcEstimate fallback =
-        sched_pc_periodic(d.marked, m, ii, saturate, &windows);
-    EXPECT_FALSE(fallback.exact);
-    expect_same_bits(fallback, sched_pc_periodic(d.marked, m, ii, saturate),
-                     "periodic fallback");
-  }
-
-  SchedPcAutoOptions auto_opts;
-  auto_opts.ii = ii;
-  expect_same_bits(sched_pc_auto(d.marked, d.marks, auto_opts),
+  // The span call builds its periodic windows once for every mark; the
+  // per-mark calls build them per mark.  Both paths, same bits.
+  const PcEstimate exact = sched_pc_auto(d.marked, d.marks, ii);
+  EXPECT_TRUE(exact.exact);
+  expect_same_bits(exact,
                    per_mark_reference(d.marks,
                                       [&](const SchedWatermark& m) {
-                                        return sched_pc_periodic(d.marked, m, ii);
+                                        return sched_pc_auto(d.marked, m, ii);
                                       }),
                    "auto periodic exact");
-  auto_opts.poisson_node_threshold = 4;
-  expect_same_bits(sched_pc_auto(d.marked, d.marks, auto_opts),
+  const Graph padded = past_exact_threshold(d.marked);
+  const PcEstimate poisson = sched_pc_auto(padded, d.marks, ii);
+  EXPECT_FALSE(poisson.exact);
+  expect_same_bits(poisson,
                    per_mark_reference(d.marks,
                                       [&](const SchedWatermark& m) {
-                                        const SchedWatermark one[] = {m};
-                                        return sched_pc_periodic_poisson(
-                                            d.marked, one, ii);
+                                        return sched_pc_auto(padded, m, ii);
                                       }),
                    "auto periodic poisson");
+
+  // A periodic mark whose count reaches the budget takes the periodic
+  // Poisson model on the same windows.
+  MarkedDesign big = saturating_design(2);
+  ASSERT_EQ(big.marks.size(), 2u);
+  (void)dfglib::add_feedback(big.marked, 2);
+  expect_fallback_is_poisson(big.marked, big.marks,
+                             sched::recurrence_min_ii(big.marked));
 }
 
 TEST(ResidentWindowsTest, SpanAutoTimesTheGraphAtMostOnce) {
 #if LWM_OBS_ENABLED
   const MarkedDesign d = mark(dfglib::iir4_parallel(), 2, suite_options());
   ASSERT_GE(d.marks.size(), 2u);
-  const cdfg::TimingInfo spec = cdfg::compute_timing(
-      d.pristine, -1, cdfg::EdgeFilter::specification());
   obs::Counter& passes = obs::Registry::instance().counter("cdfg/timing_passes");
-  SchedPcAutoOptions tiny;
-  tiny.poisson_node_threshold = 4;
-  for (const SchedPcAutoOptions& o : {SchedPcAutoOptions{}, tiny}) {
+  // The exact path on the design itself, the Poisson path on a padded
+  // copy.
+  for (const Graph& g : {d.marked, past_exact_threshold(d.marked)}) {
+    const cdfg::TimingInfo spec = spec_timing(g);
     const std::uint64_t before = passes.total();
-    (void)sched_pc_auto(d.marked, d.marks, o, &spec);
+    (void)sched_pc_auto(g, d.marks, 0, &spec);
     EXPECT_EQ(passes.total() - before, 0u) << "resident windows: no pass";
-    (void)sched_pc_auto(d.marked, d.marks, o);
+    (void)sched_pc_auto(g, d.marks);
     EXPECT_EQ(passes.total() - before, 1u) << "own windows: one pass";
   }
   const std::uint64_t before = passes.total();
-  (void)sched_pc_auto(d.marked, std::span<const SchedWatermark>{}, tiny);
+  (void)sched_pc_auto(d.marked, std::span<const SchedWatermark>{});
   EXPECT_EQ(passes.total() - before, 0u) << "no marks, no windows";
 #else
   GTEST_SKIP() << "pass counting needs LWM_OBS=ON";

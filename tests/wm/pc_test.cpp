@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "cdfg/builder.h"
 #include "dfglib/iir4.h"
 #include "dfglib/synth.h"
+#include "sched/enumerate.h"
 
 namespace lwm::wm {
 namespace {
@@ -28,20 +30,37 @@ SchedWmOptions iir_options() {
   return opts;
 }
 
+/// A mark whose only constraint is src -> dst: its window-model P_c is
+/// that edge's order probability.
+SchedWatermark one_edge(NodeId src, NodeId dst) {
+  SchedWatermark wm;
+  wm.root = dst;
+  wm.subtree = {src, dst};
+  wm.constraints.push_back({src, dst});
+  return wm;
+}
+
 TEST(EdgeProbabilityTest, HandComputedWindows) {
-  // Two free ops, latency 3: windows [0,2] x [0,2]; P(b >= a+1) = 3/9.
+  // Two free ops beside a three-op chain, latency 3: windows [0,2] x
+  // [0,2]; P(b >= a+1) = 3/9.
   Builder b("two");
   const NodeId in = b.input("in");
   const NodeId x = b.op(OpKind::kAdd, "a", {in, in});
   const NodeId y = b.op(OpKind::kMul, "b", {in, in});
+  const NodeId c0 = b.op(OpKind::kAdd, "c0", {in, in});
+  const NodeId c1 = b.op(OpKind::kAdd, "c1", {c0, c0});
+  const NodeId c2 = b.op(OpKind::kAdd, "c2", {c1, c1});
   b.output("oa", x);
   b.output("ob", y);
+  b.output("oc", c2);
   const Graph g = std::move(b).build();
-  const cdfg::TimingInfo t = cdfg::compute_timing(g, 3);
-  EXPECT_DOUBLE_EQ(edge_order_probability(t, g, g.find("a"), g.find("b")),
-                   3.0 / 9.0);
-  EXPECT_DOUBLE_EQ(edge_order_probability(t, g, g.find("b"), g.find("a")),
-                   3.0 / 9.0);
+  ASSERT_EQ(cdfg::critical_path_length(g), 3);
+  for (const auto& [src, dst] : {std::pair{"a", "b"}, std::pair{"b", "a"}}) {
+    const SchedWatermark one[] = {one_edge(g.find(src), g.find(dst))};
+    const PcEstimate est = sched_pc_window_model(g, one);
+    EXPECT_FALSE(est.degenerate);
+    EXPECT_DOUBLE_EQ(est.log10_pc, std::log10(3.0 / 9.0)) << src << "->" << dst;
+  }
 }
 
 TEST(EdgeProbabilityTest, ImpossibleOrderIsZero) {
@@ -51,16 +70,23 @@ TEST(EdgeProbabilityTest, ImpossibleOrderIsZero) {
   const NodeId y = b.op(OpKind::kAdd, "y", {x});
   b.output("o", y);
   const Graph g = std::move(b).build();
-  const cdfg::TimingInfo t = cdfg::compute_timing(g);
-  EXPECT_DOUBLE_EQ(edge_order_probability(t, g, g.find("y"), g.find("x")), 0.0);
-  EXPECT_DOUBLE_EQ(edge_order_probability(t, g, g.find("x"), g.find("y")), 1.0);
+  // p = 0: the window model's per-edge floor, flagged degenerate.
+  const SchedWatermark backward[] = {one_edge(g.find("y"), g.find("x"))};
+  const PcEstimate impossible = sched_pc_window_model(g, backward);
+  EXPECT_TRUE(impossible.degenerate);
+  EXPECT_DOUBLE_EQ(impossible.log10_pc, -6.0);
+  // p = 1: no evidence at all.
+  const SchedWatermark forward[] = {one_edge(g.find("x"), g.find("y"))};
+  const PcEstimate certain = sched_pc_window_model(g, forward);
+  EXPECT_FALSE(certain.degenerate);
+  EXPECT_DOUBLE_EQ(certain.log10_pc, 0.0);
 }
 
 TEST(SchedPcTest, ExactMatchesEnumeratedRatio) {
   Graph g = lwm::dfglib::iir4_parallel();
   const auto wm = plan_sched_watermark(g, g.find("A9"), alice(), iir_options());
   ASSERT_TRUE(wm.has_value());
-  const PcEstimate est = sched_pc_exact(g, *wm);
+  const PcEstimate est = sched_pc_auto(g, *wm);
   EXPECT_TRUE(est.exact);
   EXPECT_LT(est.log10_pc, 0.0) << "constraints must shrink the space";
 
@@ -128,7 +154,7 @@ TEST(SchedPcTest, SampledAgreesWithExactOnSmallLocality) {
   Graph g = lwm::dfglib::iir4_parallel();
   const auto wm = plan_sched_watermark(g, g.find("A9"), alice(), iir_options());
   ASSERT_TRUE(wm.has_value());
-  const PcEstimate exact = sched_pc_exact(g, *wm);
+  const PcEstimate exact = sched_pc_auto(g, *wm);
   ASSERT_TRUE(exact.exact);
   // Note: the exact count enumerates only the subtree; sampling draws
   // full-graph schedules whose restriction to the subtree is uniform-ish

@@ -1,9 +1,12 @@
 // periodic_wm_test — watermarking periodic (marked-graph) schedules:
-// periodic start windows, psi counting against a hand-enumerable
-// oracle, the sched_pc_auto II dispatch, and end-to-end embed ->
-// modulo-schedule -> detect on a token-annotated kernel.
+// periodic start windows and psi counting against a hand-enumerable
+// oracle, both read through sched_pc_auto's exact path, its II dispatch,
+// and end-to-end embed -> modulo-schedule -> detect on a token-annotated
+// kernel.
 #include <cmath>
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -13,8 +16,8 @@
 #include "dfglib/kernels.h"
 #include "sched/modulo.h"
 #include "wm/detector.h"
+#include "poisson_padding.h"
 #include "wm/pc.h"
-#include "wm/periodic.h"
 
 namespace lwm::wm {
 namespace {
@@ -54,25 +57,41 @@ TinyCase tiny() {
   return t;
 }
 
+/// A mark over `subtree` carrying the temporal constraints `edges`.
+SchedWatermark mark_of(std::vector<NodeId> subtree,
+                       std::vector<std::pair<NodeId, NodeId>> edges) {
+  SchedWatermark wm;
+  wm.root = subtree.front();
+  wm.subtree = std::move(subtree);
+  for (const auto& [src, dst] : edges) wm.constraints.push_back({src, dst});
+  return wm;
+}
+
+/// The exact path's floor for a mark no schedule satisfies: one decade
+/// below 1/psi_n, so it reads psi_n back.
+double floor_for(double psi_n) { return -std::log10(psi_n) - 1.0; }
+
 TEST(PeriodicTimingTest, WindowsFollowTokenWeightedConstraints) {
   const TinyCase t = tiny();
   // At II = 2, the carried edge m -> a (delay 3, one token) demands
-  // start(a) + 2 >= start(m) + 3, i.e. start(a) >= start(m) + 1.
-  const PeriodicTiming pt = compute_periodic_timing(t.g, 2);
-  EXPECT_EQ(pt.ii, 2);
-  EXPECT_EQ(pt.critical_span, 3);  // m alone spans 3 steps
-  EXPECT_EQ(pt.span, 3);
-  EXPECT_EQ(pt.estart[t.m.value], 0);
-  EXPECT_EQ(pt.lstart[t.m.value], 0);
-  EXPECT_EQ(pt.estart[t.a.value], 1);
-  EXPECT_EQ(pt.lstart[t.a.value], 2);
-  EXPECT_EQ(pt.estart[t.b.value], 0);
-  EXPECT_EQ(pt.lstart[t.b.value], 2);
-  EXPECT_EQ(pt.slack(t.b), 2);
+  // start(a) + 2 >= start(m) + 3, i.e. start(a) >= start(m) + 1.  With
+  // the flat makespan 3 (m alone), the windows are m = {0}, a = {1, 2},
+  // b = {0, 1, 2}; each single-edge mark below reads them back.
+  //
+  // b -> a over {a, b}: (b, a) in {(0,1), (0,2), (1,2)} of 2 * 3.
+  PcEstimate est = sched_pc_auto(t.g, mark_of({t.a, t.b}, {{t.b, t.a}}), 2);
+  EXPECT_TRUE(est.exact);
+  EXPECT_NEAR(est.log10_pc, std::log10(3.0 / 6.0), 1e-12);
+  // m -> b over {m, b}: b would need start 3, past its window; psi_n is
+  // b's three starts times m's one.
+  est = sched_pc_auto(t.g, mark_of({t.m, t.b}, {{t.m, t.b}}), 2);
+  EXPECT_TRUE(est.degenerate);
+  EXPECT_NEAR(est.log10_pc, floor_for(3.0), 1e-12);
 
-  // A larger II relaxes the carried constraint to nothing.
-  const PeriodicTiming wide = compute_periodic_timing(t.g, 3);
-  EXPECT_EQ(wide.estart[t.a.value], 0);
+  // A larger II relaxes the carried constraint to nothing: a = {0, 1, 2}
+  // and b -> a keeps (0,1), (0,2), (1,2) of 3 * 3.
+  est = sched_pc_auto(t.g, mark_of({t.a, t.b}, {{t.b, t.a}}), 3);
+  EXPECT_NEAR(est.log10_pc, std::log10(3.0 / 9.0), 1e-12);
 }
 
 TEST(PeriodicTimingTest, InfeasibleIiThrows) {
@@ -84,10 +103,9 @@ TEST(PeriodicTimingTest, InfeasibleIiThrows) {
   const NodeId b = g.add_node(OpKind::kAdd, "b");
   g.add_edge(a, b);
   g.add_edge(b, a, EdgeKind::kData, 1);
-  EXPECT_NO_THROW((void)compute_periodic_timing(g, 2));
-  EXPECT_THROW((void)compute_periodic_timing(g, 1), std::runtime_error);
-  // A span below the minimum feasible makespan is a caller error.
-  EXPECT_THROW((void)compute_periodic_timing(g, 2, 1), std::invalid_argument);
+  const SchedWatermark wm = mark_of({a, b}, {});
+  EXPECT_NO_THROW((void)sched_pc_auto(g, wm, 2));
+  EXPECT_THROW((void)sched_pc_auto(g, wm, 1), std::runtime_error);
 }
 
 TEST(PeriodicPsiTest, CountsMatchHandEnumeration) {
@@ -96,52 +114,47 @@ TEST(PeriodicPsiTest, CountsMatchHandEnumeration) {
   // with the pairwise demand start(a) >= start(m) + 1 already folded in:
   // psi_n = 1 * 2 * 3 = 6.  The temporal constraint a -> b (flat sense,
   // delay(a) = 1) leaves only (a=1, b=2): psi_w = 1.
-  SchedWatermark wm;
-  wm.root = t.a;
-  wm.subtree = {t.a, t.b, t.m};
-  wm.constraints.push_back({t.a, t.b, 0, 1});
-  const PeriodicPsi psi = periodic_psi_counts(t.g, wm, 2);
-  EXPECT_FALSE(psi.saturated);
-  EXPECT_EQ(psi.psi_n, 6u);
-  EXPECT_EQ(psi.psi_w, 1u);
-
-  const PcEstimate est = sched_pc_periodic(t.g, wm, 2);
+  const PcEstimate est =
+      sched_pc_auto(t.g, mark_of({t.a, t.b, t.m}, {{t.a, t.b}}), 2);
   EXPECT_TRUE(est.exact);
+  EXPECT_FALSE(est.degenerate);
   EXPECT_NEAR(est.log10_pc, std::log10(1.0 / 6.0), 1e-12);
+  // a -> b and b -> a together admit nothing: the floor reads psi_n = 6.
+  const PcEstimate none = sched_pc_auto(
+      t.g, mark_of({t.a, t.b, t.m}, {{t.a, t.b}, {t.b, t.a}}), 2);
+  EXPECT_TRUE(none.degenerate);
+  EXPECT_NEAR(none.log10_pc, floor_for(6.0), 1e-12);
 }
 
 TEST(PeriodicPsiTest, LoosenedIiGrowsTheSpace) {
   const TinyCase t = tiny();
-  SchedWatermark wm;
-  wm.root = t.a;
-  wm.subtree = {t.a, t.b, t.m};
-  wm.constraints.push_back({t.a, t.b, 0, 1});
   // II = 3 frees a's window to [0, 2]: psi_n = 9, and a -> b admits
   // (0,1), (0,2), (1,2): psi_w = 3.
-  const PeriodicPsi psi = periodic_psi_counts(t.g, wm, 3);
-  EXPECT_EQ(psi.psi_n, 9u);
-  EXPECT_EQ(psi.psi_w, 3u);
+  const PcEstimate est =
+      sched_pc_auto(t.g, mark_of({t.a, t.b, t.m}, {{t.a, t.b}}), 3);
+  EXPECT_NEAR(est.log10_pc, std::log10(3.0 / 9.0), 1e-12);
+  const PcEstimate none = sched_pc_auto(
+      t.g, mark_of({t.a, t.b, t.m}, {{t.a, t.b}, {t.b, t.a}}), 3);
+  EXPECT_NEAR(none.log10_pc, floor_for(9.0), 1e-12);
 }
 
 TEST(PeriodicPcTest, AutoDispatchesOnIi) {
   const TinyCase t = tiny();
-  SchedWatermark wm;
-  wm.root = t.a;
-  wm.subtree = {t.a, t.b, t.m};
-  wm.constraints.push_back({t.a, t.b, 0, 1});
+  const SchedWatermark wm = mark_of({t.a, t.b, t.m}, {{t.a, t.b}});
 
-  SchedPcAutoOptions opts;
-  opts.ii = 2;
-  const PcEstimate periodic = sched_pc_auto(t.g, wm, opts);
-  const PcEstimate direct = sched_pc_periodic(t.g, wm, 2);
-  EXPECT_DOUBLE_EQ(periodic.log10_pc, direct.log10_pc);
-  EXPECT_EQ(periodic.exact, direct.exact);
+  // ii = 0 counts flat schedules of the skeleton, where the carried
+  // edge is absent: a = {0, 1, 2} and a -> b keeps 3 of 9.  ii = 2
+  // counts periodic ones: 1 of 6.
+  const PcEstimate flat = sched_pc_auto(t.g, wm);
+  const PcEstimate periodic = sched_pc_auto(t.g, wm, 2);
+  EXPECT_TRUE(flat.exact);
+  EXPECT_TRUE(periodic.exact);
+  EXPECT_NEAR(flat.log10_pc, std::log10(3.0 / 9.0), 1e-12);
+  EXPECT_NEAR(periodic.log10_pc, std::log10(1.0 / 6.0), 1e-12);
 
-  // Forcing the large-design path must select the periodic Poisson
-  // model, which is still a (non-exact) upper-bounded estimate.
-  SchedPcAutoOptions big = opts;
-  big.poisson_node_threshold = 0;
-  const PcEstimate poisson = sched_pc_auto(t.g, wm, big);
+  // Past the node threshold the periodic Poisson model runs, still a
+  // (non-exact) probability.
+  const PcEstimate poisson = sched_pc_auto(past_exact_threshold(t.g), wm, 2);
   EXPECT_FALSE(poisson.exact);
   EXPECT_LE(poisson.log10_pc, 0.0);
 }
@@ -202,13 +215,10 @@ TEST(PeriodicWmTest, PeriodicPcIsFiniteAndNegative) {
   const int ii = sched::recurrence_min_ii(g);
   ASSERT_GE(ii, 1);
 
-  SchedPcAutoOptions opts;
-  opts.ii = ii;
-  const PcEstimate est = sched_pc_auto(g, *wm, opts);
+  const PcEstimate est = sched_pc_auto(g, *wm, ii);
   EXPECT_LT(est.log10_pc, 0.0) << "constraints must shrink the periodic space";
 
-  const SchedWatermark marks[] = {*wm};
-  const PcEstimate poisson = sched_pc_periodic_poisson(g, marks, ii);
+  const PcEstimate poisson = sched_pc_auto(past_exact_threshold(g), *wm, ii);
   EXPECT_FALSE(poisson.exact);
   EXPECT_LE(poisson.log10_pc, 0.0);
 }
