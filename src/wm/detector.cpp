@@ -195,10 +195,17 @@ std::vector<SchedDetectionReport> detect_sched_watermarks(
                 continue;
               }
             }
-            const Domain d = carve_cone(suspect, carve, grp.key, scratch);
-            carved.push_back(d.selected.size());
+            // Third stage, before T's identifier sort: only a record with
+            // T's op multiset can pass the gate.
+            const ConeFingerprint t = carve_cone(suspect, carve, grp.key, scratch);
+            carved.push_back(scratch.picked.size());
+            const auto same_ops = [&](std::size_t i) {
+              return candidate(i) && needs[i] == t;
+            };
+            if (std::ranges::none_of(grp.record_idx, same_ops)) continue;
+            const Domain d = order_carve(scratch);
             for (const std::size_t i : grp.record_idx) {
-              if (!candidate(i)) continue;
+              if (!same_ops(i)) continue;
               const std::optional<SchedHit> hit =
                   gate(suspect, schedule, d, records[i]);
               if (!hit) continue;
@@ -213,7 +220,7 @@ std::vector<SchedDetectionReport> detect_sched_watermarks(
         }
         LWM_COUNT("wm/detect_prefilter_skips", skips);
         LWM_COUNT("wm/cone_fingerprints", fingerprints);
-        record_carves(carved);
+        record_carves(carved, &scratch);
         return part;
       },
       [](Part acc, Part next) {

@@ -50,8 +50,6 @@ struct DomainKey {
 /// A selected and uniquely identified locality.
 struct Domain {
   cdfg::NodeId root;
-  /// T_o, sorted by unique identifier (identifier == index).
-  std::vector<cdfg::NodeId> ordered;
   /// T ⊆ T_o carved by the signature, sorted by unique identifier.
   std::vector<cdfg::NodeId> selected;
 };
@@ -67,45 +65,21 @@ struct CarveScratch {
   /// Local CSR: deduplicated in-cone inputs, first-occurrence order.
   std::vector<std::uint32_t> in_begin, in;
   std::vector<int> level, pending, fid;
-  /// C2 K(x) and C3 phi(x) keys, row-major c x tau.
+  /// C2 K(x) and C3 phi(x) keys, row-major c x tau; a row is computed on
+  /// the first comparison that reads it (`row_ready`).
+  std::size_t tau = 0;
   std::vector<int> cone_size;
   std::vector<long long> cone_phi;
+  std::vector<char> row_ready;
   std::vector<std::uint32_t> seen, dist, queue;
-  std::vector<std::uint32_t> order, rank, inputs;  ///< order: by identifier
+  std::vector<std::uint32_t> picked, inputs;  ///< picked: T, carve order
   std::vector<char> selected;
+  std::size_t key_rows = 0;  ///< C2/C3 rows computed, not yet published
 
   [[nodiscard]] std::span<const std::uint32_t> inputs_of(std::uint32_t i) const {
     return {in.data() + in_begin[i], in.data() + in_begin[i + 1]};
   }
 };
-
-/// Orders the fan-in cone of `root` (max-distance `tau`) by criteria
-/// C1 → C2 → C3 → discovery position.  Deterministic, signature-free.
-[[nodiscard]] std::vector<cdfg::NodeId> order_locality(const cdfg::Graph& g,
-                                                       cdfg::NodeId root, int tau);
-
-/// Step one of domain selection: gathers the fan-in cone T_o of `root`
-/// (max-distance `tau`, root first) into `s.cone`.
-void gather_cone(const cdfg::Graph& g, cdfg::NodeId root, int tau,
-                 CarveScratch& s);
-
-/// Step two: orders the cone last gathered into `s` (at `key.tau`) and
-/// carves T out of it with a copy of `carve`.
-[[nodiscard]] Domain carve_cone(const cdfg::Graph& g,
-                                const crypto::Bitstream& carve,
-                                const DomainKey& key, CarveScratch& s);
-
-/// Full domain selection: ordering plus signature-keyed carving of T,
-/// i.e. gather_cone then carve_cone.
-/// A pure function of (graph structure reachable from root, key, sig) —
-/// embedding and detection call this identically.  `carve` is the
-/// signature's fresh `DomainKey::kCarveTag` stream; the carve draws from
-/// a copy, so a caller carving many roots keys RC4 once.  A null
-/// `scratch` uses the calling thread's.
-[[nodiscard]] Domain select_domain(const cdfg::Graph& g, cdfg::NodeId root,
-                                   const crypto::Bitstream& carve,
-                                   const DomainKey& key,
-                                   CarveScratch* scratch = nullptr);
 
 /// Op-multiset fingerprint of a node multiset: its size and the count of
 /// every op kind in it (indexed by functional_id - 1), each saturating.
@@ -113,7 +87,9 @@ void gather_cone(const cdfg::Graph& g, cdfg::NodeId root, int tau,
 /// larger than the cone, or holds more of some op, cannot pass the
 /// structural gate there.  A saturated field of the cone never rejects,
 /// and a saturated field of the subtree undercounts, so the test is exact:
-/// it never refuses a subtree the cone can hold.
+/// it never refuses a subtree the cone can hold.  Equal multisets give
+/// equal fingerprints, so a carve whose fingerprint differs from a
+/// subtree's cannot be that subtree either.
 struct ConeFingerprint {
   static constexpr std::uint16_t kMaxSize = 0xFFFF;
   static constexpr std::uint8_t kMaxCount = 0xFF;
@@ -131,7 +107,39 @@ struct ConeFingerprint {
   /// False when a subtree fingerprinted `sub` cannot be carved from this
   /// cone.
   [[nodiscard]] bool may_hold(const ConeFingerprint& sub) const;
+  friend bool operator==(const ConeFingerprint&, const ConeFingerprint&) = default;
 };
+
+/// Orders the fan-in cone of `root` (max-distance `tau`) by criteria
+/// C1 → C2 → C3 → discovery position.  Deterministic, signature-free.
+[[nodiscard]] std::vector<cdfg::NodeId> order_locality(const cdfg::Graph& g,
+                                                       cdfg::NodeId root, int tau);
+
+/// Step one of domain selection: gathers the fan-in cone T_o of `root`
+/// (max-distance `tau`, root first) into `s.cone`.
+void gather_cone(const cdfg::Graph& g, cdfg::NodeId root, int tau,
+                 CarveScratch& s);
+
+/// Step two: carves T out of the cone last gathered into `s` (at
+/// `key.tau`) with a copy of `carve`, leaving T in `s.picked`, carve
+/// order.  Returns T's fingerprint, for a test before step three.
+[[nodiscard]] ConeFingerprint carve_cone(const cdfg::Graph& g,
+                                         const crypto::Bitstream& carve,
+                                         const DomainKey& key, CarveScratch& s);
+
+/// Step three: T, last carved into `s`, sorted by unique identifier.
+[[nodiscard]] Domain order_carve(CarveScratch& s);
+
+/// Full domain selection: gather_cone, carve_cone, then order_carve.
+/// A pure function of (graph structure reachable from root, key, sig) —
+/// embedding and detection call this identically.  `carve` is the
+/// signature's fresh `DomainKey::kCarveTag` stream; the carve draws from
+/// a copy, so a caller carving many roots keys RC4 once.  A null
+/// `scratch` uses the calling thread's.
+[[nodiscard]] Domain select_domain(const cdfg::Graph& g, cdfg::NodeId root,
+                                   const crypto::Bitstream& carve,
+                                   const DomainKey& key,
+                                   CarveScratch* scratch = nullptr);
 
 [[nodiscard]] inline Domain select_domain(const cdfg::Graph& g, cdfg::NodeId root,
                                           const crypto::Signature& sig,
@@ -139,9 +147,11 @@ struct ConeFingerprint {
   return select_domain(g, root, sig.stream(DomainKey::kCarveTag), key);
 }
 
-/// Publishes a batch of carves (a detector chunk, an embed wave, one plan)
-/// as one `wm/domains_carved` add and one `wm/domain_size` merge.
-void record_carves(std::span<const std::size_t> selected_sizes);
+/// Publishes a batch of carves (a detector chunk, an embed wave chunk, one
+/// plan) as one add each to `wm/domains_carved` and `wm/carve_key_rows`
+/// (`scratch`'s rows; null: the thread's) and one `wm/domain_size` merge.
+void record_carves(std::span<const std::size_t> selected_sizes,
+                   CarveScratch* scratch = nullptr);
 
 /// The structural gate of detection (paper §IV-A): true when the carved
 /// subtree `d.selected` is the memorized subtree — same size, and the

@@ -233,8 +233,8 @@ std::vector<SchedWatermark> embed_marks(Graph& g, const crypto::Signature& sig,
             planned[i] = plan_impl(g, candidates[base + i], sig, opts, ctx,
                                    exact_guard, carve, carved[i], &scratch);
           }
+          record_carves(std::span(carved).subspan(begin, end - begin), &scratch);
         });
-    record_carves(carved);
     for (std::size_t i = 0; i < n && wanted(); ++i) {
       if (!planned[i]) continue;
       add_constraints(g, *planned[i]);

@@ -46,7 +46,9 @@ void check_round_trip(const Graph& g, EdgeFilter filter) {
   std::size_t accepted_edges = 0;
   for (std::uint32_t d = 0; d < soa.size(); ++d) {
     const NodeId n = soa.node_of(d);
-    if (d > 0) EXPECT_LT(prev.value, n.value);
+    if (d > 0) {
+      EXPECT_LT(prev.value, n.value);
+    }
     prev = n;
     EXPECT_EQ(soa.dense_of(n), d);
 

@@ -36,7 +36,8 @@ TEST(DatapathTest, IirAtCriticalPath) {
 TEST(DatapathTest, RelaxedBudgetTradesLatencyForArea) {
   const Graph g = lwm::dfglib::make_dsp_design("dp_trade", 12, 120, 201);
   const int cp = cdfg::critical_path_length(g);
-  const Datapath tight = synthesize_datapath(g, {.latency = cp});
+  const Datapath tight =
+      synthesize_datapath(g, {.latency = cp, .reg_constraints = {}});
   DatapathOptions relaxed;
   relaxed.latency = 3 * cp;
   const Datapath loose = synthesize_datapath(g, relaxed);
@@ -60,7 +61,7 @@ TEST(DatapathTest, WatermarkEdgesRaiseCostObservably) {
   Graph g = lwm::dfglib::make_dsp_design("dp_wm", 14, 160, 203);
   const crypto::Signature sig("dp", "datapath-key");
   const Datapath baseline = synthesize_datapath(
-      g, {.filter = cdfg::EdgeFilter::specification()});
+      g, {.filter = cdfg::EdgeFilter::specification(), .reg_constraints = {}});
 
   wm::SchedWmOptions wopts;
   wopts.domain.tau = 5;

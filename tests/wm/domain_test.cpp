@@ -8,6 +8,7 @@
 #include "cdfg/serialize.h"
 #include "cdfg/subgraph.h"
 #include "dfglib/iir4.h"
+#include "dfglib/synth.h"
 
 #include "pick_root.h"
 
@@ -72,7 +73,6 @@ TEST(SelectDomainTest, DeterministicPerSignature) {
   const Domain a1 = select_domain(g, g.find("A9"), alice(), key);
   const Domain a2 = select_domain(g, g.find("A9"), alice(), key);
   EXPECT_EQ(a1.selected, a2.selected);
-  EXPECT_EQ(a1.ordered, a2.ordered);
 }
 
 TEST(SelectDomainTest, SignaturesCarveDifferently) {
@@ -82,9 +82,7 @@ TEST(SelectDomainTest, SignaturesCarveDifferently) {
   // keep probability 1/2 leaves room for divergence.
   const Domain a = select_domain(g, g.find("A9"), alice(), key);
   const Domain b = select_domain(g, g.find("A9"), eve(), key);
-  // The ordered cone is signature-free...
-  EXPECT_EQ(a.ordered, b.ordered);
-  // ...but the carved subtree is keyed (extremely likely to differ on a
+  // The carved subtree is keyed (extremely likely to differ on a
   // cone with many optional inputs).
   EXPECT_NE(a.selected, b.selected);
 }
@@ -109,11 +107,16 @@ TEST(SelectDomainTest, SelectionIsSubsetOfOrdered) {
   DomainKey key;
   key.tau = 4;
   const Domain d = select_domain(g, g.find("A9"), alice(), key);
-  const std::set<NodeId> ordered(d.ordered.begin(), d.ordered.end());
+  const std::vector<NodeId> cone = order_locality(g, g.find("A9"), key.tau);
+  const std::set<NodeId> ordered(cone.begin(), cone.end());
   for (const NodeId n : d.selected) {
     EXPECT_TRUE(ordered.count(n) != 0);
   }
-  EXPECT_LE(d.selected.size(), d.ordered.size());
+  EXPECT_LE(d.selected.size(), cone.size());
+  // T keeps the identifier order of T_o.
+  EXPECT_TRUE(std::ranges::is_sorted(d.selected, {}, [&](NodeId n) {
+    return std::ranges::find(cone, n) - cone.begin();
+  }));
 }
 
 TEST(SelectDomainTest, CarvingSurvivesPartitionExtraction) {
@@ -145,6 +148,24 @@ TEST(PickRootTest, ReturnsExecutableNode) {
     const NodeId r = pick_root(g, stream);
     EXPECT_TRUE(cdfg::is_executable(g.node(r).kind));
   }
+}
+
+TEST(SelectDomainTest, ComputesKeyRowsOnlyWhereComparisonsTie) {
+  // C1 and K(0) part most comparisons, so most cone members never need
+  // their C2/C3 row.
+  const Graph g = lwm::dfglib::make_mega_design({.operations = 2000});
+  const crypto::Bitstream carve = alice().stream(DomainKey::kCarveTag);
+  DomainKey key;
+  key.tau = 8;
+  CarveScratch s;
+  std::size_t cone_nodes = 0;
+  for (const NodeId n : g.nodes()) {
+    if (!cdfg::is_executable(g.node(n).kind)) continue;
+    (void)select_domain(g, n, carve, key, &s);
+    cone_nodes += s.cone.size();
+  }
+  ASSERT_GT(cone_nodes, 0u);
+  EXPECT_LE(2 * s.key_rows, cone_nodes);
 }
 
 }  // namespace

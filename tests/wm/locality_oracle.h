@@ -195,12 +195,12 @@ inline Domain select_domain(const cdfg::Graph& g, cdfg::NodeId root,
   using cdfg::NodeId;
   Domain d;
   d.root = root;
-  d.ordered = order_locality(g, root, key.tau);
-  std::unordered_set<NodeId> cone(d.ordered.begin(), d.ordered.end());
+  const std::vector<NodeId> ordered = order_locality(g, root, key.tau);
+  std::unordered_set<NodeId> cone(ordered.begin(), ordered.end());
   std::unordered_set<NodeId> selected{root};
   std::unordered_map<NodeId, int> rank;
-  for (std::size_t i = 0; i < d.ordered.size(); ++i) {
-    rank[d.ordered[i]] = static_cast<int>(i);
+  for (std::size_t i = 0; i < ordered.size(); ++i) {
+    rank[ordered[i]] = static_cast<int>(i);
   }
   crypto::Bitstream stream = sig.stream(DomainKey::kCarveTag);
   std::deque<NodeId> queue{root};
@@ -221,7 +221,7 @@ inline Domain select_domain(const cdfg::Graph& g, cdfg::NodeId root,
       }
     }
   }
-  for (const NodeId n : d.ordered) {
+  for (const NodeId n : ordered) {
     if (selected.count(n) != 0) d.selected.push_back(n);
   }
   return d;
