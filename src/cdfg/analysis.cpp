@@ -17,20 +17,18 @@ std::vector<NodeId> topo_order(const Graph& g, EdgeFilter filter) {
       if (filter.accepts(g.edge(e))) ++indegree[n.value];
     }
   }
-  std::deque<NodeId> ready;
-  for (NodeId n : g.nodes()) {
-    if (indegree[n.value] == 0) ready.push_back(n);
-  }
+  // The result doubles as the FIFO queue: every node enters it once,
+  // when its last accepted fan-in edge is consumed.
   std::vector<NodeId> order;
   order.reserve(g.node_count());
-  while (!ready.empty()) {
-    const NodeId n = ready.front();
-    ready.pop_front();
-    order.push_back(n);
-    for (EdgeId e : g.fanout(n)) {
+  for (NodeId n : g.nodes()) {
+    if (indegree[n.value] == 0) order.push_back(n);
+  }
+  for (std::size_t head = 0; head < order.size(); ++head) {
+    for (EdgeId e : g.fanout(order[head])) {
       const Edge& ed = g.edge(e);
       if (!filter.accepts(ed)) continue;
-      if (--indegree[ed.dst.value] == 0) ready.push_back(ed.dst);
+      if (--indegree[ed.dst.value] == 0) order.push_back(ed.dst);
     }
   }
   if (order.size() != g.node_count()) {
@@ -174,10 +172,15 @@ TimingInfo relax(const Graph& g, const std::vector<NodeId>& order, int latency,
 }  // namespace
 
 TimingInfo compute_timing(const Graph& g, int latency, EdgeFilter filter) {
+  return compute_timing(g, topo_order(g, filter), latency, filter);
+}
+
+TimingInfo compute_timing(const Graph& g, const std::vector<NodeId>& order,
+                          int latency, EdgeFilter filter) {
   // One relaxed add per timing analysis: the work guard for callers that
   // promise to reuse resident windows instead of re-timing.
   LWM_COUNT("cdfg/timing_passes", 1);
-  return relax<&Node::delay>(g, topo_order(g, filter), latency, filter);
+  return relax<&Node::delay>(g, order, latency, filter);
 }
 
 int critical_path_length(const Graph& g, EdgeFilter filter) {

@@ -119,6 +119,16 @@ struct TimingInfo {
 [[nodiscard]] TimingInfo compute_timing(const Graph& g, int latency = -1,
                                         EdgeFilter filter = EdgeFilter::all());
 
+/// compute_timing() over a caller's topological order of every live node
+/// under a filter that accepts at least `filter`'s edges — e.g.
+/// topo_order(g, EdgeFilter::all()) serves EdgeFilter::specification().
+/// An order of a wider edge set also orders the narrower one, and
+/// ASAP/ALAP values do not depend on which order relaxes them, so the
+/// result equals compute_timing(g, latency, filter).
+[[nodiscard]] TimingInfo compute_timing(const Graph& g,
+                                        const std::vector<NodeId>& order,
+                                        int latency, EdgeFilter filter);
+
 /// Dual min/max timing under the dynamically bounded delay model.
 ///
 /// Every delay realization d(n) in [delay_min(n), delay(n)] yields some

@@ -1,6 +1,7 @@
 #include "cdfg/graph.h"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 namespace lwm::cdfg {
@@ -27,8 +28,8 @@ NodeId Graph::add_node(OpKind kind, std::string name, int delay) {
   }
   nodes_.push_back(Node{kind, std::move(name), delay, delay});
   node_live_.push_back(true);
-  fanin_.emplace_back();
-  fanout_.emplace_back();
+  in_.emplace_back();
+  out_.emplace_back();
   ++live_nodes_;
   return id;
 }
@@ -49,8 +50,8 @@ EdgeId Graph::add_edge(NodeId src, NodeId dst, EdgeKind kind, int tokens) {
   const EdgeId id{static_cast<std::uint32_t>(edges_.size())};
   edges_.push_back(Edge{src, dst, kind, tokens});
   edge_live_.push_back(true);
-  fanout_[src.value].push_back(id);
-  fanin_[dst.value].push_back(id);
+  append(out_[src.value], id);
+  append(in_[dst.value], id);
   ++live_edges_;
   return id;
 }
@@ -58,22 +59,22 @@ EdgeId Graph::add_edge(NodeId src, NodeId dst, EdgeKind kind, int tokens) {
 void Graph::remove_edge(EdgeId e) {
   check_live(e);
   const Edge& ed = edges_[e.value];
-  auto erase_from = [e](std::vector<EdgeId>& v) {
-    v.erase(std::remove(v.begin(), v.end(), e), v.end());
-  };
-  erase_from(fanout_[ed.src.value]);
-  erase_from(fanin_[ed.dst.value]);
+  erase(out_[ed.src.value], e);
+  erase(in_[ed.dst.value], e);
   edge_live_[e.value] = false;
   --live_edges_;
 }
 
 void Graph::remove_node(NodeId n) {
   check_live(n);
-  // Copy: remove_edge mutates the adjacency lists we iterate.
-  const std::vector<EdgeId> in = fanin_[n.value];
-  const std::vector<EdgeId> out = fanout_[n.value];
-  for (EdgeId e : in) remove_edge(e);
-  for (EdgeId e : out) remove_edge(e);
+  // Peel from the back: each remove_edge() shortens the list it reads,
+  // and a token self-loop leaves both of n's lists at once.
+  while (in_[n.value].len != 0) {
+    remove_edge(arena_[in_[n.value].off + in_[n.value].len - 1]);
+  }
+  while (out_[n.value].len != 0) {
+    remove_edge(arena_[out_[n.value].off + out_[n.value].len - 1]);
+  }
   node_live_[n.value] = false;
   --live_nodes_;
 }
@@ -121,34 +122,6 @@ int Graph::strip_temporal_edges() {
   return removed;
 }
 
-bool Graph::is_live(NodeId n) const noexcept {
-  return n.valid() && n.value < nodes_.size() && node_live_[n.value];
-}
-
-bool Graph::is_live(EdgeId e) const noexcept {
-  return e.valid() && e.value < edges_.size() && edge_live_[e.value];
-}
-
-const Node& Graph::node(NodeId n) const {
-  check_live(n);
-  return nodes_[n.value];
-}
-
-const Edge& Graph::edge(EdgeId e) const {
-  check_live(e);
-  return edges_[e.value];
-}
-
-std::span<const EdgeId> Graph::fanin(NodeId n) const {
-  check_live(n);
-  return fanin_[n.value];
-}
-
-std::span<const EdgeId> Graph::fanout(NodeId n) const {
-  check_live(n);
-  return fanout_[n.value];
-}
-
 std::vector<NodeId> Graph::node_ids() const {
   std::vector<NodeId> out;
   out.reserve(live_nodes_);
@@ -192,25 +165,47 @@ std::size_t Graph::operation_count() const {
 
 bool Graph::has_edge(NodeId src, NodeId dst, EdgeKind kind) const {
   if (!is_live(src) || !is_live(dst)) return false;
-  for (EdgeId e : fanout_[src.value]) {
+  for (EdgeId e : list(out_[src.value])) {
     const Edge& ed = edges_[e.value];
     if (ed.dst == dst && ed.kind == kind) return true;
   }
   return false;
 }
 
-void Graph::check_live(NodeId n) const {
-  if (!is_live(n)) {
-    throw std::out_of_range("Graph: dead or out-of-range NodeId " +
-                            std::to_string(n.value));
+void Graph::append(AdjSlot& s, EdgeId e) {
+  if (s.len == s.cap) {
+    const std::uint32_t cap = s.cap == 0 ? 2 : 2 * s.cap;
+    const std::size_t end = arena_.size();
+    if (end + cap > std::numeric_limits<std::uint32_t>::max()) {
+      throw std::length_error("Graph: adjacency arena exceeds 2^32 entries");
+    }
+    if (s.cap != 0 && s.off + s.cap == end) {
+      // Already the arena's last list: grow it where it stands.
+      arena_.resize(end + (cap - s.cap));
+    } else {
+      arena_.resize(end + cap);
+      std::copy_n(arena_.begin() + s.off, s.len, arena_.begin() + end);
+      s.off = static_cast<std::uint32_t>(end);
+    }
+    s.cap = cap;
   }
+  arena_[s.off + s.len++] = e;
 }
 
-void Graph::check_live(EdgeId e) const {
-  if (!is_live(e)) {
-    throw std::out_of_range("Graph: dead or out-of-range EdgeId " +
-                            std::to_string(e.value));
-  }
+void Graph::erase(AdjSlot& s, EdgeId e) noexcept {
+  const auto first = arena_.begin() + s.off;
+  const auto last = first + s.len;
+  s.len = static_cast<std::uint32_t>(std::remove(first, last, e) - first);
+}
+
+void Graph::throw_dead(NodeId n) {
+  throw std::out_of_range("Graph: dead or out-of-range NodeId " +
+                          std::to_string(n.value));
+}
+
+void Graph::throw_dead(EdgeId e) {
+  throw std::out_of_range("Graph: dead or out-of-range EdgeId " +
+                          std::to_string(e.value));
 }
 
 }  // namespace lwm::cdfg

@@ -113,6 +113,19 @@ struct Edge {
 /// Fan-in edge lists preserve insertion order — the watermarking domain-
 /// identification step depends on a deterministic, reproducible ordering
 /// of each node's inputs.
+///
+/// Layout: every adjacency list lives in one flat EdgeId arena, and each
+/// node holds one {offset, length, capacity} slot per direction.  A list
+/// that outgrows its capacity moves to the arena's end with doubled
+/// capacity (its old cells are abandoned, never reused); removal erases
+/// in place.  Copying or destroying a graph is therefore a handful of
+/// flat buffer copies or frees, not two heap blocks per node.
+///
+/// Span lifetime: any add_edge() may move the arena, so it invalidates
+/// *every* fanin()/fanout() span, not only the touched nodes'.  A loop
+/// that adds edges while walking a list must copy the list first.
+/// remove_edge()/remove_node() leave spans pointing at valid memory but
+/// shorten the touched lists, so a held span reads stale entries.
 class Graph {
  public:
   Graph() = default;
@@ -170,8 +183,12 @@ class Graph {
 
   // ---- queries ------------------------------------------------------------
 
-  [[nodiscard]] bool is_live(NodeId n) const noexcept;
-  [[nodiscard]] bool is_live(EdgeId e) const noexcept;
+  [[nodiscard]] bool is_live(NodeId n) const noexcept {
+    return n.value < nodes_.size() && node_live_[n.value];
+  }
+  [[nodiscard]] bool is_live(EdgeId e) const noexcept {
+    return e.value < edges_.size() && edge_live_[e.value];
+  }
 
   /// Live node/edge counts (tombstoned entries excluded).
   [[nodiscard]] std::size_t node_count() const noexcept { return live_nodes_; }
@@ -181,14 +198,27 @@ class Graph {
   [[nodiscard]] std::size_t node_capacity() const noexcept { return nodes_.size(); }
   [[nodiscard]] std::size_t edge_capacity() const noexcept { return edges_.size(); }
 
-  /// Node/edge payloads.  Precondition: handle is live.
-  [[nodiscard]] const Node& node(NodeId n) const;
-  [[nodiscard]] const Edge& edge(EdgeId e) const;
+  /// Node/edge payloads.  Throws std::out_of_range on a dead handle.
+  [[nodiscard]] const Node& node(NodeId n) const {
+    check_live(n);
+    return nodes_[n.value];
+  }
+  [[nodiscard]] const Edge& edge(EdgeId e) const {
+    check_live(e);
+    return edges_[e.value];
+  }
 
   /// Edges into / out of `n`, in insertion order; tombstoned edges are
-  /// excluded (the lists are maintained eagerly on removal).
-  [[nodiscard]] std::span<const EdgeId> fanin(NodeId n) const;
-  [[nodiscard]] std::span<const EdgeId> fanout(NodeId n) const;
+  /// excluded (the lists are maintained eagerly on removal).  See the
+  /// class comment for how long a span stays valid.
+  [[nodiscard]] std::span<const EdgeId> fanin(NodeId n) const {
+    check_live(n);
+    return list(in_[n.value]);
+  }
+  [[nodiscard]] std::span<const EdgeId> fanout(NodeId n) const {
+    check_live(n);
+    return list(out_[n.value]);
+  }
 
   /// All live node ids in ascending id order.
   [[nodiscard]] std::vector<NodeId> node_ids() const;
@@ -335,16 +365,37 @@ class Graph {
   [[nodiscard]] bool has_edge(NodeId src, NodeId dst, EdgeKind kind) const;
 
  private:
-  void check_live(NodeId n) const;
-  void check_live(EdgeId e) const;
+  /// One node's adjacency list in one direction: arena_[off, off + len),
+  /// with room up to off + cap.
+  struct AdjSlot {
+    std::uint32_t off = 0;
+    std::uint32_t len = 0;
+    std::uint32_t cap = 0;
+  };
+
+  void check_live(NodeId n) const {
+    if (!is_live(n)) throw_dead(n);
+  }
+  void check_live(EdgeId e) const {
+    if (!is_live(e)) throw_dead(e);
+  }
+  [[noreturn]] static void throw_dead(NodeId n);
+  [[noreturn]] static void throw_dead(EdgeId e);
+
+  [[nodiscard]] std::span<const EdgeId> list(AdjSlot s) const noexcept {
+    return {arena_.data() + s.off, s.len};
+  }
+  void append(AdjSlot& s, EdgeId e);
+  void erase(AdjSlot& s, EdgeId e) noexcept;
 
   std::string name_;
   std::vector<Node> nodes_;
   std::vector<Edge> edges_;
   std::vector<bool> node_live_;
   std::vector<bool> edge_live_;
-  std::vector<std::vector<EdgeId>> fanin_;
-  std::vector<std::vector<EdgeId>> fanout_;
+  std::vector<EdgeId> arena_;  ///< every adjacency list, see AdjSlot
+  std::vector<AdjSlot> in_;    ///< fan-in slot, by NodeId::value
+  std::vector<AdjSlot> out_;   ///< fan-out slot, by NodeId::value
   std::size_t live_nodes_ = 0;
   std::size_t live_edges_ = 0;
 };

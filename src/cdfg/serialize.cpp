@@ -8,10 +8,11 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "cdfg/analysis.h"
+#include "cdfg/name_index.h"
 #include "io/text.h"
+#include "obs/obs.h"
 
 namespace lwm::cdfg {
 
@@ -53,11 +54,12 @@ std::string to_text(const Graph& g) {
 
 io::ParseResult<Graph> parse_cdfg(io::LineCursor lines,
                                   std::string_view source_name) {
+  LWM_SPAN("cdfg/parse");
   const auto err = [&](int line, int col, std::string msg) {
     return io::Diagnostic{std::string(source_name), line, col, std::move(msg)};
   };
   Graph g;
-  std::unordered_map<std::string, NodeId> by_name;
+  NameIndex by_name;
   // Source line of every parsed edge, indexed by EdgeId::value — locates
   // the back-edge that closes an unintended cycle.
   std::vector<int> edge_lines;
@@ -92,7 +94,7 @@ io::ParseResult<Graph> parse_cdfg(io::LineCursor lines,
       if (!kind) {
         return err(lineno, op->column, "unknown op '" + std::string(op->text) + "'");
       }
-      if (by_name.count(std::string(name->text)) != 0) {
+      if (by_name.find(g, name->text).valid()) {
         return err(lineno, name->column,
                    "duplicate node '" + std::string(name->text) + "'");
       }
@@ -145,19 +147,19 @@ io::ParseResult<Graph> parse_cdfg(io::LineCursor lines,
       if (delay_min >= 0) {
         g.set_delay_bounds(id, delay_min, delay);
       }
-      by_name.emplace(std::string(name->text), id);
+      by_name.insert(g, id);
     } else if (tok->text == "edge") {
       const auto src = lx.next();
       const auto dst = lx.next();
       if (!src || !dst) {
         return err(lineno, lx.column(), "edge needs <src> <dst> [kind] [tokens]");
       }
-      const auto si = by_name.find(std::string(src->text));
-      const auto di = by_name.find(std::string(dst->text));
-      if (si == by_name.end()) {
+      const NodeId si = by_name.find(g, src->text);
+      const NodeId di = by_name.find(g, dst->text);
+      if (!si.valid()) {
         return err(lineno, src->column, "unknown node '" + std::string(src->text) + "'");
       }
-      if (di == by_name.end()) {
+      if (!di.valid()) {
         return err(lineno, dst->column, "unknown node '" + std::string(dst->text) + "'");
       }
       // Optional tail: [kind] [tokens].  A bare integer third field is a
@@ -200,7 +202,7 @@ io::ParseResult<Graph> parse_cdfg(io::LineCursor lines,
         }
       }
       try {
-        g.add_edge(si->second, di->second, kind, tokens);
+        g.add_edge(si, di, kind, tokens);
       } catch (const std::invalid_argument& e) {
         return err(lineno, tok->column, e.what());
       }

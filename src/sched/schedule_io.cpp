@@ -1,9 +1,9 @@
 #include "sched/schedule_io.h"
 
-#include <bit>
-#include <functional>
 #include <sstream>
-#include <vector>
+
+#include "cdfg/name_index.h"
+#include "obs/obs.h"
 
 namespace lwm::sched {
 
@@ -20,19 +20,10 @@ std::string schedule_to_text(const cdfg::Graph& g, const Schedule& s) {
 io::ParseResult<Schedule> parse_schedule(const cdfg::Graph& g,
                                          io::LineCursor lines,
                                          std::string_view source_name) {
+  LWM_SPAN("sched/parse");
   Schedule s(g);
-  // One open-addressed name index per parse keeps the parse linear; the
-  // first live node wins a duplicated name, as in Graph::find.
-  std::vector<cdfg::NodeId> by_name(std::bit_ceil(2 * g.node_count() + 1));
-  const auto slot_of = [&](std::string_view name) -> cdfg::NodeId& {
-    for (std::size_t i = std::hash<std::string_view>{}(name);; ++i) {
-      cdfg::NodeId& slot = by_name[i & (by_name.size() - 1)];
-      if (!slot.valid() || g.node(slot).name == name) return slot;
-    }
-  };
-  for (const cdfg::NodeId n : g.nodes()) {
-    if (cdfg::NodeId& slot = slot_of(g.node(n).name); !slot.valid()) slot = n;
-  }
+  // One name index per parse keeps the parse linear.
+  const cdfg::NameIndex by_name(g);
   bool saw_header = false;
   const auto err = [&](int line, int col, std::string msg) {
     return io::Diagnostic{std::string(source_name), line, col, std::move(msg)};
@@ -71,7 +62,7 @@ io::ParseResult<Schedule> parse_schedule(const cdfg::Graph& g,
       if (!lx.at_end()) {
         return err(lineno, lx.column(), "trailing garbage after step");
       }
-      const cdfg::NodeId n = slot_of(name->text);
+      const cdfg::NodeId n = by_name.find(g, name->text);
       if (!n.valid()) {
         return err(lineno, name->column,
                    "unknown node '" + std::string(name->text) + "'");

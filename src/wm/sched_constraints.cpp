@@ -19,9 +19,12 @@ using cdfg::NodeId;
 
 PlanContext PlanContext::build(const Graph& g) {
   PlanContext ctx;
-  ctx.timing = cdfg::compute_timing(g, -1, cdfg::EdgeFilter::specification());
+  // One topological pass serves both: an order over every edge kind also
+  // orders the specification's subset of them.
   const std::vector<NodeId> order =
       cdfg::topo_order(g, cdfg::EdgeFilter::all());
+  ctx.timing = cdfg::compute_timing(g, order, -1,
+                                    cdfg::EdgeFilter::specification());
   ctx.topo_rank.assign(g.node_capacity(), 0);
   for (std::size_t i = 0; i < order.size(); ++i) {
     ctx.topo_rank[order[i].value] = static_cast<std::uint32_t>(i);

@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <unordered_map>
 
+#include "../scaling.h"
 #include "cdfg/builder.h"
+#include "dfglib/synth.h"
 
 namespace lwm::cdfg {
 namespace {
@@ -133,6 +135,25 @@ TEST(ReachesTest, ForwardOnly) {
   EXPECT_FALSE(reaches(g, g.find("c"), g.find("a")));
   EXPECT_TRUE(reaches(g, g.find("a"), g.find("a")));
   EXPECT_FALSE(reaches(g, g.find("b"), g.find("s")));
+}
+
+TEST(TimingTest, ComputeTimingScalesLinearlyInDesignSize) {
+  // 4x the operations: one topological pass plus one relaxation is ~4x
+  // the time, anything quadratic in the node count ~16x.
+  const auto mega = [](int ops) {
+    dfglib::MegaConfig cfg;
+    cfg.operations = ops;
+    cfg.seed = 3;
+    return dfglib::make_mega_design(cfg);
+  };
+  const Graph small = mega(8'000);
+  const Graph large = mega(32'000);
+  const auto timing = [](const Graph& g) {
+    return [&g] { EXPECT_GT(compute_timing(g).critical_path, 0); };
+  };
+  const double ratio = scaling::ratio(timing(small), timing(large), 8.0);
+  RecordProperty("ratio", std::to_string(ratio));
+  EXPECT_LT(ratio, 8.0);
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <random>
+#include <vector>
+
 #include "cdfg/builder.h"
 
 namespace lwm::cdfg {
@@ -141,6 +145,145 @@ TEST(GraphTest, CopySemanticsAreDeep) {
   EXPECT_TRUE(g.find("b").valid());
   EXPECT_EQ(g.node_count(), 6u);
   EXPECT_EQ(copy.node_count(), 5u);
+}
+
+TEST(GraphTest, RemoveNodeWithTokenSelfLoop) {
+  Graph g("acc");
+  const NodeId i = g.add_node(OpKind::kInput, "i");
+  const NodeId a = g.add_node(OpKind::kAdd, "a");
+  g.add_edge(i, a);
+  g.add_edge(a, a, EdgeKind::kData, 1);  // a += previous a
+  g.remove_node(a);
+  EXPECT_EQ(g.edge_count(), 0u);
+  EXPECT_TRUE(g.fanout(i).empty());
+}
+
+/// Plain vector-of-vectors model of the adjacency the arena must match.
+struct RefGraph {
+  struct RefEdge {
+    NodeId src, dst;
+    EdgeKind kind;
+    bool live;
+  };
+  std::vector<bool> live;
+  std::vector<RefEdge> edges;
+  std::vector<std::vector<EdgeId>> in, out;
+
+  void add_node() {
+    live.push_back(true);
+    in.emplace_back();
+    out.emplace_back();
+  }
+  void add_edge(NodeId s, NodeId d, EdgeKind k) {
+    const EdgeId e{static_cast<std::uint32_t>(edges.size())};
+    edges.push_back({s, d, k, true});
+    out[s.value].push_back(e);
+    in[d.value].push_back(e);
+  }
+  void remove_edge(EdgeId e) {
+    RefEdge& ed = edges[e.value];
+    std::erase(out[ed.src.value], e);
+    std::erase(in[ed.dst.value], e);
+    ed.live = false;
+  }
+  void remove_node(NodeId n) {
+    for (std::uint32_t i = 0; i < edges.size(); ++i) {
+      if (edges[i].live && (edges[i].src == n || edges[i].dst == n)) {
+        remove_edge(EdgeId{i});
+      }
+    }
+    live[n.value] = false;
+  }
+  void strip_temporal() {
+    for (std::uint32_t i = 0; i < edges.size(); ++i) {
+      if (edges[i].live && edges[i].kind == EdgeKind::kTemporal) {
+        remove_edge(EdgeId{i});
+      }
+    }
+  }
+};
+
+void expect_matches(const Graph& g, const RefGraph& ref) {
+  ASSERT_EQ(g.node_capacity(), ref.live.size());
+  ASSERT_EQ(g.edge_capacity(), ref.edges.size());
+  for (std::uint32_t i = 0; i < ref.live.size(); ++i) {
+    const NodeId n{i};
+    ASSERT_EQ(g.is_live(n), ref.live[i]) << "node " << i;
+    if (!ref.live[i]) continue;
+    const std::span<const EdgeId> fi = g.fanin(n);
+    const std::span<const EdgeId> fo = g.fanout(n);
+    ASSERT_EQ(std::vector<EdgeId>(fi.begin(), fi.end()), ref.in[i]) << "fanin " << i;
+    ASSERT_EQ(std::vector<EdgeId>(fo.begin(), fo.end()), ref.out[i]) << "fanout " << i;
+  }
+  for (std::uint32_t i = 0; i < ref.edges.size(); ++i) {
+    ASSERT_EQ(g.is_live(EdgeId{i}), ref.edges[i].live) << "edge " << i;
+  }
+}
+
+/// One random mutation, applied to the graph and its model alike.
+void random_step(std::mt19937& rng, Graph& g, RefGraph& ref) {
+  constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
+  const auto pick = [&](const std::vector<bool>& live) {
+    std::vector<std::uint32_t> ids;
+    for (std::uint32_t i = 0; i < live.size(); ++i) {
+      if (live[i]) ids.push_back(i);
+    }
+    return ids.empty() ? kNone : ids[rng() % ids.size()];
+  };
+  std::vector<bool> edge_live;
+  for (const RefGraph::RefEdge& e : ref.edges) edge_live.push_back(e.live);
+  const std::uint32_t roll = rng() % 100;
+  if (roll < 10 || g.node_count() < 2) {
+    g.add_node(OpKind::kAdd);
+    ref.add_node();
+  } else if (roll < 70) {
+    // Few nodes and many edges: lists grow long, relocate and collide
+    // with parallel edges; a quarter of draws are token self-loops.
+    const NodeId s{pick(ref.live)};
+    const NodeId d = rng() % 4 == 0 ? s : NodeId{pick(ref.live)};
+    const auto kind = static_cast<EdgeKind>(rng() % 3);
+    g.add_edge(s, d, kind, s == d ? 1 : 0);
+    ref.add_edge(s, d, kind);
+  } else if (roll < 90) {
+    if (const std::uint32_t e = pick(edge_live); e != kNone) {
+      g.remove_edge(EdgeId{e});
+      ref.remove_edge(EdgeId{e});
+    }
+  } else if (roll < 96) {
+    const NodeId n{pick(ref.live)};
+    g.remove_node(n);
+    ref.remove_node(n);
+  } else {
+    g.strip_temporal_edges();
+    ref.strip_temporal();
+  }
+}
+
+TEST(GraphTest, ArenaAdjacencyMatchesReferenceModel) {
+  for (std::uint32_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    std::mt19937 rng(seed);
+    Graph g("arena");
+    RefGraph ref;
+    for (int step = 0; step < 600; ++step) {
+      random_step(rng, g, ref);
+      expect_matches(g, ref);
+      if (HasFatalFailure()) return;
+      if (rng() % 50 == 0) {
+        // Copy, mutate only the copy: the original must not move.
+        Graph copy = g;
+        RefGraph copy_ref = ref;
+        for (int k = 0; k < 20; ++k) random_step(rng, copy, copy_ref);
+        expect_matches(copy, copy_ref);
+        expect_matches(g, ref);
+        if (HasFatalFailure()) return;
+        if (rng() % 2 == 0) {
+          g = std::move(copy);
+          ref = std::move(copy_ref);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "../scaling.h"
 #include "cdfg/builder.h"
 #include "dfglib/iir4.h"
+#include "dfglib/synth.h"
 
 namespace lwm::cdfg {
 namespace {
@@ -107,6 +109,26 @@ TEST(SerializeTest, RejectsBadInput) {
   EXPECT_FALSE(parse_cdfg("cdfg t\nwat a b\n").ok());
   EXPECT_FALSE(
       parse_cdfg("cdfg t\nnode a add\nnode b add\nedge a b sideways\n").ok());
+}
+
+std::string mega_text(int ops) {
+  dfglib::MegaConfig cfg;
+  cfg.operations = ops;
+  cfg.seed = 3;
+  return to_text(dfglib::make_mega_design(cfg));
+}
+
+TEST(SerializeTest, ParseScalesLinearlyInDesignSize) {
+  // 4x the operations: a linear parse takes ~4x as long, a name lookup
+  // that scans or rehashes per line ~16x.
+  const std::string small = mega_text(8'000);
+  const std::string large = mega_text(32'000);
+  const auto parse = [](const std::string& text) {
+    return [&text] { EXPECT_TRUE(parse_cdfg(text).ok()); };
+  };
+  const double ratio = scaling::ratio(parse(small), parse(large), 8.0);
+  RecordProperty("ratio", std::to_string(ratio));
+  EXPECT_LT(ratio, 8.0);
 }
 
 }  // namespace

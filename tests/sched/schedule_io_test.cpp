@@ -2,9 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <chrono>
-
+#include "../scaling.h"
 #include "cdfg/analysis.h"
 #include "cdfg/serialize.h"
 #include "dfglib/iir4.h"
@@ -98,33 +96,16 @@ AsapCase asap_case(int ops) {
   return c;
 }
 
-double parse_seconds(const AsapCase& c) {
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto parsed = parse_schedule(c.graph, c.text);
-  const auto t1 = std::chrono::steady_clock::now();
-  EXPECT_TRUE(parsed.ok());
-  return std::chrono::duration<double>(t1 - t0).count();
-}
-
 TEST(ScheduleIoTest, ParseScalesLinearlyInDesignSize) {
   // 4x the operations: a linear parse takes ~4x as long (~5x measured,
   // the larger index falls out of cache), one name scan per line (the
-  // old Graph::find) ~16x.  Each attempt takes the minimum of three
-  // interleaved runs per size; up to three attempts absorb a scheduler
-  // hiccup on a loaded machine, which a quadratic parse never passes.
+  // old Graph::find) ~16x.
   const AsapCase small = asap_case(8'000);
   const AsapCase large = asap_case(32'000);
-  double ratio = 0;
-  for (int attempt = 0; attempt < 3; ++attempt) {
-    double t_small = 1e300;
-    double t_large = 1e300;
-    for (int run = 0; run < 3; ++run) {
-      t_small = std::min(t_small, parse_seconds(small));
-      t_large = std::min(t_large, parse_seconds(large));
-    }
-    ratio = t_large / t_small;
-    if (ratio < 8.0) break;
-  }
+  const auto parse = [](const AsapCase& c) {
+    return [&c] { EXPECT_TRUE(parse_schedule(c.graph, c.text).ok()); };
+  };
+  const double ratio = scaling::ratio(parse(small), parse(large), 8.0);
   RecordProperty("ratio", std::to_string(ratio));
   EXPECT_LT(ratio, 8.0);
 }

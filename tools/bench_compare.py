@@ -23,9 +23,11 @@ tag both files must agree on:
       key) and kpaths_per_s (k-worst path enumeration throughput).
   scale: embed_ops_per_s / detect_ops_per_s (mega-design pipeline
       throughput at the largest size swept), plus the per-size
-      embed_ops_per_s_<tag> / detect_ops_per_s_<tag> keys and
-      stream_parse_mb_per_s when both artifacts carry them (a --smoke
-      artifact stops at 10k, so the 100k/1m keys are optional).
+      embed_ops_per_s_<tag> / detect_ops_per_s_<tag> /
+      stream_parse_mb_per_s_<tag> keys and stream_parse_mb_per_s when
+      both artifacts carry them (a --smoke artifact stops at 10k, so the
+      100k/1m keys are optional, and artifacts recorded before the
+      per-size parse keys existed lack them).
   serve: resident_detect_per_s / cold_detect_per_s (service request
       throughput with the design resident vs re-loaded per request) and
       detect_speedup (their ratio), plus the per-size *_1k / *_100k
@@ -74,7 +76,10 @@ SCHEMAS = {
                      "embed_ops_per_s_1k", "detect_ops_per_s_1k",
                      "embed_ops_per_s_10k", "detect_ops_per_s_10k",
                      "embed_ops_per_s_100k", "detect_ops_per_s_100k",
-                     "embed_ops_per_s_1m", "detect_ops_per_s_1m"],
+                     "embed_ops_per_s_1m", "detect_ops_per_s_1m",
+                     "stream_parse_mb_per_s_1k", "stream_parse_mb_per_s_10k",
+                     "stream_parse_mb_per_s_100k",
+                     "stream_parse_mb_per_s_1m"],
     },
     "periodic": {
         "required": ["modulo_per_s", "res_modulo_per_s", "verify_per_s",

@@ -32,16 +32,19 @@ def scale_lines() -> list:
         f" workload scale, {scale['threads']} thread(s), streaming parse"
         f" {scale['stream_parse_mb_per_s']:.0f} MB/s at the largest size:",
         "",
-        "| design size | embed ops/s | detect ops/s |",
-        "|-------------|-------------|--------------|",
+        "| design size | parse MB/s | embed ops/s | detect ops/s |",
+        "|-------------|------------|-------------|--------------|",
     ]
     for tag, label in (("1k", "1k ops"), ("10k", "10k ops"),
                        ("100k", "100k ops"), ("1m", "1M ops")):
+        parse = scale.get(f"stream_parse_mb_per_s_{tag}")
         embed = scale.get(f"embed_ops_per_s_{tag}")
         detect = scale.get(f"detect_ops_per_s_{tag}")
         if embed is None or detect is None:
             continue
-        lines.append(f"| {label} | {embed:,.0f} | {detect:,.0f} |")
+        parse_cell = "—" if parse is None else f"{parse:.1f}"
+        lines.append(f"| {label} | {parse_cell} | {embed:,.0f} |"
+                     f" {detect:,.0f} |")
     return lines
 
 
