@@ -10,7 +10,7 @@
 //   4. the vendor proves authorship from the cut-and-embedded suspect
 //      using only the archived records and signature.
 #include <cstdio>
-#include <sstream>
+#include <string>
 
 #include "cdfg/serialize.h"
 #include "cdfg/subgraph.h"
@@ -42,15 +42,14 @@ int main() {
   std::printf("[vendor] proof of authorship: 1 - 10^%.1f\n", pc.log10_pc);
 
   // ---- 2. shipping --------------------------------------------------------
-  std::ostringstream shipped_text;
-  cdfg::write_text(core, shipped_text);
+  const std::string shipped_text = cdfg::to_text(core);
   std::printf("[vendor] shipped spec: %zu bytes of text\n",
-              shipped_text.str().size());
+              shipped_text.size());
 
   // ---- 3. counterfeiter side ----------------------------------------------
   // Re-import (the thief reverse-engineered the netlist), cut out the
   // second half of the dataflow, and splice it into their own system.
-  const cdfg::Graph reimported = cdfg::parse_cdfg(shipped_text.str()).value();
+  const cdfg::Graph reimported = cdfg::parse_cdfg(shipped_text).value();
   std::vector<cdfg::NodeId> half;
   const auto ids = reimported.node_ids();
   for (std::size_t i = ids.size() / 2; i < ids.size(); ++i) {

@@ -10,6 +10,7 @@
 namespace lwm::cdfg {
 
 std::vector<NodeId> topo_order(const Graph& g, EdgeFilter filter) {
+  LWM_COUNT("cdfg/topo_sorts", 1);
   const std::size_t cap = g.node_capacity();
   std::vector<int> indegree(cap, 0);
   for (NodeId n : g.nodes()) {
@@ -121,17 +122,14 @@ namespace {
 // against the latency bound, over a precomputed topological order.
 // Templated on the delay field it reads (Node::delay for the scheduling
 // band, Node::delay_min for the optimistic one), so each band compiles
-// to its own loop with a fixed field load.  `latency` < 0 means the
-// band's own critical path; otherwise it must be >= that path.
-template <int Node::*Delay>
-TimingInfo relax(const Graph& g, const std::vector<NodeId>& order, int latency,
-                 EdgeFilter filter) {
-  const std::size_t cap = g.node_capacity();
-  TimingInfo t;
-  t.asap.assign(cap, -1);
-  t.alap.assign(cap, -1);
+// to its own loop with a fixed field load.
 
-  // ASAP: forward longest path.
+// The forward half: each node's longest-path arrival into `asap`.
+// Returns the band's critical path.
+template <int Node::*Delay>
+int relax_asap(const Graph& g, std::span<const NodeId> order,
+               EdgeFilter filter, std::vector<int>& asap) {
+  asap.assign(g.node_capacity(), -1);
   int cp = 0;
   for (NodeId n : order) {
     int start = 0;
@@ -139,12 +137,23 @@ TimingInfo relax(const Graph& g, const std::vector<NodeId>& order, int latency,
       const Edge& ed = g.edge(e);
       if (!filter.accepts(ed)) continue;
       const NodeId p = ed.src;
-      start = std::max(start, t.asap[p.value] + g.node(p).*Delay);
+      start = std::max(start, asap[p.value] + g.node(p).*Delay);
     }
-    t.asap[n.value] = start;
+    asap[n.value] = start;
     cp = std::max(cp, start + g.node(n).*Delay);
   }
+  return cp;
+}
+
+// Both halves.  `latency` < 0 means the band's own critical path;
+// otherwise it must be >= that path.
+template <int Node::*Delay>
+TimingInfo relax(const Graph& g, const std::vector<NodeId>& order, int latency,
+                 EdgeFilter filter) {
+  TimingInfo t;
+  const int cp = relax_asap<Delay>(g, order, filter, t.asap);
   t.critical_path = cp;
+  t.alap.assign(g.node_capacity(), -1);
 
   if (latency < 0) {
     latency = cp;
@@ -183,6 +192,13 @@ TimingInfo compute_timing(const Graph& g, const std::vector<NodeId>& order,
   return relax<&Node::delay>(g, order, latency, filter);
 }
 
+std::vector<int> asap_starts(const Graph& g, std::span<const NodeId> order,
+                             EdgeFilter filter) {
+  std::vector<int> asap;
+  (void)relax_asap<&Node::delay>(g, order, filter, asap);
+  return asap;
+}
+
 int critical_path_length(const Graph& g, EdgeFilter filter) {
   return compute_timing(g, -1, filter).critical_path;
 }
@@ -218,24 +234,29 @@ std::vector<ConeNode> fanin_cone(const Graph& g, NodeId root, int max_distance,
   }
   thread_local NodeMarks own_marks;
   NodeMarks& marks = caller_marks != nullptr ? *caller_marks : own_marks;
-  // The result doubles as the BFS queue.
+  // The result doubles as the BFS queue, one distance level at a time.
+  // A level's node set does not depend on the order its predecessor
+  // level is expanded in, so sorting each level by id as it completes
+  // gives the (distance, id) order.
   marks.begin(g.node_capacity());
   marks.mark(root);
   std::vector<ConeNode> cone{ConeNode{root, 0}};
-  for (std::size_t head = 0; head < cone.size(); ++head) {
-    const auto [n, dn] = cone[head];
-    if (max_distance >= 0 && dn >= max_distance) continue;
-    for (EdgeId e : g.fanin(n)) {
-      const Edge& ed = g.edge(e);
-      if (filter.accepts(ed) && marks.mark(ed.src)) {
-        cone.push_back(ConeNode{ed.src, dn + 1});
+  for (std::size_t level = 0; level < cone.size();) {
+    const int d = cone[level].distance;
+    if (max_distance >= 0 && d >= max_distance) break;
+    const std::size_t end = cone.size();
+    for (std::size_t head = level; head < end; ++head) {
+      for (EdgeId e : g.fanin(cone[head].node)) {
+        const Edge& ed = g.edge(e);
+        if (filter.accepts(ed) && marks.mark(ed.src)) {
+          cone.push_back(ConeNode{ed.src, d + 1});
+        }
       }
     }
+    std::sort(cone.begin() + static_cast<std::ptrdiff_t>(end), cone.end(),
+              [](const ConeNode& a, const ConeNode& b) { return a.node < b.node; });
+    level = end;
   }
-  // BFS already yields nondecreasing distance; make (distance, id) exact.
-  std::sort(cone.begin(), cone.end(), [](const ConeNode& a, const ConeNode& b) {
-    return a.distance != b.distance ? a.distance < b.distance : a.node < b.node;
-  });
   return cone;
 }
 

@@ -12,6 +12,7 @@
 // constants) have zero delay and float at the schedule boundaries.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "cdfg/graph.h"
@@ -128,6 +129,13 @@ struct TimingInfo {
 [[nodiscard]] TimingInfo compute_timing(const Graph& g,
                                         const std::vector<NodeId>& order,
                                         int latency, EdgeFilter filter);
+
+/// The ASAP half of compute_timing(g, order, -1, filter), same order
+/// contract: each live node's earliest start step (indexed by
+/// NodeId::value, -1 for dead ids), with no ALAP pass.
+[[nodiscard]] std::vector<int> asap_starts(const Graph& g,
+                                           std::span<const NodeId> order,
+                                           EdgeFilter filter);
 
 /// Dual min/max timing under the dynamically bounded delay model.
 ///

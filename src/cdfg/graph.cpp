@@ -34,7 +34,14 @@ NodeId Graph::add_node(OpKind kind, std::string name, int delay) {
   return id;
 }
 
-EdgeId Graph::add_edge(NodeId src, NodeId dst, EdgeKind kind, int tokens) {
+void Graph::reserve_nodes(std::size_t nodes) {
+  nodes_.reserve(nodes);
+  node_live_.reserve(nodes);
+  in_.reserve(nodes);
+  out_.reserve(nodes);
+}
+
+void Graph::check_edge(NodeId src, NodeId dst, int tokens) const {
   check_live(src);
   check_live(dst);
   if (tokens < 0) {
@@ -47,6 +54,10 @@ EdgeId Graph::add_edge(NodeId src, NodeId dst, EdgeKind kind, int tokens) {
     throw std::invalid_argument("Graph::add_edge: token-free self-loop on node '" +
                                 nodes_[src.value].name + "'");
   }
+}
+
+EdgeId Graph::add_edge(NodeId src, NodeId dst, EdgeKind kind, int tokens) {
+  check_edge(src, dst, tokens);
   const EdgeId id{static_cast<std::uint32_t>(edges_.size())};
   edges_.push_back(Edge{src, dst, kind, tokens});
   edge_live_.push_back(true);
@@ -54,6 +65,40 @@ EdgeId Graph::add_edge(NodeId src, NodeId dst, EdgeKind kind, int tokens) {
   append(in_[dst.value], id);
   ++live_edges_;
   return id;
+}
+
+void Graph::assign_edges(std::vector<Edge> edges) {
+  if (!edges_.empty()) {
+    throw std::logic_error("Graph::assign_edges: graph already has edges");
+  }
+  if (2 * edges.size() > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::length_error("Graph: adjacency arena exceeds 2^32 entries");
+  }
+  for (const Edge& e : edges) check_edge(e.src, e.dst, e.tokens);
+  // Count each list's length into its capacity, give every node its
+  // fan-in then its fan-out range in node order, then fill the ranges
+  // in edge order, which keeps each list in insertion order.
+  for (const Edge& e : edges) {
+    ++out_[e.src.value].cap;
+    ++in_[e.dst.value].cap;
+  }
+  std::uint32_t off = 0;
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    in_[i].off = off;
+    off += in_[i].cap;
+    out_[i].off = off;
+    off += out_[i].cap;
+  }
+  arena_.resize(off);
+  for (std::uint32_t i = 0; i < edges.size(); ++i) {
+    AdjSlot& out = out_[edges[i].src.value];
+    arena_[out.off + out.len++] = EdgeId{i};
+    AdjSlot& in = in_[edges[i].dst.value];
+    arena_[in.off + in.len++] = EdgeId{i};
+  }
+  edges_ = std::move(edges);
+  edge_live_.assign(edges_.size(), true);
+  live_edges_ = edges_.size();
 }
 
 void Graph::remove_edge(EdgeId e) {

@@ -121,6 +121,10 @@ struct Edge {
 /// in place.  Copying or destroying a graph is therefore a handful of
 /// flat buffer copies or frees, not two heap blocks per node.
 ///
+/// assign_edges() builds every list at once at its exact length, laid
+/// out node by node; the first add_edge() to such a full list relocates
+/// it to the arena's end like any other full list.
+///
 /// Span lifetime: any add_edge() may move the arena, so it invalidates
 /// *every* fanin()/fanout() span, not only the touched nodes'.  A loop
 /// that adds edges while walking a list must copy the list first.
@@ -147,6 +151,22 @@ class Graph {
   /// same value twice).  `tokens` must be non-negative.
   EdgeId add_edge(NodeId src, NodeId dst, EdgeKind kind = EdgeKind::kData,
                   int tokens = 0);
+
+  /// Throws std::invalid_argument exactly when add_edge(src, dst, kind,
+  /// tokens) would, with the same message — lets a parser blame
+  /// the input that supplied a bad edge before calling assign_edges().
+  void check_edge(NodeId src, NodeId dst, int tokens) const;
+
+  /// Bulk add_edge() for a graph with no edges yet: the result equals
+  /// one add_edge() per element in order (same EdgeIds, same
+  /// insertion-ordered fan-in and fan-out lists), but each list is laid
+  /// out once at its exact length.  Every edge passes check_edge()
+  /// before the graph changes.  Throws std::logic_error if the graph
+  /// has ever had an edge.
+  void assign_edges(std::vector<Edge> edges);
+
+  /// Presizes node storage for `nodes` add_node() calls in all.
+  void reserve_nodes(std::size_t nodes);
 
   /// Tombstones an edge.  Handles to other edges remain valid.
   void remove_edge(EdgeId e);

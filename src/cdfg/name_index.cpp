@@ -15,8 +15,13 @@ std::uint32_t hash_name(std::string_view name) noexcept {
 }  // namespace
 
 NameIndex::NameIndex(const Graph& g) {
-  rehash(std::bit_ceil(2 * g.node_count() + 1));
+  reserve(g.node_count());
   for (const NodeId n : g.nodes()) insert(g, n);
+}
+
+void NameIndex::reserve(std::size_t names) {
+  const std::size_t slots = std::bit_ceil(2 * names + 1);
+  if (slots > slots_.size()) rehash(slots);
 }
 
 std::size_t NameIndex::probe(const Graph& g, std::string_view name,

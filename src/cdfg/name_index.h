@@ -12,7 +12,7 @@ namespace lwm::cdfg {
 /// Open-addressed map from node name to NodeId that owns no key: a slot
 /// holds a NodeId and its name's hash, and a probe compares against the
 /// graph's own Node::name.  Lookups take a string_view, so a parse builds
-/// no per-line std::string.  parse_cdfg grows one as it adds nodes;
+/// no per-line std::string.  parse_cdfg fills one as it adds nodes;
 /// parse_schedule builds one over a finished graph.  Every call must pass
 /// the graph the indexed nodes belong to, and they must stay live.
 class NameIndex {
@@ -25,6 +25,10 @@ class NameIndex {
 
   /// The node indexed under `name`, or an invalid NodeId.
   [[nodiscard]] NodeId find(const Graph& g, std::string_view name) const;
+
+  /// Presizes for `names` entries in all, so inserting them never
+  /// rehashes.
+  void reserve(std::size_t names);
 
   /// Indexes `n` under its name.  Returns false, leaving the index
   /// unchanged, when another node already holds that name.

@@ -5,8 +5,6 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
-#include <ostream>
-#include <sstream>
 #include <stdexcept>
 
 #include "cdfg/analysis.h"
@@ -16,41 +14,72 @@
 
 namespace lwm::cdfg {
 
-void write_text(const Graph& g, std::ostream& os) {
-  os << "cdfg " << (g.name().empty() ? "unnamed" : g.name()) << "\n";
+std::string to_text(const Graph& g) {
+  // Size estimate: every node's name with its line, and each edge line
+  // at twice the mean name length.
+  std::size_t name_bytes = 0;
+  for (NodeId n : g.nodes()) name_bytes += g.node(n).name.size();
+  const std::size_t mean_name =
+      g.node_count() == 0 ? 0 : name_bytes / g.node_count();
+  io::TextWriter w(32 + name_bytes + 24 * g.node_count() +
+                   (2 * mean_name + 16) * g.edge_count());
+  w << "cdfg " << (g.name().empty() ? "unnamed" : g.name()) << '\n';
   for (NodeId n : g.nodes()) {
     const Node& node = g.node(n);
-    os << "node " << node.name << " " << op_name(node.kind);
+    w << "node " << node.name << ' ' << op_name(node.kind);
     if (node.bounded_delay()) {
       // Bounded interval: always written, even when d_max happens to
       // equal the opcode default — the interval itself is information.
-      os << " " << node.delay_min << ":" << node.delay;
+      w << ' ' << node.delay_min << ':' << node.delay;
     } else if (node.delay != default_delay(node.kind)) {
-      os << " " << node.delay;
+      w << ' ' << node.delay;
     }
-    os << "\n";
+    w << '\n';
   }
   for (EdgeId e : g.edges()) {
     const Edge& ed = g.edge(e);
-    os << "edge " << g.node(ed.src).name << " " << g.node(ed.dst).name;
+    w << "edge " << g.node(ed.src).name << ' ' << g.node(ed.dst).name;
     if (ed.kind != EdgeKind::kData) {
-      os << " " << edge_kind_name(ed.kind);
+      w << ' ' << edge_kind_name(ed.kind);
     }
     if (ed.tokens > 0) {
       // Marked-graph back-edge: the token count is the final field (the
       // kind may be elided for data edges — a bare trailing integer is
       // unambiguous because no edge kind starts with a digit).
-      os << " " << ed.tokens;
+      w << ' ' << ed.tokens;
     }
-    os << "\n";
+    w << '\n';
   }
+  return std::move(w).take();
 }
 
-std::string to_text(const Graph& g) {
-  std::ostringstream os;
-  write_text(g, os);
-  return os.str();
+namespace {
+
+/// Canonical node and edge lines of a text source, counted in one scan
+/// of its line starts — the parse's presizing estimate.  A line in
+/// another spelling (indented, say) goes uncounted and is still parsed.
+struct LineCounts {
+  std::size_t nodes = 0;
+  std::size_t edges = 0;
+};
+
+LineCounts count_lines(std::string_view text) {
+  LineCounts c;
+  for (std::size_t pos = 0; pos < text.size();) {
+    const std::string_view line = text.substr(pos);
+    if (line.starts_with("node ")) {
+      ++c.nodes;
+    } else if (line.starts_with("edge ")) {
+      ++c.edges;
+    }
+    const std::size_t nl = text.find('\n', pos);
+    if (nl == std::string_view::npos) break;
+    pos = nl + 1;
+  }
+  return c;
 }
+
+}  // namespace
 
 io::ParseResult<Graph> parse_cdfg(io::LineCursor lines,
                                   std::string_view source_name) {
@@ -60,9 +89,22 @@ io::ParseResult<Graph> parse_cdfg(io::LineCursor lines,
   };
   Graph g;
   NameIndex by_name;
-  // Source line of every parsed edge, indexed by EdgeId::value — locates
-  // the back-edge that closes an unintended cycle.
+  // Edges are buffered and laid out in one pass once every node is in.
+  // Their source lines, indexed by EdgeId::value, locate the back-edge
+  // that closes an unintended cycle.
+  std::vector<Edge> edges;
   std::vector<int> edge_lines;
+  if (const auto text = lines.text()) {
+    const LineCounts counts = count_lines(*text);
+    g.reserve_nodes(counts.nodes);
+    by_name.reserve(counts.nodes);
+    edges.reserve(counts.edges);
+    edge_lines.reserve(counts.edges);
+  }
+  // True while every token-free edge runs from a lower to a higher
+  // NodeId: then id order is a topological order and the graph is
+  // acyclic without a search.
+  bool ids_ordered = true;
   // Every path length is at most the sum of all d_max, so keeping the
   // sum within int keeps every ASAP/ALAP value downstream within int.
   std::int64_t total_delay = 0;
@@ -94,13 +136,16 @@ io::ParseResult<Graph> parse_cdfg(io::LineCursor lines,
       if (!kind) {
         return err(lineno, op->column, "unknown op '" + std::string(op->text) + "'");
       }
-      if (by_name.find(g, name->text).valid()) {
+      // Added at its op's default delay; one index probe finds a
+      // duplicate name and indexes a new one.
+      const NodeId id = g.add_node(*kind, std::string(name->text));
+      if (!by_name.insert(g, id)) {
         return err(lineno, name->column,
                    "duplicate node '" + std::string(name->text) + "'");
       }
       // Optional delay: either an exact value `d` or a bounded interval
       // `dmin:dmax` (the dynamically bounded delay model).
-      int delay = -1;      // sentinel: add_node substitutes default_delay(kind)
+      int delay = -1;      // sentinel: keep default_delay(kind)
       int delay_min = -1;  // sentinel: exact interval (delay_min == delay)
       int delay_col = op->column;
       if (const auto d = lx.next()) {
@@ -136,7 +181,9 @@ io::ParseResult<Graph> parse_cdfg(io::LineCursor lines,
           return err(lineno, lx.column(), "trailing garbage after node delay");
         }
       }
-      const NodeId id = g.add_node(*kind, std::string(name->text), delay);
+      if (delay >= 0) {
+        g.set_delay_bounds(id, delay_min >= 0 ? delay_min : delay, delay);
+      }
       total_delay += g.node(id).delay;
       if (total_delay > std::numeric_limits<int>::max()) {
         return err(lineno, delay_col,
@@ -144,10 +191,6 @@ io::ParseResult<Graph> parse_cdfg(io::LineCursor lines,
                        std::to_string(std::numeric_limits<int>::max()) +
                        ", so path lengths would overflow");
       }
-      if (delay_min >= 0) {
-        g.set_delay_bounds(id, delay_min, delay);
-      }
-      by_name.insert(g, id);
     } else if (tok->text == "edge") {
       const auto src = lx.next();
       const auto dst = lx.next();
@@ -202,10 +245,12 @@ io::ParseResult<Graph> parse_cdfg(io::LineCursor lines,
         }
       }
       try {
-        g.add_edge(si, di, kind, tokens);
+        g.check_edge(si, di, tokens);
       } catch (const std::invalid_argument& e) {
         return err(lineno, tok->column, e.what());
       }
+      ids_ordered = ids_ordered && (tokens > 0 || si < di);
+      edges.push_back(Edge{si, di, kind, tokens});
       edge_lines.push_back(lineno);
     } else {
       return err(lineno, tok->column,
@@ -216,12 +261,15 @@ io::ParseResult<Graph> parse_cdfg(io::LineCursor lines,
   if (!saw_header) {
     return err(0, 0, "missing 'cdfg <name>' header");
   }
+  g.assign_edges(std::move(edges));
   // Reject unintended cycles at the trust boundary: every DAG analysis
   // downstream assumes the token-free precedence relation is acyclic,
   // and a hostile or truncated input must fail here with a located
   // diagnostic, not hang or throw deep inside a scheduler.  Cycles
   // through token-carrying back-edges are legal marked-graph structure
-  // and pass (EdgeFilter::all() excludes them).
+  // and pass (EdgeFilter::all() excludes them).  Id-ordered edges prove
+  // acyclicity; otherwise a search finds the cycle or clears the graph.
+  if (ids_ordered) return g;
   const CycleInfo cycle = find_cycle(g, EdgeFilter::all());
   if (cycle.found()) {
     // Blame the cycle edge declared last in the file — the most recently

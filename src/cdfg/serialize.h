@@ -16,7 +16,6 @@
 // Round-trips exactly: write(read(s)) == s up to comments/blank lines.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 #include <string_view>
 
@@ -28,9 +27,6 @@ namespace lwm::cdfg {
 
 /// Writes `g` in the text format.  Edges are emitted in id order, so the
 /// output is deterministic for a given construction sequence.
-void write_text(const Graph& g, std::ostream& os);
-
-/// Serializes to a string.
 [[nodiscard]] std::string to_text(const Graph& g);
 
 /// Parses the text format from text or a stream (see io::LineCursor):

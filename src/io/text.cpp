@@ -7,8 +7,6 @@ namespace lwm::io {
 
 namespace {
 
-constexpr bool is_blank(char c) { return c == ' ' || c == '\t'; }
-
 template <typename T>
 std::optional<T> from_chars_whole(std::string_view tok) {
   // std::from_chars already rejects leading whitespace and '+'; the
@@ -86,21 +84,6 @@ std::optional<std::string_view> LineCursor::next() {
   if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
   ++lineno_;
   return line;
-}
-
-std::optional<Token> LineLexer::next() {
-  while (pos_ < line_.size() && is_blank(line_[pos_])) ++pos_;
-  if (pos_ >= line_.size()) return std::nullopt;
-  const std::size_t start = pos_;
-  while (pos_ < line_.size() && !is_blank(line_[pos_])) ++pos_;
-  return Token{line_.substr(start, pos_ - start), static_cast<int>(start) + 1};
-}
-
-bool LineLexer::at_end() const {
-  for (std::size_t i = pos_; i < line_.size(); ++i) {
-    if (!is_blank(line_[i])) return false;
-  }
-  return true;
 }
 
 std::optional<int> to_int(std::string_view tok) {

@@ -8,14 +8,18 @@
 // a stream into lines, LineLexer walks a line into whitespace-split
 // tokens carrying 1-based columns, and the to_*() helpers convert a
 // whole token or fail — no partial consumption, no exceptions.
+// TextWriter is the writing side, shared by the design and schedule
+// serializers.
 #pragma once
 
+#include <charconv>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "io/parse_result.h"
 
@@ -57,6 +61,13 @@ class LineCursor {
   /// input or on error.
   std::optional<std::string_view> next();
 
+  /// The whole input of a text source, or nullopt for a stream: a
+  /// parser may scan it once to presize before reading lines.
+  [[nodiscard]] std::optional<std::string_view> text() const noexcept {
+    if (is_ != nullptr) return std::nullopt;
+    return text_;
+  }
+
   /// 1-based number of the line most recently returned by next().
   [[nodiscard]] int line_number() const noexcept { return lineno_; }
 
@@ -94,19 +105,59 @@ class LineLexer {
   explicit LineLexer(std::string_view line) : line_(line) {}
 
   /// Next token, or nullopt when only whitespace remains.
-  std::optional<Token> next();
+  std::optional<Token> next() {
+    while (pos_ < line_.size() && is_blank(line_[pos_])) ++pos_;
+    if (pos_ >= line_.size()) return std::nullopt;
+    const std::size_t start = pos_;
+    while (pos_ < line_.size() && !is_blank(line_[pos_])) ++pos_;
+    return Token{line_.substr(start, pos_ - start), static_cast<int>(start) + 1};
+  }
 
   /// True when the rest of the line is blank — use to reject trailing
   /// garbage after a directive's last expected field.
-  [[nodiscard]] bool at_end() const;
+  [[nodiscard]] bool at_end() const {
+    for (std::size_t i = pos_; i < line_.size(); ++i) {
+      if (!is_blank(line_[i])) return false;
+    }
+    return true;
+  }
 
   /// 1-based column one past the last consumed character (where a
   /// "missing field" diagnostic should point).
   [[nodiscard]] int column() const noexcept { return static_cast<int>(pos_) + 1; }
 
  private:
+  static constexpr bool is_blank(char c) { return c == ' ' || c == '\t'; }
+
   std::string_view line_;
   std::size_t pos_ = 0;
+};
+
+/// Builds a text artifact in one string: pieces are appended and
+/// integers formatted by std::to_chars (no stream, no locale), so a
+/// writer that reserves its size estimate up front allocates once.
+class TextWriter {
+ public:
+  explicit TextWriter(std::size_t reserve_bytes) { out_.reserve(reserve_bytes); }
+
+  TextWriter& operator<<(std::string_view s) {
+    out_.append(s);
+    return *this;
+  }
+  TextWriter& operator<<(char c) {
+    out_.push_back(c);
+    return *this;
+  }
+  TextWriter& operator<<(int v) {
+    char buf[16];
+    out_.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+    return *this;
+  }
+
+  [[nodiscard]] std::string take() && { return std::move(out_); }
+
+ private:
+  std::string out_;
 };
 
 // Strict conversions: the whole token must be consumed, base 10 only,

@@ -1,7 +1,9 @@
 #include "sched/backend.h"
 
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "cdfg/analysis.h"
 #include "sched/modulo.h"
@@ -14,15 +16,30 @@ namespace {
 // enumeration order.  The enumerator assigns each node the lowest step
 // in its tightened window consistent with already-placed predecessors,
 // which is exactly the ASAP schedule under the latency bound — so the
-// witness is produced in closed form, no search.
+// witness is produced in closed form, no search: one forward relaxation,
+// since the earliest starts do not depend on the bound.
 BackendResult run_enumerate(const cdfg::Graph& g, const BackendRequest& req) {
-  const cdfg::TimingInfo t = compute_timing(g, req.latency, req.filter);
+  std::vector<cdfg::NodeId> own;
+  std::span<const cdfg::NodeId> order = req.order;
+  if (order.empty()) {
+    own = cdfg::topo_order(g, req.filter);
+    order = own;
+  }
+  const std::vector<int> asap = cdfg::asap_starts(g, order, req.filter);
   BackendResult r;
   r.schedule = Schedule(g);
   for (cdfg::NodeId n : g.nodes()) {
-    r.schedule.set_start(n, t.asap[n.value]);
+    r.schedule.set_start(n, asap[n.value]);
   }
+  // Every live node is scheduled at its ASAP step, so the makespan is
+  // the critical path.
   r.latency = r.schedule.length(g);
+  if (req.latency >= 0 && req.latency < r.latency) {
+    throw std::invalid_argument(
+        "schedule_with: latency " + std::to_string(req.latency) +
+        " below critical path " + std::to_string(r.latency) + " in '" +
+        g.name() + "'");
+  }
   r.optimal = true;  // first witness of an exhaustive order is exact
   return r;
 }

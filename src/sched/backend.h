@@ -16,6 +16,7 @@
 // force_directed.h, bnb.h).
 #pragma once
 
+#include <span>
 #include <string_view>
 
 #include "cdfg/analysis.h"
@@ -31,6 +32,9 @@ struct BackendRequest {
   cdfg::EdgeFilter filter = cdfg::EdgeFilter::all();
   /// Latency bound (enumerate); -1 = critical path.
   int latency = -1;
+  /// A caller's topological order of every live node under `filter`,
+  /// e.g. a resident wm::PlanContext's (enumerate); empty = sort here.
+  std::span<const cdfg::NodeId> order;
   bool pipelined_units = false;  ///< modulo
   /// Periodic II search range (modulo); -1 = computed MinII / fallback.
   int min_ii = -1;

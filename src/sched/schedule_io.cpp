@@ -1,6 +1,6 @@
 #include "sched/schedule_io.h"
 
-#include <sstream>
+#include <utility>
 
 #include "cdfg/name_index.h"
 #include "obs/obs.h"
@@ -8,13 +8,17 @@
 namespace lwm::sched {
 
 std::string schedule_to_text(const cdfg::Graph& g, const Schedule& s) {
-  std::ostringstream os;
-  os << "schedule " << (g.name().empty() ? "unnamed" : g.name()) << "\n";
+  std::size_t bytes = 32 + g.name().size();
+  for (cdfg::NodeId n : g.nodes()) {
+    if (s.is_scheduled(n)) bytes += g.node(n).name.size() + 16;
+  }
+  io::TextWriter w(bytes);
+  w << "schedule " << (g.name().empty() ? "unnamed" : g.name()) << '\n';
   for (cdfg::NodeId n : g.nodes()) {
     if (!s.is_scheduled(n)) continue;
-    os << "at " << g.node(n).name << " " << s.start_of(n) << "\n";
+    w << "at " << g.node(n).name << ' ' << s.start_of(n) << '\n';
   }
-  return os.str();
+  return std::move(w).take();
 }
 
 io::ParseResult<Schedule> parse_schedule(const cdfg::Graph& g,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <exception>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -92,6 +93,7 @@ wm::SchedWmOptions wm_options(const WmParams& p) {
 
 /// A resident design marked on a copy, with the P_c of its marks.
 struct MarkedCopy {
+  std::shared_ptr<const StoredDesign> design;
   cdfg::Graph marked;
   std::vector<wm::SchedWatermark> marks;
   wm::PcEstimate pc;
@@ -109,7 +111,8 @@ std::optional<Frame> mark_copy(const Frame& request, DesignStore& store,
   if (const char* bad = check_wm_params(p, opts)) {
     return error_text(kErrTooLarge, bad);
   }
-  const auto design = store.find_design(p.design_id);
+  out.design = store.find_design(p.design_id);
+  const StoredDesign* design = out.design.get();
   if (!design) return error_text(kErrNotFound, "design not resident");
   if (design->plan.ops.empty()) {
     return error_text(kErrParse, "design has no executable operations");
@@ -257,11 +260,20 @@ Frame Service::handle_embed(const Frame& request) {
   // produce, returned so a client can round-trip straight into detect.
   // Dispatched by design shape: a marked graph (loop-carried token
   // edges) needs the periodic scheduler; an acyclic design takes the
-  // "enumerate" witness, which is the ASAP schedule in closed form.
+  // "enumerate" witness, which is the ASAP schedule in closed form,
+  // relaxed over the resident order (the rank guard keeps it a
+  // topological order of the marked copy), so no request re-sorts.
   // (The marked *graph* is not returned — after strip_temporal_edges it
   // equals the design the client already has.)
+  const bool periodic = mc.marked.has_token_edges();
+  std::vector<cdfg::NodeId> order;
+  sched::BackendRequest witness;
+  if (!periodic) {
+    order = mc.design->plan.topo_order(mc.marked);
+    witness.order = order;
+  }
   const sched::BackendResult br = sched::schedule_with(
-      mc.marked.has_token_edges() ? "modulo" : "enumerate", mc.marked);
+      periodic ? "modulo" : "enumerate", mc.marked, witness);
 
   PayloadWriter w;
   w.put_u32(static_cast<std::uint32_t>(mc.marks.size()));

@@ -35,6 +35,12 @@ PlanContext PlanContext::build(const Graph& g) {
   return ctx;
 }
 
+std::vector<NodeId> PlanContext::topo_order(const Graph& g) const {
+  std::vector<NodeId> order(g.node_count());
+  for (const NodeId n : g.nodes()) order[topo_rank[n.value]] = n;
+  return order;
+}
+
 namespace {
 
 /// reach[i * K + j]: t[j] is reachable from t[i] in `g` over every edge

@@ -94,6 +94,12 @@ struct PlanContext {
   std::vector<cdfg::NodeId> ops;         ///< executable nodes, id order
 
   [[nodiscard]] static PlanContext build(const cdfg::Graph& g);
+
+  /// The order `topo_rank` ranks, rebuilt in O(V) for `g`, a graph with
+  /// the context's live nodes and NodeIds.  Every edge the rank guard
+  /// admits runs forward in it, so it stays a topological order
+  /// (EdgeFilter::all()) of a copy marked against this context.
+  [[nodiscard]] std::vector<cdfg::NodeId> topo_order(const cdfg::Graph& g) const;
 };
 
 /// Plans a watermark rooted at `root` without mutating `g` (exact guard).

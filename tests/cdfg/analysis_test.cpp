@@ -129,6 +129,59 @@ TEST(ConeTest, DistanceBounds) {
   EXPECT_EQ(cone_all.size(), 5u);  // everything but `out` feeds c
 }
 
+TEST(ConeTest, LevelSortMatchesDistanceIdOrderOnMegaDesigns) {
+  // Reference: plain BFS, then one sort of the whole cone by
+  // (distance, id) — the order fanin_cone documents.
+  const auto reference = [](const Graph& g, NodeId root, int max_distance,
+                            EdgeFilter filter) {
+    std::unordered_map<std::uint32_t, int> dist{{root.value, 0}};
+    std::vector<ConeNode> cone{ConeNode{root, 0}};
+    for (std::size_t head = 0; head < cone.size(); ++head) {
+      const auto [n, dn] = cone[head];
+      if (max_distance >= 0 && dn >= max_distance) continue;
+      for (EdgeId e : g.fanin(n)) {
+        const Edge& ed = g.edge(e);
+        if (filter.accepts(ed) && dist.emplace(ed.src.value, dn + 1).second) {
+          cone.push_back(ConeNode{ed.src, dn + 1});
+        }
+      }
+    }
+    std::sort(cone.begin(), cone.end(), [](const ConeNode& a, const ConeNode& b) {
+      return a.distance != b.distance ? a.distance < b.distance : a.node < b.node;
+    });
+    return cone;
+  };
+  for (const auto shape : {dfglib::MegaShape::kLayeredDeep,
+                           dfglib::MegaShape::kUnrolledKernel,
+                           dfglib::MegaShape::kStitchedClones}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      dfglib::MegaConfig cfg;
+      cfg.shape = shape;
+      cfg.operations = 2'000;
+      cfg.width = 16;
+      cfg.seed = seed;
+      const Graph g = dfglib::make_mega_design(cfg);
+      const std::vector<NodeId> ids = g.node_ids();
+      for (std::size_t i = 0; i < ids.size(); i += 37) {
+        for (const int max_distance : {0, 1, 3, 8, -1}) {
+          for (const EdgeFilter filter :
+               {EdgeFilter::specification(), EdgeFilter::all()}) {
+            const std::vector<ConeNode> got =
+                fanin_cone(g, ids[i], max_distance, filter);
+            const std::vector<ConeNode> want =
+                reference(g, ids[i], max_distance, filter);
+            ASSERT_EQ(got.size(), want.size());
+            for (std::size_t j = 0; j < got.size(); ++j) {
+              ASSERT_EQ(got[j].node, want[j].node) << "root " << ids[i].value;
+              ASSERT_EQ(got[j].distance, want[j].distance);
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(ReachesTest, ForwardOnly) {
   const Graph g = chain_with_slack();
   EXPECT_TRUE(reaches(g, g.find("a"), g.find("c")));

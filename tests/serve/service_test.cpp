@@ -23,7 +23,9 @@
 #include "forged_schedule_id.h"
 #include "obs/obs.h"
 #include "serve/frame.h"
+#include "sched/backend.h"
 #include "sched/modulo.h"
+#include "sched/schedule_io.h"
 #include "serve/service.h"
 #include "wm/pc.h"
 #include "wm/sched_constraints.h"
@@ -600,6 +602,37 @@ TEST(ServiceTest, EmbedAndPcReportTheSameLog10PcBitForBit) {
   }
 }
 
+TEST(ServiceTest, WitnessEqualsEnumerateOnTheMarkedCopy) {
+  // The service relaxes the witness over the resident order instead of
+  // re-sorting the marked copy; the schedule text must not change.
+  for (const int ops : {300, 3000}) {
+    const std::string text = fixture_text(ops);
+    Service service;
+    const std::uint64_t id = load_id(service, text);
+    for (const char* key : {"alice-key", "bob-key", "carol-key"}) {
+      for (const std::uint32_t marks : {1u, 6u}) {
+        SCOPED_TRACE(std::to_string(ops) + " ops, " + key + ", " +
+                     std::to_string(marks) + " marks");
+        const Frame embedded = service.handle(embed_frame(id, key, marks));
+        ASSERT_EQ(embedded.type, MsgType::kEmbedded);
+        PayloadReader er(embedded.payload);
+        (void)er.get_u32();  // marks
+        (void)er.get_u32();  // edges
+        (void)er.get_f64();  // log10_pc
+        (void)er.get_str();  // records
+        const std::string witness(er.get_str());
+        ASSERT_TRUE(er.complete());
+
+        const Rebuilt r = rebuild(text, key, marks);
+        ASSERT_FALSE(r.marks.empty());
+        const sched::BackendResult br =
+            sched::schedule_with("enumerate", r.marked);
+        EXPECT_EQ(witness, sched::schedule_to_text(r.marked, br.schedule));
+      }
+    }
+  }
+}
+
 TEST(ServiceTest, PcAndEmbedBoundEveryExactAttemptByTheBudget) {
   // A 1,957-node design sits under the exact path's 2048-node threshold,
   // yet at tau 8 and k 3 six of its eight marks have schedule spaces far
@@ -685,10 +718,12 @@ TEST(ServiceTest, LoadDesignReportsBoundedCriticalPaths) {
 TEST(ServiceTest, WmRequestsReuseResidentWindows) {
 #if LWM_OBS_ENABLED
   // Work guard: every compute_timing pass and every periodic-window pass
-  // of sched_pc_auto bumps cdfg/timing_passes.  A flat pc request reads
-  // the resident windows at any mark count; embed's one pass is its
-  // witness schedule.
+  // of sched_pc_auto bumps cdfg/timing_passes, and every topo_order call
+  // bumps cdfg/topo_sorts.  A flat pc request reads the resident windows
+  // at any mark count; embed relaxes its witness over the resident order,
+  // so it neither re-times nor re-sorts the marked copy.
   obs::Counter& passes = obs::Registry::instance().counter("cdfg/timing_passes");
+  obs::Counter& sorts = obs::Registry::instance().counter("cdfg/topo_sorts");
   Service service;
   const std::string text = fixture_text(3000);
   const std::uint64_t id = load_id(service, text);
@@ -698,9 +733,11 @@ TEST(ServiceTest, WmRequestsReuseResidentWindows) {
     Frame req = embed_frame(id, "alice-key", marks);
     req.type = MsgType::kPc;
     const std::uint64_t before = passes.total();
+    const std::uint64_t sorts_before = sorts.total();
     const Frame pc = service.handle(req);
     ASSERT_EQ(pc.type, MsgType::kPcEstimated);
     EXPECT_EQ(passes.total() - before, 0u) << marks << " marks";
+    EXPECT_EQ(sorts.total() - sorts_before, 0u) << marks << " marks";
     PayloadReader pr(pc.payload);
     (void)pr.get_f64();
     (void)pr.get_u8();
@@ -708,9 +745,11 @@ TEST(ServiceTest, WmRequestsReuseResidentWindows) {
     EXPECT_EQ(pr.get_u32(), marks) << "every requested mark must embed";
   }
   std::uint64_t before = passes.total();
+  const std::uint64_t sorts_before = sorts.total();
   ASSERT_EQ(service.handle(embed_frame(id, "alice-key", 4)).type,
             MsgType::kEmbedded);
-  EXPECT_EQ(passes.total() - before, 1u);
+  EXPECT_EQ(passes.total() - before, 0u);
+  EXPECT_EQ(sorts.total() - sorts_before, 0u);
 
   // A marked graph's P_c counts periodic schedules: one periodic timing
   // pass per request, shared by every mark.
