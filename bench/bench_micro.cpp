@@ -100,8 +100,10 @@ void BM_DomainCarve(benchmark::State& state) {
   const cdfg::NodeId root = pick_root(g, roots);
   wm::DomainKey key;
   key.tau = 6;
+  const wm::FaninView view = wm::FaninView::build(g);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(wm::select_domain(g, root, sig, key));
+    benchmark::DoNotOptimize(
+        wm::select_domain(view, root, sig.stream(wm::DomainKey::kCarveTag), key));
   }
 }
 BENCHMARK(BM_DomainCarve);

@@ -228,12 +228,11 @@ void NodeMarks::begin(std::size_t node_capacity) {
 }
 
 std::vector<ConeNode> fanin_cone(const Graph& g, NodeId root, int max_distance,
-                                 EdgeFilter filter, NodeMarks* caller_marks) {
+                                 EdgeFilter filter) {
   if (!g.is_live(root)) {
     throw std::out_of_range("fanin_cone: dead root node");
   }
-  thread_local NodeMarks own_marks;
-  NodeMarks& marks = caller_marks != nullptr ? *caller_marks : own_marks;
+  thread_local NodeMarks marks;
   // The result doubles as the BFS queue, one distance level at a time.
   // A level's node set does not depend on the order its predecessor
   // level is expanded in, so sorting each level by id as it completes

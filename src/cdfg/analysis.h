@@ -195,16 +195,14 @@ struct NodeMarks {
 /// Transitive fan-in cone of `root` truncated at `max_distance` edges
 /// (BFS over fan-in edges; distance = minimum edge count from `root`).
 /// `max_distance < 0` means unbounded.  The result includes `root` at
-/// distance 0 and is ordered by (distance, NodeId).  Caller-owned `marks`
-/// hold exactly the cone on return, to index it without a second walk.
+/// distance 0 and is ordered by (distance, NodeId).
 struct ConeNode {
   NodeId node;
   int distance = 0;
 };
 [[nodiscard]] std::vector<ConeNode> fanin_cone(const Graph& g, NodeId root,
                                                int max_distance = -1,
-                                               EdgeFilter filter = EdgeFilter::specification(),
-                                               NodeMarks* marks = nullptr);
+                                               EdgeFilter filter = EdgeFilter::specification());
 
 /// True if `dst` is reachable from `src` over edges accepted by `filter`.
 [[nodiscard]] bool reaches(const Graph& g, NodeId src, NodeId dst,

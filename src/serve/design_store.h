@@ -13,7 +13,9 @@
 //     and its wm::PlanContext are built once and only ever read.  The
 //     context's `timing` is the design's one resident specification
 //     timing — planning, the load response and every P_c estimate read
-//     it, so no request re-times the whole graph.  The one mutable
+//     it, so no request re-times the whole graph.  Its `fanin` is the
+//     one resident wm::FaninView that every embed, pc and detect carve
+//     reads, and its `ops` are detection's roots.  The one mutable
 //     member is the detector's wm::ConeMemo, a pure cache that detect
 //     requests fill.  Requests that mutate
 //     (embed) copy the graph; NodeIds are preserved by copying, so the
@@ -55,10 +57,11 @@ struct StoredDesign {
   std::uint64_t id;        ///< content_hash of the source text
   std::size_t text_bytes;  ///< size of the source text (budget proxy)
   cdfg::Graph graph;
-  /// Whole-graph planning state for embed requests (option-free, so it
-  /// is valid for any per-request k/tau/epsilon).  `plan.timing`
-  /// is the resident specification timing (temporal edges excluded,
-  /// latency = critical path) that P_c estimates read as their windows.
+  /// Whole-graph planning and carve state for embed, pc and detect
+  /// requests (option-free, so it is valid for any per-request
+  /// k/tau/epsilon).  `plan.timing` is the resident specification timing
+  /// (temporal edges excluded, latency = critical path) that P_c
+  /// estimates read as their windows; `plan.fanin` is the carves' view.
   wm::PlanContext plan;
   /// Minimum schedule length if every delay realizes at its lower bound:
   /// one compute_timing_bounded pass at load on a bounded-delay design,

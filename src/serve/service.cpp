@@ -314,7 +314,7 @@ Frame Service::handle_detect(const Frame& request) {
                            : &design->cone_memo(archive.sched.front().domain.tau);
   const std::vector<wm::SchedDetectionReport> reports =
       wm::detect_sched_watermarks(design->graph, sched->schedule, sig,
-                                  archive.sched, opts_.pool, memo);
+                                  archive.sched, opts_.pool, memo, &design->plan);
 
   PayloadWriter w;
   w.put_u32(static_cast<std::uint32_t>(reports.size()));

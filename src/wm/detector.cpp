@@ -1,6 +1,7 @@
 #include "wm/detector.h"
 
 #include <algorithm>
+#include <array>
 #include <optional>
 
 #include "exec/parallel.h"
@@ -111,36 +112,52 @@ void ConeMemo::publish(NodeId root, const ConeFingerprint& fp) {
 std::vector<SchedDetectionReport> detect_sched_watermarks(
     const Graph& suspect, const sched::Schedule& schedule,
     const crypto::Signature& sig, std::span<const SchedRecord> records,
-    exec::ThreadPool* pool, ConeMemo* memo) {
+    exec::ThreadPool* pool, ConeMemo* memo, const PlanContext* resident) {
   LWM_SPAN("wm/detect_batch");
   std::vector<SchedDetectionReport> reports(records.size());
   if (records.empty()) return reports;
 
   // Group well-formed records by domain key — one carve per (root, key).
-  // A group at the memo's tau reads and fills it.
+  // A group at the memo's tau reads and fills it.  `bound[op]` is the
+  // field-wise maximum fingerprint of the group's records ending in `op`,
+  // the records a carve at an `op` root is tested against.
   struct Group {
     DomainKey key;
     std::vector<std::size_t> record_idx;
     ConeMemo* memo = nullptr;
+    std::array<ConeFingerprint, cdfg::kNumOpKinds + 1> bound{};
   };
   std::vector<Group> groups;
   std::vector<ConeFingerprint> needs(records.size());
   for (std::size_t i = 0; i < records.size(); ++i) {
     if (!well_formed(records[i])) continue;
     needs[i] = ConeFingerprint::of_ops(records[i].subtree_ops);
-    const auto home = std::ranges::find(groups, records[i].domain, &Group::key);
+    auto home = std::ranges::find(groups, records[i].domain, &Group::key);
     if (home == groups.end()) {
       ConeMemo* m = memo != nullptr && memo->tau() == records[i].domain.tau
                         ? memo
                         : nullptr;
-      groups.push_back(Group{records[i].domain, {i}, m});
-    } else {
-      home->record_idx.push_back(i);
+      home = groups.insert(groups.end(), Group{records[i].domain, {}, m});
+    }
+    home->record_idx.push_back(i);
+    ConeFingerprint& bound =
+        home->bound[static_cast<std::size_t>(records[i].subtree_ops.back())];
+    bound.size = std::max(bound.size, needs[i].size);
+    for (std::size_t k = 0; k < bound.count.size(); ++k) {
+      bound.count[k] = std::max(bound.count[k], needs[i].count[k]);
     }
   }
 
+  // Without a resident context, the view and the roots are built once
+  // for the call.
+  std::optional<FaninView> own_view;
+  const FaninView& view = resident != nullptr
+                              ? resident->fanin
+                              : own_view.emplace(FaninView::build(suspect));
+  std::vector<NodeId> own_roots;
+  const std::vector<NodeId>& roots =
+      resident != nullptr ? resident->ops : (own_roots = executable_roots(suspect));
   const crypto::Bitstream carve = sig.stream(DomainKey::kCarveTag);
-  const std::vector<NodeId> roots = executable_roots(suspect);
   LWM_COUNT("wm/roots_scanned", roots.size() * records.size());
   const std::size_t shards = exec::suggested_chunks(pool, roots.size());
   LWM_COUNT("wm/detect_root_shards", shards);
@@ -163,7 +180,7 @@ std::vector<SchedDetectionReport> detect_sched_watermarks(
         CarveScratch scratch;
         for (std::size_t r = begin; r < end; ++r) {
           const NodeId n = roots[r];
-          const int root_fid = cdfg::functional_id(suspect.node(n).kind);
+          const int root_fid = view.fid[n.value];
           const auto candidate = [&](std::size_t i) {
             return root_may_match(records[i], root_fid);
           };
@@ -185,9 +202,9 @@ std::vector<SchedDetectionReport> detect_sched_watermarks(
               ++skips;
               continue;
             }
-            gather_cone(suspect, n, grp.key.tau, scratch);
+            gather_cone(view, n, grp.key.tau, scratch);
             if (memoized == nullptr) {
-              const auto fp = ConeFingerprint::of_cone(suspect, scratch.cone);
+              const auto fp = ConeFingerprint::of_cone(view, scratch.cone);
               ++fingerprints;
               if (grp.memo != nullptr) grp.memo->publish(n, fp);
               if (!fits(fp)) {
@@ -195,12 +212,16 @@ std::vector<SchedDetectionReport> detect_sched_watermarks(
                 continue;
               }
             }
-            // Third stage, before T's identifier sort: only a record with
-            // T's op multiset can pass the gate.
-            const ConeFingerprint t = carve_cone(suspect, carve, grp.key, scratch);
+            // Third stage, during the carve and before T's identifier
+            // sort: only a record with T's op multiset can pass the gate,
+            // so the carve stops once T outgrows every candidate record.
+            const std::optional<ConeFingerprint> t = carve_cone(
+                view, carve, grp.key, scratch,
+                &grp.bound[static_cast<std::size_t>(root_fid)]);
+            if (!t) continue;
             carved.push_back(scratch.picked.size());
             const auto same_ops = [&](std::size_t i) {
-              return candidate(i) && needs[i] == t;
+              return candidate(i) && needs[i] == *t;
             };
             if (std::ranges::none_of(grp.record_idx, same_ops)) continue;
             const Domain d = order_carve(scratch);

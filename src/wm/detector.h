@@ -111,12 +111,18 @@ class ConeMemo {
 /// Two exact prefilters skip carves that cannot pass the gate: the
 /// record's last op must be the root's (the root sorts last), and the
 /// record's op multiset must fit in the root's cone (ConeFingerprint).
-/// `memo`, when non-null, must have been built for `suspect`; key groups
-/// at its tau read and fill it, the others fingerprint each gathered cone.
+/// A carve stops once T outgrows every record that ends in the root's op
+/// (carve_cone's bound), and only a completed T with some such record's
+/// op multiset is ordered and gated.  `memo`, when non-null, must have
+/// been built for `suspect`; key groups at its tau read and fill it, the
+/// others fingerprint each gathered cone.  `resident`, when non-null,
+/// must have been built for `suspect`: the scan reads its FaninView and
+/// takes its `ops` as the roots; without it, the call builds both once.
 [[nodiscard]] std::vector<SchedDetectionReport> detect_sched_watermarks(
     const cdfg::Graph& suspect, const sched::Schedule& schedule,
     const crypto::Signature& sig, std::span<const SchedRecord> records,
-    exec::ThreadPool* pool = nullptr, ConeMemo* memo = nullptr);
+    exec::ThreadPool* pool = nullptr, ConeMemo* memo = nullptr,
+    const PlanContext* resident = nullptr);
 
 /// Single-record detection: a batch of one.
 [[nodiscard]] inline SchedDetectionReport detect_sched_watermark(

@@ -15,7 +15,7 @@ using cdfg::NodeId;
 
 namespace {
 
-/// The carve's edge predicate, for the cone walk and every input list:
+/// The carve's edge predicate, applied once when a FaninView is built:
 /// specification() drops temporal and token edges alike, so a marked graph
 /// carves like its acyclic skeleton and earlier marks stay detectable.
 const cdfg::EdgeFilter kCarveFilter = cdfg::EdgeFilter::specification();
@@ -28,21 +28,18 @@ CarveScratch& thread_scratch() {
 
 /// Indexes the cone gathered into `s` at `tau`: local CSR, op ids and C1
 /// levels.  C2/C3 rows are left to key_row.
-void index_cone(const Graph& g, int tau, CarveScratch& s) {
+void index_cone(const FaninView& view, int tau, CarveScratch& s) {
   const auto c = static_cast<std::uint32_t>(s.cone.size());
   for (std::uint32_t i = 0; i < c; ++i) s.marks.slots[s.cone[i].node.value].value = i;
 
+  // The view's rows are deduplicated, so its in-cone subsequence is the
+  // local row.
   s.in_begin.resize(c + 1);
   s.in.clear();
   for (std::uint32_t i = 0; i < c; ++i) {
     s.in_begin[i] = static_cast<std::uint32_t>(s.in.size());
-    for (EdgeId e : g.fanin(s.cone[i].node)) {
-      const cdfg::Edge& ed = g.edge(e);
-      if (!kCarveFilter.accepts(ed) || !s.marks.has(ed.src)) continue;
-      const std::uint32_t j = s.marks.slots[ed.src.value].value;
-      if (std::find(s.in.begin() + s.in_begin[i], s.in.end(), j) == s.in.end()) {
-        s.in.push_back(j);
-      }
+    for (const std::uint32_t p : view.inputs_of(s.cone[i].node)) {
+      if (s.marks.has(NodeId{p})) s.in.push_back(s.marks.slots[p].value);
     }
   }
   s.in_begin[c] = static_cast<std::uint32_t>(s.in.size());
@@ -67,9 +64,7 @@ void index_cone(const Graph& g, int tau, CarveScratch& s) {
 
   s.tau = static_cast<std::size_t>(tau);
   s.fid.resize(c);
-  for (std::uint32_t i = 0; i < c; ++i) {
-    s.fid[i] = cdfg::functional_id(g.node(s.cone[i].node).kind);
-  }
+  for (std::uint32_t i = 0; i < c; ++i) s.fid[i] = view.fid[s.cone[i].node.value];
   s.cone_size.assign(c * s.tau, 0);
   s.cone_phi.assign(c * s.tau, 0);
   s.row_ready.assign(c, 0);
@@ -154,10 +149,35 @@ ConeFingerprint tally_ops(std::span<const Item> items, OpOf op_of) {
 
 }  // namespace
 
+FaninView FaninView::build(const Graph& g) {
+  const std::size_t cap = g.node_capacity();
+  FaninView v;
+  v.begin.resize(cap + 1);
+  v.fid.assign(cap, 0);
+  v.src.reserve(g.edge_count());
+  // last_dst[m] == n + 1: m already feeds n's row.
+  std::vector<std::uint32_t> last_dst(cap, 0);
+  for (std::uint32_t n = 0; n < cap; ++n) {
+    v.begin[n] = static_cast<std::uint32_t>(v.src.size());
+    const NodeId id{n};
+    if (!g.is_live(id)) continue;
+    v.fid[n] = static_cast<std::uint8_t>(cdfg::functional_id(g.node(id).kind));
+    for (const EdgeId e : g.fanin(id)) {
+      const cdfg::Edge& ed = g.edge(e);
+      if (!kCarveFilter.accepts(ed) || last_dst[ed.src.value] == n + 1) continue;
+      last_dst[ed.src.value] = n + 1;
+      v.src.push_back(ed.src.value);
+    }
+  }
+  v.begin[cap] = static_cast<std::uint32_t>(v.src.size());
+  return v;
+}
+
 std::vector<NodeId> order_locality(const Graph& g, NodeId root, int tau) {
+  const FaninView view = FaninView::build(g);
   CarveScratch& s = thread_scratch();
-  gather_cone(g, root, tau, s);
-  index_cone(g, tau, s);
+  gather_cone(view, root, tau, s);
+  index_cone(view, tau, s);
   std::vector<std::uint32_t> order(s.cone.size());
   std::iota(order.begin(), order.end(), 0u);
   std::sort(order.begin(), order.end(), IdentifierLess{s});
@@ -167,25 +187,68 @@ std::vector<NodeId> order_locality(const Graph& g, NodeId root, int tau) {
   return out;
 }
 
-void gather_cone(const Graph& g, NodeId root, int tau, CarveScratch& s) {
+void gather_cone(const FaninView& view, NodeId root, int tau, CarveScratch& s) {
   if (tau <= 0) {
     throw std::invalid_argument("order_locality: tau must be positive");
   }
-  s.cone = cdfg::fanin_cone(g, root, tau, kCarveFilter, &s.marks);
+  if (!view.is_live(root)) {
+    throw std::out_of_range("gather_cone: dead root node");
+  }
+  // A breadth-first walk whose result doubles as its queue, one distance
+  // level at a time.  A level's node set does not depend on the order its
+  // predecessor level is expanded in, so sorting each level by id as it
+  // completes gives the (distance, NodeId) order.
+  s.marks.begin(view.node_capacity());
+  s.marks.mark(root);
+  s.cone.assign(1, cdfg::ConeNode{root, 0});
+  for (std::size_t level = 0; level < s.cone.size();) {
+    const int d = s.cone[level].distance;
+    if (d >= tau) break;
+    const std::size_t end = s.cone.size();
+    for (std::size_t head = level; head < end; ++head) {
+      for (const std::uint32_t p : view.inputs_of(s.cone[head].node)) {
+        if (s.marks.mark(NodeId{p})) s.cone.push_back(cdfg::ConeNode{NodeId{p}, d + 1});
+      }
+    }
+    std::sort(s.cone.begin() + static_cast<std::ptrdiff_t>(end), s.cone.end(),
+              [](const cdfg::ConeNode& a, const cdfg::ConeNode& b) {
+                return a.node < b.node;
+              });
+    level = end;
+  }
 }
 
-Domain select_domain(const Graph& g, NodeId root, const crypto::Bitstream& carve,
-                     const DomainKey& key, CarveScratch* scratch) {
+Domain select_domain(const FaninView& view, NodeId root,
+                     const crypto::Bitstream& carve, const DomainKey& key,
+                     CarveScratch* scratch) {
   CarveScratch& s = scratch != nullptr ? *scratch : thread_scratch();
-  gather_cone(g, root, key.tau, s);
-  (void)carve_cone(g, carve, key, s);
+  gather_cone(view, root, key.tau, s);
+  (void)carve_cone(view, carve, key, s);
   return order_carve(s);
 }
 
-ConeFingerprint carve_cone(const Graph& g, const crypto::Bitstream& carve,
-                           const DomainKey& key, CarveScratch& s) {
-  index_cone(g, key.tau, s);
+Domain select_domain(const Graph& g, NodeId root, const crypto::Bitstream& carve,
+                     const DomainKey& key) {
+  return select_domain(FaninView::build(g), root, carve, key);
+}
+
+std::optional<ConeFingerprint> carve_cone(const FaninView& view,
+                                          const crypto::Bitstream& carve,
+                                          const DomainKey& key, CarveScratch& s,
+                                          const ConeFingerprint* bound) {
+  index_cone(view, key.tau, s);
   const IdentifierLess less{s};
+
+  // T's fingerprint grows with T, and T is cut the moment a field passes
+  // the bound's.  Fields saturate, so a saturated bound field never cuts.
+  ConeFingerprint t;
+  const auto outgrows_bound = [&](std::uint32_t i) {
+    const auto k = static_cast<std::size_t>(s.fid[i] - 1);
+    if (t.size != ConeFingerprint::kMaxSize) ++t.size;
+    if (t.count[k] != ConeFingerprint::kMaxCount) ++t.count[k];
+    return bound != nullptr &&
+           (t.size > bound->size || t.count[k] > bound->count[k]);
+  };
 
   // Inputs are ordered by their unique (C1-C3) identifier — "the
   // selection process cannot be misinterpreted because of the unique
@@ -200,24 +263,29 @@ ConeFingerprint carve_cone(const Graph& g, const crypto::Bitstream& carve,
   // next level ... whether each of the remaining inputs should be
   // included".  `picked` is the breadth-first queue.
   s.picked.assign(1, 0);
-  for (std::size_t head = 0; head < s.picked.size(); ++head) {
+  bool cut = outgrows_bound(0);
+  for (std::size_t head = 0; head < s.picked.size() && !cut; ++head) {
     const std::span<const std::uint32_t> in = s.inputs_of(s.picked[head]);
     if (in.empty()) continue;
     s.inputs.assign(in.begin(), in.end());
     std::sort(s.inputs.begin(), s.inputs.end(), less);
     const std::uint32_t mandatory =
         stream.next_uint(static_cast<std::uint32_t>(s.inputs.size()));
-    for (std::uint32_t i = 0; i < s.inputs.size(); ++i) {
+    for (std::uint32_t i = 0; i < s.inputs.size() && !cut; ++i) {
       bool include = (i == mandatory);
       if (!include) include = stream.bernoulli(key.keep_num, key.keep_den);
       if (include && s.selected[s.inputs[i]] == 0) {
         s.selected[s.inputs[i]] = 1;
         s.picked.push_back(s.inputs[i]);
+        cut = outgrows_bound(s.inputs[i]);
       }
     }
   }
-  return tally_ops(std::span<const std::uint32_t>(s.picked),
-                   [&s](std::uint32_t i) { return s.fid[i]; });
+  if (cut) {
+    ++s.carves_cut;
+    return std::nullopt;
+  }
+  return t;
 }
 
 Domain order_carve(CarveScratch& s) {
@@ -228,10 +296,10 @@ Domain order_carve(CarveScratch& s) {
   return d;
 }
 
-ConeFingerprint ConeFingerprint::of_cone(const Graph& g,
+ConeFingerprint ConeFingerprint::of_cone(const FaninView& view,
                                          std::span<const cdfg::ConeNode> cone) {
-  return tally_ops(cone, [&g](const cdfg::ConeNode& c) {
-    return cdfg::functional_id(g.node(c.node).kind);
+  return tally_ops(cone, [&view](const cdfg::ConeNode& c) {
+    return int{view.fid[c.node.value]};
   });
 }
 
@@ -249,14 +317,17 @@ bool ConeFingerprint::may_hold(const ConeFingerprint& sub) const {
 
 void record_carves([[maybe_unused]] std::span<const std::size_t> selected_sizes,
                    CarveScratch* scratch) {
-  [[maybe_unused]] const std::size_t rows =
-      std::exchange((scratch != nullptr ? *scratch : thread_scratch()).key_rows, 0);
+  CarveScratch& s = scratch != nullptr ? *scratch : thread_scratch();
+  [[maybe_unused]] const std::size_t rows = std::exchange(s.key_rows, 0);
+  [[maybe_unused]] const std::size_t cut = std::exchange(s.carves_cut, 0);
 #if LWM_OBS_ENABLED
   LWM_COUNT("wm/carve_key_rows", rows);
+  if (selected_sizes.empty() && cut == 0) return;
+  LWM_COUNT("wm/domains_carved", selected_sizes.size() + cut);
+  LWM_COUNT("wm/carves_cut", cut);
   if (selected_sizes.empty()) return;
   obs::Histogram::Snapshot batch;
   for (const std::size_t size : selected_sizes) batch.add(size);
-  LWM_COUNT("wm/domains_carved", selected_sizes.size());
   static obs::Histogram& sizes = obs::Registry::instance().histogram("wm/domain_size");
   sizes.record(batch);
 #endif

@@ -23,6 +23,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -54,14 +55,38 @@ struct Domain {
   std::vector<cdfg::NodeId> selected;
 };
 
+/// The specification fan-in of one graph as flat arrays, the only graph
+/// state a carve reads: each node's specification-edge sources (temporal
+/// and token edges dropped, so a marked graph carves like its acyclic
+/// skeleton and earlier marks stay detectable), deduplicated in
+/// first-occurrence fan-in order, and each node's functional id.  Built
+/// in O(V + E); about 5 bytes per node and 4 per specification edge.
+/// It stays valid for any graph with the same live nodes, NodeIds and
+/// specification edges — a copy carrying temporal edges included.
+struct FaninView {
+  std::vector<std::uint32_t> begin;  ///< row offsets, node_capacity + 1
+  std::vector<std::uint32_t> src;    ///< source NodeId values, row by row
+  std::vector<std::uint8_t> fid;     ///< functional id; 0 for a dead id
+
+  [[nodiscard]] static FaninView build(const cdfg::Graph& g);
+
+  [[nodiscard]] std::size_t node_capacity() const { return fid.size(); }
+  [[nodiscard]] bool is_live(cdfg::NodeId n) const {
+    return n.value < fid.size() && fid[n.value] != 0;
+  }
+  [[nodiscard]] std::span<const std::uint32_t> inputs_of(cdfg::NodeId n) const {
+    return {src.data() + begin[n.value], src.data() + begin[n.value + 1]};
+  }
+};
+
 /// Working memory of the flat carve kernel: dense NodeId marks reset by an
-/// epoch bump, and arrays over cone-local indices 0..c-1 (discovery order)
-/// that only grow.  A batch caller (detector chunk, embed wave chunk) owns
-/// one, so it lives no longer than the batch; one-off carves reuse a
-/// per-thread instance.
+/// epoch bump, the gathered cone, and arrays over cone-local indices
+/// 0..c-1 (discovery order); every array only grows.  A batch caller
+/// (detector chunk, embed wave chunk) owns one, so it lives no longer
+/// than the batch; one-off carves reuse a per-thread instance.
 struct CarveScratch {
   cdfg::NodeMarks marks;  ///< cone membership; value = local index
-  std::vector<cdfg::ConeNode> cone;
+  std::vector<cdfg::ConeNode> cone;  ///< T_o, (distance, NodeId) order
   /// Local CSR: deduplicated in-cone inputs, first-occurrence order.
   std::vector<std::uint32_t> in_begin, in;
   std::vector<int> level, pending, fid;
@@ -74,7 +99,10 @@ struct CarveScratch {
   std::vector<std::uint32_t> seen, dist, queue;
   std::vector<std::uint32_t> picked, inputs;  ///< picked: T, carve order
   std::vector<char> selected;
-  std::size_t key_rows = 0;  ///< C2/C3 rows computed, not yet published
+  /// Not yet published by record_carves: C2/C3 rows computed, and
+  /// carves cut short by their bound.
+  std::size_t key_rows = 0;
+  std::size_t carves_cut = 0;
 
   [[nodiscard]] std::span<const std::uint32_t> inputs_of(std::uint32_t i) const {
     return {in.data() + in_begin[i], in.data() + in_begin[i + 1]};
@@ -97,9 +125,9 @@ struct ConeFingerprint {
   std::uint16_t size = 0;
   std::array<std::uint8_t, cdfg::kNumOpKinds> count{};
 
-  /// The fingerprint of a gathered cone (`CarveScratch::cone`).
+  /// The fingerprint of a cone gathered from `view` (`CarveScratch::cone`).
   [[nodiscard]] static ConeFingerprint of_cone(
-      const cdfg::Graph& g, std::span<const cdfg::ConeNode> cone);
+      const FaninView& view, std::span<const cdfg::ConeNode> cone);
   /// The fingerprint of a memorized subtree; every id must lie in
   /// [1, cdfg::kNumOpKinds].
   [[nodiscard]] static ConeFingerprint of_ops(std::span<const int> subtree_ops);
@@ -112,20 +140,28 @@ struct ConeFingerprint {
 
 /// Orders the fan-in cone of `root` (max-distance `tau`) by criteria
 /// C1 → C2 → C3 → discovery position.  Deterministic, signature-free.
+/// Builds `g`'s FaninView for the one root.
 [[nodiscard]] std::vector<cdfg::NodeId> order_locality(const cdfg::Graph& g,
                                                        cdfg::NodeId root, int tau);
 
 /// Step one of domain selection: gathers the fan-in cone T_o of `root`
-/// (max-distance `tau`, root first) into `s.cone`.
-void gather_cone(const cdfg::Graph& g, cdfg::NodeId root, int tau,
+/// (max-distance `tau`, (distance, NodeId) order, root first) into
+/// `s.cone`.
+void gather_cone(const FaninView& view, cdfg::NodeId root, int tau,
                  CarveScratch& s);
 
 /// Step two: carves T out of the cone last gathered into `s` (at
 /// `key.tau`) with a copy of `carve`, leaving T in `s.picked`, carve
 /// order.  Returns T's fingerprint, for a test before step three.
-[[nodiscard]] ConeFingerprint carve_cone(const cdfg::Graph& g,
-                                         const crypto::Bitstream& carve,
-                                         const DomainKey& key, CarveScratch& s);
+///
+/// With a `bound`, the carve stops as soon as T's size or one of its op
+/// counts exceeds the bound's (a saturated bound field never cuts), adds
+/// one to `s.carves_cut` and returns nullopt: T only grows, so no
+/// multiset within the bound can then equal T's.
+[[nodiscard]] std::optional<ConeFingerprint> carve_cone(
+    const FaninView& view, const crypto::Bitstream& carve,
+    const DomainKey& key, CarveScratch& s,
+    const ConeFingerprint* bound = nullptr);
 
 /// Step three: T, last carved into `s`, sorted by unique identifier.
 [[nodiscard]] Domain order_carve(CarveScratch& s);
@@ -136,10 +172,16 @@ void gather_cone(const cdfg::Graph& g, cdfg::NodeId root, int tau,
 /// signature's fresh `DomainKey::kCarveTag` stream; the carve draws from
 /// a copy, so a caller carving many roots keys RC4 once.  A null
 /// `scratch` uses the calling thread's.
-[[nodiscard]] Domain select_domain(const cdfg::Graph& g, cdfg::NodeId root,
+[[nodiscard]] Domain select_domain(const FaninView& view, cdfg::NodeId root,
                                    const crypto::Bitstream& carve,
                                    const DomainKey& key,
                                    CarveScratch* scratch = nullptr);
+
+/// One-root selection on a graph: builds `g`'s FaninView for the call.
+/// A caller carving many roots builds the view once and passes it.
+[[nodiscard]] Domain select_domain(const cdfg::Graph& g, cdfg::NodeId root,
+                                   const crypto::Bitstream& carve,
+                                   const DomainKey& key);
 
 [[nodiscard]] inline Domain select_domain(const cdfg::Graph& g, cdfg::NodeId root,
                                           const crypto::Signature& sig,
@@ -148,8 +190,11 @@ void gather_cone(const cdfg::Graph& g, cdfg::NodeId root, int tau,
 }
 
 /// Publishes a batch of carves (a detector chunk, an embed wave chunk, one
-/// plan) as one add each to `wm/domains_carved` and `wm/carve_key_rows`
-/// (`scratch`'s rows; null: the thread's) and one `wm/domain_size` merge.
+/// plan): `selected_sizes` holds the T size of every completed carve,
+/// and `scratch` (null: the thread's) the batch's key rows and cut
+/// carves.  One add each to `wm/domains_carved` (every carve started,
+/// completed or cut), `wm/carves_cut` and `wm/carve_key_rows`, and one
+/// `wm/domain_size` merge of the completed carves.
 void record_carves(std::span<const std::size_t> selected_sizes,
                    CarveScratch* scratch = nullptr);
 

@@ -23,15 +23,17 @@ std::unordered_map<NodeId, const Lifetime*> by_producer(
   return map;
 }
 
-}  // namespace
-
-std::optional<RegWatermark> plan_reg_watermark(
-    const Graph& g, const std::vector<Lifetime>& lifetimes, NodeId root,
-    const crypto::Signature& sig, const RegWmOptions& opts) {
+/// plan_reg_watermark over the graph's FaninView `view`, which a caller
+/// planning or verifying many roots builds once.
+std::optional<RegWatermark> plan_reg_at(const FaninView& view,
+                                        const std::vector<Lifetime>& lifetimes,
+                                        NodeId root, const crypto::Signature& sig,
+                                        const RegWmOptions& opts) {
   if (opts.m <= 0) {
     throw std::invalid_argument("plan_reg_watermark: need m > 0");
   }
-  const Domain domain = select_domain(g, root, sig, opts.domain);
+  const Domain domain =
+      select_domain(view, root, sig.stream(DomainKey::kCarveTag), opts.domain);
   record_carves(std::array{domain.selected.size()});
   const auto lt_of = by_producer(lifetimes);
 
@@ -101,6 +103,14 @@ std::optional<RegWatermark> plan_reg_watermark(
   return wm;
 }
 
+}  // namespace
+
+std::optional<RegWatermark> plan_reg_watermark(
+    const Graph& g, const std::vector<Lifetime>& lifetimes, NodeId root,
+    const crypto::Signature& sig, const RegWmOptions& opts) {
+  return plan_reg_at(FaninView::build(g), lifetimes, root, sig, opts);
+}
+
 std::vector<RegWatermark> plan_reg_watermarks(
     const Graph& g, const std::vector<Lifetime>& lifetimes,
     const crypto::Signature& sig, int count, const RegWmOptions& opts,
@@ -113,6 +123,7 @@ std::vector<RegWatermark> plan_reg_watermarks(
     if (cdfg::is_executable(g.node(n).kind)) ops.push_back(n);
   }
   std::vector<bool> used(g.node_capacity(), false);
+  const FaninView view = FaninView::build(g);
   for (int attempt = 0;
        attempt < max_attempts && static_cast<int>(marks.size()) < count;
        ++attempt) {
@@ -124,7 +135,7 @@ std::vector<RegWatermark> plan_reg_watermarks(
         ops[roots.next_uint(static_cast<std::uint32_t>(ops.size()))];
     if (used[root.value]) continue;
     used[root.value] = true;
-    auto wm = plan_reg_watermark(g, lifetimes, root, sig, opts);
+    auto wm = plan_reg_at(view, lifetimes, root, sig, opts);
     if (!wm) continue;
     // Cross-watermark consistency: merging this mark's shares with the
     // already-accepted ones must stay bindable.
@@ -164,7 +175,7 @@ RegRecord RegRecord::from(const RegWatermark& wm, const Graph& g) {
 
 namespace {
 
-RegHit verify_reg_at(const Graph& suspect,
+RegHit verify_reg_at(const Graph& suspect, const FaninView& view,
                      const std::vector<Lifetime>& lifetimes,
                      const regbind::Binding& binding,
                      const crypto::Signature& sig, const RegRecord& record,
@@ -172,7 +183,8 @@ RegHit verify_reg_at(const Graph& suspect,
   RegHit hit;
   hit.root = root;
   // Cheap structural prefilter before the full re-derivation.
-  const Domain d = select_domain(suspect, root, sig, record.domain);
+  const Domain d =
+      select_domain(view, root, sig.stream(DomainKey::kCarveTag), record.domain);
   record_carves(std::array{d.selected.size()});
   if (!subtree_matches(suspect, d, record.subtree_ops)) return hit;
 
@@ -183,7 +195,7 @@ RegHit verify_reg_at(const Graph& suspect,
   opts.m = record.m > 0 ? record.m : static_cast<int>(record.positions.size());
   opts.min_pairs = 1;
   const std::optional<RegWatermark> derived =
-      plan_reg_watermark(suspect, lifetimes, root, sig, opts);
+      plan_reg_at(view, lifetimes, root, sig, opts);
   if (!derived || derived->constraints.size() != record.positions.size()) {
     return hit;
   }
@@ -212,11 +224,12 @@ RegDetectionReport detect_reg_watermark(const Graph& suspect,
                                         const crypto::Signature& sig,
                                         const RegRecord& record) {
   RegDetectionReport report;
+  const FaninView view = FaninView::build(suspect);
   for (NodeId n : suspect.nodes()) {
     if (!cdfg::is_executable(suspect.node(n).kind)) continue;
     ++report.roots_scanned;
     const RegHit hit =
-        verify_reg_at(suspect, lifetimes, binding, sig, record, n);
+        verify_reg_at(suspect, view, lifetimes, binding, sig, record, n);
     if (hit.full()) report.hits.push_back(hit);
   }
   return report;

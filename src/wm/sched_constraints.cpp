@@ -32,6 +32,7 @@ PlanContext PlanContext::build(const Graph& g) {
   for (const NodeId n : g.nodes()) {
     if (cdfg::is_executable(g.node(n).kind)) ctx.ops.push_back(n);
   }
+  ctx.fanin = FaninView::build(g);
   return ctx;
 }
 
@@ -72,7 +73,7 @@ std::optional<SchedWatermark> plan_impl(const Graph& g, NodeId root,
     throw std::invalid_argument("plan_sched_watermark: need k > 0 and epsilon > 0");
   }
   LWM_SPAN("wm/plan");
-  const Domain domain = select_domain(g, root, carve, opts.domain, scratch);
+  const Domain domain = select_domain(ctx.fanin, root, carve, opts.domain, scratch);
   carved = domain.selected.size();
 
   // Timing of the *original specification*: the filters of Fig. 2 are

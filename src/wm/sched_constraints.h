@@ -80,7 +80,8 @@ struct SchedWatermark {
 ///     with the same order, so marks planned concurrently are jointly
 ///     acyclic by construction, with no closure state (V^2/64 bytes is
 ///     ~125 GB at 1M nodes) and no coordination;
-///   * `ops` — the candidate roots.
+///   * `ops` — the candidate roots (of embedding and of detection);
+///   * `fanin` — the FaninView every carve of the graph reads.
 ///
 /// The serial embedders use the *exact guard* instead: reachability
 /// among the K members of T'', seeded from the graph and closed over
@@ -92,6 +93,7 @@ struct PlanContext {
   cdfg::TimingInfo timing;
   std::vector<std::uint32_t> topo_rank;  ///< indexed by NodeId::value
   std::vector<cdfg::NodeId> ops;         ///< executable nodes, id order
+  FaninView fanin;
 
   [[nodiscard]] static PlanContext build(const cdfg::Graph& g);
 
@@ -142,8 +144,9 @@ struct PlanContext {
 /// Same embedding against a caller-provided context — the resident-state
 /// entry point (serve::DesignStore keeps one PlanContext per design and
 /// amortizes it across requests).  `ctx` must have been built for a
-/// graph with the same live nodes and NodeIds as `g` (a copy of the
-/// context's graph qualifies); `opts` may vary per call.
+/// graph with the same live nodes, NodeIds and specification edges as
+/// `g` (a copy of the context's graph qualifies, marked or not); `opts`
+/// may vary per call.
 /// Bit-identical to the context-building overload at any thread count.
 [[nodiscard]] std::vector<SchedWatermark> embed_local_watermarks_parallel(
     cdfg::Graph& g, const crypto::Signature& sig, int count,

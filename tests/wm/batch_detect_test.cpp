@@ -8,6 +8,7 @@
 #include "obs/obs.h"
 #include "sched/list_sched.h"
 #include "wm/detector.h"
+#include "wm/sched_constraints.h"
 
 namespace lwm::wm {
 namespace {
@@ -294,6 +295,124 @@ TEST(BatchDetectTest, ConeFingerprintsCountMemoMisses) {
     EXPECT_EQ(fingerprints(p, &memo), expected);
     EXPECT_EQ(fingerprints(p, &memo), 0u);
   }
+#else
+  GTEST_SKIP() << "counting needs LWM_OBS=ON";
+#endif
+}
+
+/// A complete binary add tree of `depth` levels over 2^depth inputs,
+/// appended to `g`; returns its root.
+cdfg::NodeId add_tree(Graph& g, int depth) {
+  std::vector<cdfg::NodeId> level;
+  for (int i = 0; i < (1 << depth); ++i) {
+    level.push_back(g.add_node(cdfg::OpKind::kInput));
+  }
+  while (level.size() > 1) {
+    std::vector<cdfg::NodeId> next;
+    for (std::size_t i = 0; i + 1 < level.size(); i += 2) {
+      const cdfg::NodeId n = g.add_node(cdfg::OpKind::kAdd);
+      g.add_edge(level[i], n);
+      g.add_edge(level[i + 1], n);
+      next.push_back(n);
+    }
+    level = std::move(next);
+  }
+  return level.front();
+}
+
+/// An 800-op mega design carrying default-key (tau 8) and tau-4 marks,
+/// plus a depth-8 add tree whose keep-1/1 record is the whole tree: 255
+/// adds and 256 inputs, so both its op counts saturate at 255.
+Fixture make_cut_fixture() {
+  Fixture f{lwm::dfglib::make_mega_design(lwm::dfglib::MegaConfig{.operations = 800}),
+            {}, {}};
+  const cdfg::NodeId tree = add_tree(f.graph, 8);
+  SchedWmOptions narrow;
+  narrow.domain.tau = 4;
+  narrow.k = 3;
+  for (const SchedWmOptions& opts : {SchedWmOptions{}, narrow}) {
+    for (const auto& m : embed_local_watermarks(f.graph, alice(), 4, opts)) {
+      f.records.push_back(SchedRecord::from(m, f.graph));
+    }
+  }
+  EXPECT_GE(f.records.size(), 4u);
+  f.schedule = sched::list_schedule(f.graph);
+  f.graph.strip_temporal_edges();
+
+  SchedRecord whole;
+  whole.domain.keep_den = 1;
+  const Domain d = oracle::select_domain(f.graph, tree, alice(), whole.domain);
+  for (const cdfg::NodeId n : d.selected) {
+    whole.subtree_ops.push_back(cdfg::functional_id(f.graph.node(n).kind));
+  }
+  EXPECT_EQ(whole.subtree_ops.size(), 511u);
+  EXPECT_EQ(ConeFingerprint::of_ops(whole.subtree_ops)
+                .count[static_cast<std::size_t>(cdfg::functional_id(cdfg::OpKind::kAdd) - 1)],
+            ConeFingerprint::kMaxCount);
+  whole.positions = {{256, 510}, {384, 510}};  // adds below the tree root
+  f.records.push_back(std::move(whole));
+  return f;
+}
+
+TEST(BatchDetectTest, CutCarvesNeverChangeReports) {
+  // Carves cut once T outgrows every candidate record must leave every
+  // report equal to the brute-force scan's, which carves every root in
+  // full: without and with the resident context, memo and a pool.
+  const Fixture f = make_cut_fixture();
+  const PlanContext ctx = PlanContext::build(f.graph);
+  exec::ThreadPool pool(4);
+  for (const crypto::Signature& sig : {alice(), eve()}) {
+    std::vector<SchedDetectionReport> want;
+    for (const SchedRecord& r : f.records) {
+      want.push_back(oracle::detect(f.graph, f.schedule, sig, r));
+    }
+    ConeMemo memo(f.graph.node_capacity(), SchedWmOptions{}.domain.tau);
+    const auto plain = detect_sched_watermarks(f.graph, f.schedule, sig, f.records);
+    const auto resident = detect_sched_watermarks(f.graph, f.schedule, sig,
+                                                  f.records, &pool, &memo, &ctx);
+    ASSERT_EQ(plain.size(), want.size());
+    ASSERT_EQ(resident.size(), want.size());
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      const std::string label = sig.owner() + " record " + std::to_string(i);
+      expect_matches_oracle(want[i], plain[i], label);
+      expect_matches_oracle(want[i], resident[i], label + " resident");
+    }
+    if (sig.owner() == "alice") {
+      EXPECT_TRUE(plain.back().detected()) << "the saturated record hits";
+    }
+  }
+}
+
+TEST(BatchDetectTest, CutCarvesSaveKeyRows) {
+#if LWM_OBS_ENABLED
+  // One record: some carve outgrows it, and the cut scan computes fewer
+  // C2/C3 rows than the same carves run in full, each ordered when its
+  // T has the record's op multiset.
+  const Fixture f = make_mega_fixture();
+  const SchedRecord& record = f.records.front();
+  const ConeFingerprint need = ConeFingerprint::of_ops(record.subtree_ops);
+  const FaninView view = FaninView::build(f.graph);
+  const crypto::Bitstream carve = alice().stream(DomainKey::kCarveTag);
+  CarveScratch uncut;
+  for (const cdfg::NodeId n : f.graph.nodes()) {
+    if (!cdfg::is_executable(f.graph.node(n).kind) ||
+        !oracle::may_carve(f.graph, n, record)) {
+      continue;
+    }
+    gather_cone(view, n, record.domain.tau, uncut);
+    if (carve_cone(view, carve, record.domain, uncut) == need) {
+      (void)order_carve(uncut);
+    }
+  }
+
+  obs::Registry& reg = obs::Registry::instance();
+  obs::Counter& cut = reg.counter("wm/carves_cut");
+  obs::Counter& rows = reg.counter("wm/carve_key_rows");
+  const std::uint64_t cut_before = cut.total();
+  const std::uint64_t rows_before = rows.total();
+  (void)detect_sched_watermarks(f.graph, f.schedule, alice(), {&record, 1});
+  EXPECT_GE(cut.total() - cut_before, 1u);
+  EXPECT_LT(rows.total() - rows_before, uncut.key_rows);
 #else
   GTEST_SKIP() << "counting needs LWM_OBS=ON";
 #endif

@@ -4,12 +4,17 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "cdfg/serialize.h"
 #include "cdfg/subgraph.h"
 #include "dfglib/iir4.h"
+#include "dfglib/kernels.h"
 #include "dfglib/synth.h"
+#include "wm/sched_constraints.h"
 
+#include "locality_oracle.h"
 #include "pick_root.h"
 
 namespace lwm::wm {
@@ -157,15 +162,137 @@ TEST(SelectDomainTest, ComputesKeyRowsOnlyWhereComparisonsTie) {
   const crypto::Bitstream carve = alice().stream(DomainKey::kCarveTag);
   DomainKey key;
   key.tau = 8;
+  const FaninView view = FaninView::build(g);
   CarveScratch s;
   std::size_t cone_nodes = 0;
   for (const NodeId n : g.nodes()) {
     if (!cdfg::is_executable(g.node(n).kind)) continue;
-    (void)select_domain(g, n, carve, key, &s);
+    (void)select_domain(view, n, carve, key, &s);
     cone_nodes += s.cone.size();
   }
   ASSERT_GT(cone_nodes, 0u);
   EXPECT_LE(2 * s.key_rows, cone_nodes);
+}
+
+/// b <- a twice (a squared), s <- {b data, m, b control}, t <- {s, m, s, a}:
+/// parallel duplicate edges, of one kind and across kinds.
+Graph duplicate_edge_graph() {
+  Graph g("dups");
+  const NodeId a = g.add_node(cdfg::OpKind::kInput, "a");
+  const NodeId b = g.add_node(cdfg::OpKind::kInput, "b");
+  const NodeId m = g.add_node(cdfg::OpKind::kMul, "m");
+  g.add_edge(a, m);
+  g.add_edge(a, m);
+  const NodeId s = g.add_node(cdfg::OpKind::kAdd, "s");
+  g.add_edge(b, s);
+  g.add_edge(m, s);
+  g.add_edge(b, s, cdfg::EdgeKind::kControl);
+  const NodeId t = g.add_node(cdfg::OpKind::kSub, "t");
+  g.add_edge(s, t);
+  g.add_edge(m, t);
+  g.add_edge(s, t);
+  g.add_edge(a, t);
+  return g;
+}
+
+/// fft16 with scheduling marks (temporal edges) and a token feedback edge.
+Graph marked_fft() {
+  Graph g = dfglib::make_fft(16);
+  SchedWmOptions opts;
+  opts.domain.tau = 4;
+  opts.k = 3;
+  opts.epsilon = 0.3;
+  EXPECT_FALSE(embed_local_watermarks(g, alice(), 4, opts).empty());
+  (void)dfglib::add_feedback(g, 2);
+  EXPECT_TRUE(g.has_token_edges());
+  return g;
+}
+
+/// Every row of `g`'s view is the node's specification fan-in sources,
+/// duplicates dropped after their first occurrence; dead ids are empty.
+void expect_rows_match_graph(const Graph& g, const std::string& label) {
+  const FaninView view = FaninView::build(g);
+  ASSERT_EQ(view.node_capacity(), g.node_capacity()) << label;
+  for (std::uint32_t v = 0; v < g.node_capacity(); ++v) {
+    const NodeId n{v};
+    std::vector<std::uint32_t> want;
+    if (g.is_live(n)) {
+      EXPECT_EQ(view.fid[v], cdfg::functional_id(g.node(n).kind)) << label;
+      for (const cdfg::EdgeId e : g.fanin(n)) {
+        const cdfg::Edge& ed = g.edge(e);
+        if (!cdfg::EdgeFilter::specification().accepts(ed)) continue;
+        if (std::ranges::find(want, ed.src.value) == want.end()) {
+          want.push_back(ed.src.value);
+        }
+      }
+    } else {
+      EXPECT_EQ(view.fid[v], 0) << label;
+      EXPECT_FALSE(view.is_live(n)) << label;
+    }
+    const auto row = view.inputs_of(n);
+    EXPECT_EQ(std::vector<std::uint32_t>(row.begin(), row.end()), want)
+        << label << " node " << v;
+  }
+}
+
+/// At every executable root and tau, the cone gathered from the view and
+/// the local CSR rows the carve indexes equal the Graph walk's.
+void expect_cones_match_graph(const Graph& g, const std::string& label) {
+  const FaninView view = FaninView::build(g);
+  const crypto::Bitstream carve = alice().stream(DomainKey::kCarveTag);
+  CarveScratch s;
+  for (const int tau : {1, 3, 8}) {
+    DomainKey key;
+    key.tau = tau;
+    for (const NodeId n : g.nodes()) {
+      if (!cdfg::is_executable(g.node(n).kind)) continue;
+      const std::string where =
+          label + " tau " + std::to_string(tau) + " root " + g.node(n).name;
+      const oracle::IndexedCone want = oracle::indexed_cone(g, n, tau);
+      gather_cone(view, n, tau, s);
+      ASSERT_EQ(s.cone.size(), want.cone.size()) << where;
+      for (std::size_t i = 0; i < want.cone.size(); ++i) {
+        ASSERT_EQ(s.cone[i].node, want.cone[i].node) << where;
+        ASSERT_EQ(s.cone[i].distance, want.cone[i].distance) << where;
+      }
+      ASSERT_TRUE(carve_cone(view, carve, key, s).has_value()) << where;
+      for (std::uint32_t i = 0; i < want.inputs.size(); ++i) {
+        const auto row = s.inputs_of(i);
+        ASSERT_EQ(std::vector<std::uint32_t>(row.begin(), row.end()),
+                  want.inputs[i])
+            << where << " member " << i;
+      }
+    }
+  }
+}
+
+TEST(FaninViewTest, RowsAreTheDeduplicatedSpecificationFanin) {
+  const Graph dups = duplicate_edge_graph();
+  expect_rows_match_graph(dups, "dups");
+  const FaninView view = FaninView::build(dups);
+  const auto row = view.inputs_of(dups.find("t"));
+  EXPECT_EQ(std::vector<std::uint32_t>(row.begin(), row.end()),
+            (std::vector<std::uint32_t>{dups.find("s").value, dups.find("m").value,
+                                        dups.find("a").value}))
+      << "first occurrence kept";
+  expect_rows_match_graph(marked_fft(), "fft16-marked");
+  Graph mega = dfglib::make_mega_design({.operations = 1500});
+  crypto::Bitstream draw = alice().stream("lwm/test-dead");
+  mega.remove_node(pick_root(mega, draw));
+  expect_rows_match_graph(mega, "mega with a dead id");
+}
+
+TEST(FaninViewTest, ConesAndLocalRowsMatchTheGraphWalk) {
+  expect_cones_match_graph(duplicate_edge_graph(), "dups");
+  expect_cones_match_graph(marked_fft(), "fft16-marked");
+  for (const dfglib::MegaShape shape :
+       {dfglib::MegaShape::kLayeredDeep, dfglib::MegaShape::kStitchedClones}) {
+    dfglib::MegaConfig cfg;
+    cfg.shape = shape;
+    cfg.operations = 1500;
+    expect_cones_match_graph(dfglib::make_mega_design(cfg),
+                             "mega shape " + std::to_string(static_cast<int>(shape)));
+  }
 }
 
 }  // namespace

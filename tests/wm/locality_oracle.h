@@ -10,6 +10,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <deque>
 #include <stdexcept>
 #include <unordered_map>
@@ -82,6 +83,35 @@ inline std::vector<cdfg::NodeId> cone_inputs(
 }
 
 }  // namespace detail
+
+/// T_o as a Graph walk gives it, with each member's in-cone inputs as
+/// positions in `cone`, first-occurrence fan-in order: what
+/// wm::gather_cone leaves in `CarveScratch::cone` and the carve indexes
+/// into its local CSR rows.
+struct IndexedCone {
+  std::vector<cdfg::ConeNode> cone;
+  std::vector<std::vector<std::uint32_t>> inputs;
+};
+
+inline IndexedCone indexed_cone(const cdfg::Graph& g, cdfg::NodeId root,
+                                int tau) {
+  IndexedCone out;
+  out.cone = detail::cone_of(g, root, tau);
+  std::unordered_set<cdfg::NodeId> members;
+  std::unordered_map<cdfg::NodeId, std::uint32_t> position;
+  for (std::size_t i = 0; i < out.cone.size(); ++i) {
+    members.insert(out.cone[i].node);
+    position[out.cone[i].node] = static_cast<std::uint32_t>(i);
+  }
+  for (const cdfg::ConeNode& c : out.cone) {
+    std::vector<std::uint32_t> row;
+    for (const cdfg::NodeId p : detail::cone_inputs(g, c.node, members)) {
+      row.push_back(position.at(p));
+    }
+    out.inputs.push_back(std::move(row));
+  }
+  return out;
+}
 
 /// T_o ordered by C1 → C2 → C3 → discovery position.
 inline std::vector<cdfg::NodeId> order_locality(const cdfg::Graph& g,
