@@ -20,8 +20,11 @@
 // and detection must recover every record.
 //
 // At every size each timed phase (generate, parse, embed, detect) is the
-// fastest of three runs, embed each time on a fresh copy of the design,
-// so a key compares across runs at 1M ops as at 1k.
+// fastest of several runs, embed each time on a fresh copy of the design:
+// 1M / ops runs below 100k ops (1000 at 1k, 100 at 10k), so a phase of
+// a millisecond or less still spreads its samples over a few hundred
+// milliseconds and its best compares across runs, and 3 at 100k and 1M,
+// where one run already takes long.
 //
 // The JSON artifact reports throughput (higher is better): the headline
 // embed_ops_per_s / detect_ops_per_s / stream_parse_mb_per_s at the
@@ -105,7 +108,7 @@ int main(int argc, char** argv) {
   for (const int ops : sizes) {
     SizeRow row;
     row.ops = ops;
-    constexpr int reps = 3;
+    const int reps = ops < 100'000 ? 1'000'000 / ops : 3;
 
     dfglib::MegaConfig cfg;
     cfg.name = "mega" + size_tag(ops);

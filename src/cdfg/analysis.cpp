@@ -39,6 +39,7 @@ std::vector<NodeId> topo_order(const Graph& g, EdgeFilter filter) {
     std::string msg = "topo_order: precedence relation is cyclic in '" +
                       g.name() + "'";
     if (cycle.found()) msg += ": " + cycle.describe(g);
+    msg += " (annotate loop-carried edges with tokens, or filter them out)";
     throw std::runtime_error(msg);
   }
   return order;

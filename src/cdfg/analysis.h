@@ -158,7 +158,7 @@ struct BoundedTimingInfo {
 };
 
 /// Computes the dual analysis — the library's one source of optimistic
-/// (d_min) windows; TimingCache keeps the d_max band only.  One
+/// (d_min) windows; compute_timing() keeps the d_max band only.  One
 /// topological order feeds both passes, which share compute_timing()'s
 /// relaxation kernel.  `latency` semantics match compute_timing(): it is
 /// validated against the *pessimistic* critical path (the bound must

@@ -68,7 +68,7 @@ std::string_view edge_kind_name(EdgeKind k) noexcept;
 /// value every scheduler and timing analysis constrains against, so a
 /// schedule is legal for *any* realization of the delays.  `delay_min`
 /// is the lower bound d_min used by the optimistic side of the bounded
-/// timing analyses (compute_timing_bounded, k-worst path min lengths).  The default is an exact interval
+/// timing analysis (compute_timing_bounded).  The default is an exact interval
 /// (delay_min == delay), which keeps every unit-delay code path
 /// bit-identical to the pre-bounded behavior.
 struct Node {

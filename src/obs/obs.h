@@ -3,9 +3,9 @@
 //
 // The macro surface is the whole contract for instrumented code:
 //
-//   LWM_COUNT("bnb/nodes", n);   // monotonic counter += n
-//   LWM_HIST("fds/stale_set", stale.size());   // log2-bucketed histogram
-//   LWM_SPAN("fds/step");        // RAII span: wall time until scope exit
+//   LWM_COUNT("wm/roots_scanned", n);   // monotonic counter += n
+//   LWM_HIST("serve/request_bytes", n);   // log2-bucketed histogram
+//   LWM_SPAN("wm/detect_batch");        // RAII span: wall time until scope exit
 //
 // Each macro resolves its name to a registry entry once (a thread-safe
 // static local at the call site) and then touches only a per-thread

@@ -11,9 +11,8 @@
 //     (token-carrying back-edges); returns an initiation interval.
 //
 // Both constrain against d_max, so their schedules stay legal under
-// every realization of dynamically bounded delays.  The list, FDS and
-// B&B schedulers have their own entry points (list_sched.h,
-// force_directed.h, bnb.h).
+// every realization of dynamically bounded delays.  The resource-
+// constrained list scheduler has its own entry point (list_sched.h).
 #pragma once
 
 #include <span>

@@ -14,7 +14,6 @@
 #include "cdfg/graph.h"
 #include "cdfg/normalize.h"
 #include "cdfg/serialize.h"
-#include "cdfg/timing_cache.h"
 #include "cdfg/validate.h"
 
 namespace lwm::cdfg {
@@ -82,11 +81,18 @@ TEST(MarkedGraphTest, FilterGatesTokenEdges) {
   EXPECT_FALSE(EdgeFilter::all().accepts(back));
   EXPECT_FALSE(EdgeFilter::specification().accepts(back));
   EXPECT_TRUE(EdgeFilter::periodic().accepts(back));
-  // The skeleton of a marked graph is a DAG: every default analysis runs.
+  // The skeleton of a marked graph is a DAG: every default analysis runs,
+  // and only the forward edge constrains the timing windows.
   EXPECT_EQ(topo_order(g).size(), 2u);
-  EXPECT_NO_THROW((void)compute_timing(g));
-  EXPECT_NO_THROW((void)TimingCache(g));
+  const TimingInfo t = compute_timing(g);
+  EXPECT_EQ(t.asap[a.value], 0);
+  EXPECT_EQ(t.asap[b.value], g.node(a).delay);
+  EXPECT_EQ(t.critical_path, g.node(a).delay + g.node(b).delay);
   EXPECT_NO_THROW(validate_or_throw(g));
+  // Admitting the token edge makes the same relation cyclic.
+  EXPECT_THROW((void)topo_order(g, EdgeFilter::periodic()), std::runtime_error);
+  EXPECT_THROW((void)compute_timing(g, -1, EdgeFilter::periodic()),
+               std::runtime_error);
 }
 
 TEST(MarkedGraphTest, TokensRoundTripThroughText) {
@@ -178,11 +184,17 @@ TEST(MarkedGraphTest, TopoOrderNamesTheCycle) {
     EXPECT_NE(msg.find("alpha -> beta -> gamma -> alpha"), std::string::npos)
         << msg;
   }
+  // Every timing analysis refuses the cycle up front, in bounded time,
+  // with the same located cycle and a hint at the fix.
   try {
-    const TimingCache tc(g);
-    FAIL() << "TimingCache must throw on a cycle";
+    (void)compute_timing(g);
+    FAIL() << "compute_timing must throw on a cycle";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("alpha"), std::string::npos);
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("cyclic"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("alpha -> beta -> gamma -> alpha"), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("tokens"), std::string::npos) << msg;
   }
 }
 

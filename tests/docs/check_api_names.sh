@@ -3,7 +3,7 @@
 # EXPERIMENTS.md, docs/*.md) must not describe code that is gone.
 #   * every backticked `ns::name` (or `ns::inner::name`) must name an
 #     identifier that still appears in the sources (src/, and bench/ for
-#     the bench:: CLI layer); wildcards (`sched::bnb_*`) and std:: names
+#     the bench:: CLI layer); wildcards (`wm::plan_*`) and std:: names
 #     are skipped;
 #   * every backticked snake_case identifier, bare or called
 #     (`plan_sched_watermark`, `sched_pc_auto(g, marks)`), must appear in

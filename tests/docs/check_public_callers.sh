@@ -46,8 +46,6 @@ known_type	building block of the frame decoder, tested directly
 append_frame	building block of the frame encoder, tested directly
 response_type	small helper the frame tests use
 write_trace_events	building block of write_chrome_trace, pinned by a golden test
-refill_force_scalar	scalar FDS kernel the SIMD kernels are checked against
-simd_available	dispatch probe the FDS kernel tests skip on
 enumeration_calls	building block of the exact P_c enumerator, tested directly
 EOF
 )

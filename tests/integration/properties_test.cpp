@@ -7,7 +7,6 @@
 #include "cdfg/validate.h"
 #include "dfglib/synth.h"
 #include "sched/enumerate.h"
-#include "sched/force_directed.h"
 #include "sched/list_sched.h"
 #include "tmatch/cover.h"
 #include "vliw/vliw_sched.h"
@@ -157,16 +156,6 @@ TEST_P(DspDesignProperties, AllocationMeetsBudget) {
     EXPECT_LE(alloc.latency, factor * cp);
     EXPECT_GT(alloc.total(), 0);
   }
-}
-
-TEST_P(DspDesignProperties, FdsNeverExceedsListPeakAtSameLatency) {
-  const Graph g = make();
-  const int cp = cdfg::critical_path_length(g);
-  const sched::Schedule fds =
-      sched::force_directed_schedule(g, {.latency = cp + 4});
-  EXPECT_TRUE(sched::verify_schedule(g, fds, EdgeFilter::all(),
-                                     sched::ResourceSet::unlimited(), cp + 4)
-                  .ok);
 }
 
 TEST_P(DspDesignProperties, PsiRatioIsAProbability) {

@@ -1,6 +1,6 @@
 // peak_usage.h — per-class peak concurrent usage of a schedule, the
 // "module count" style cost that time-constrained synthesis minimizes.
-// The FDS and schedule tests compare schedules by it; nothing in the
+// The schedule tests compare schedules by it; nothing in the
 // library needs it, so it lives with the tests.
 #pragma once
 

@@ -2,7 +2,7 @@
 """Compare two bench JSON artifacts and fail on perf regression.
 
     python3 tools/bench_compare.py BASELINE.json CANDIDATE.json \
-        [--max-regress 0.10] [--key fds_speedup ...]
+        [--max-regress 0.10] [--key KEY ...]
 
 Exits 1 if any compared higher-is-better key in CANDIDATE falls more
 than --max-regress (default 10%) below BASELINE, or if either file is
@@ -10,17 +10,9 @@ missing a compared key.  Every compared key is printed with its delta,
 so a passing run still documents the drift.
 
 The compared keys follow the artifact schema, selected by the "bench"
-tag both files must agree on:
+tag both files must carry and agree on (an untagged artifact fails as
+an unknown tag):
 
-  micro (default when the tag is absent): fds_speedup (the headline
-      reference-vs-incremental ratio) and fds_eps_speedup (the
-      approximate-mode ratio, when both files carry it).
-  delay: unit_build_per_s (TimingCache construction throughput at the
-      exact delay model), bounded_build_per_s (compute_timing_bounded
-      throughput at the table delay model; before the optimistic band
-      left TimingCache it was cache construction at the table model, so
-      artifacts from either side of that change do not compare on this
-      key) and kpaths_per_s (k-worst path enumeration throughput).
   scale: embed_ops_per_s / detect_ops_per_s (mega-design pipeline
       throughput at the largest size swept), plus the per-size
       embed_ops_per_s_<tag> / detect_ops_per_s_<tag> /
@@ -43,14 +35,14 @@ tag both files must agree on:
 Intended use: run the bench on the pre-change and post-change trees,
 then diff the artifacts —
 
-    ./build-old/bench/bench_micro --threads 1 --json old.json --benchmark_filter=^$
-    ./build-new/bench/bench_micro --threads 1 --json new.json --benchmark_filter=^$
+    ./build-old/bench/bench_scale --threads 1 --smoke --json old.json
+    ./build-new/bench/bench_scale --threads 1 --smoke --json new.json
     python3 tools/bench_compare.py old.json new.json
 
-The bench-smoke ctests self-compare the checked-in BENCH_micro.json and
-BENCH_delay.json, which pins both artifact schemas (the keys must
-exist) and the tool's CLI without depending on the noise of a live
-timing run.
+The bench-smoke ctests self-compare the checked-in BENCH_scale.json,
+BENCH_serve.json and BENCH_periodic.json, which pins each artifact
+schema (the keys must exist) and the tool's CLI without depending on
+the noise of a live timing run.
 """
 import argparse
 import json
@@ -58,18 +50,8 @@ import pathlib
 import sys
 
 # Per-schema higher-is-better keys, keyed by the artifact's "bench" tag.
-# Artifacts without the tag predate it and are bench_micro ones.
 # Benches whose tag has no entry here carry no gated throughput keys.
 SCHEMAS = {
-    "micro": {
-        "required": ["fds_speedup"],
-        "optional": ["fds_eps_speedup"],
-    },
-    "delay": {
-        "required": ["unit_build_per_s", "bounded_build_per_s",
-                     "kpaths_per_s"],
-        "optional": [],
-    },
     "scale": {
         "required": ["embed_ops_per_s", "detect_ops_per_s"],
         "optional": ["stream_parse_mb_per_s",
@@ -117,8 +99,8 @@ def main() -> int:
         print(f"bench_compare: {e}", file=sys.stderr)
         return 1
 
-    base_tag = base.get("bench", "micro")
-    cand_tag = cand.get("bench", "micro")
+    base_tag = base.get("bench")
+    cand_tag = cand.get("bench")
     if base_tag != cand_tag:
         print(f"bench_compare: artifact mismatch ({base_tag} vs {cand_tag})",
               file=sys.stderr)

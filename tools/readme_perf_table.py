@@ -1,14 +1,11 @@
 #!/usr/bin/env python3
-"""Regenerate README.md's performance table from the bench artifacts.
+"""Regenerate README.md's performance tables from the bench artifacts.
 
 The block between the `perf-table:begin` / `perf-table:end` markers is
-owned by this script — edit the checked-in BENCH_micro / BENCH_delay /
-BENCH_scale / BENCH_serve artifacts (by re-running their benches) and
-re-run this, never the tables by hand:
+owned by this script — edit the checked-in BENCH_scale / BENCH_serve
+artifacts (by re-running their benches) and re-run this, never the
+tables by hand:
 
-    ./build/bench/bench_micro --threads 1 --json BENCH_micro.json \
-        --benchmark_filter=^$
-    ./build/bench/bench_delay --threads 1 --json BENCH_delay.json
     ./build/bench/bench_scale --threads 1 --json BENCH_scale.json
     ./build/bench/bench_serve --threads 1 --json BENCH_serve.json
     python3 tools/readme_perf_table.py
@@ -48,21 +45,6 @@ def scale_lines() -> list:
     return lines
 
 
-def delay_lines() -> list:
-    """The delay-model throughput line from BENCH_delay.json."""
-    delay = json.loads((ROOT / "BENCH_delay.json").read_bytes())
-    return [
-        "",
-        f"`BENCH_delay.json` — `TimingCache` construction, bounded"
-        f" (`d_min`/`d_max`) timing analysis and k-worst path enumeration"
-        f" over {delay['designs']} designs, {delay['threads']} thread(s):"
-        f" {delay['unit_build_per_s']:,.0f} cache builds/s at the exact"
-        f" model, {delay['bounded_build_per_s']:,.0f}"
-        f" `compute_timing_bounded` calls/s at `{delay['delay_model']}`,"
-        f" {delay['kpaths_per_s']:,.0f} k-paths queries/s.",
-    ]
-
-
 def serve_lines() -> list:
     """The resident-vs-cold service table from BENCH_serve.json."""
     serve = json.loads((ROOT / "BENCH_serve.json").read_bytes())
@@ -91,53 +73,7 @@ def serve_lines() -> list:
 
 
 def main() -> int:
-    bench = json.loads((ROOT / "BENCH_micro.json").read_bytes())
-    # The reference recomputes every unscheduled node's force vector on
-    # every one of the N placement iterations: N + (N-1) + ... + 1.
-    ref_refills = bench["fds_ops"] * (bench["fds_ops"] + 1) // 2
-    block = "\n".join(
-        [
-            BEGIN,
-            f"`BENCH_micro.json` on the largest MediaBench DFG"
-            f" ({bench['fds_graph']}, {bench['fds_ops']} ops, latency"
-            f" {bench['fds_latency']} = critical path + 10% slack),"
-            f" {bench['threads']} thread(s):",
-            "",
-            "| engine | delay model | wall | speedup | force-vector refills |",
-            "|--------|-------------|------|---------|----------------------|",
-            f"| reference FDS (recompute everything) | unit |"
-            f" {bench['fds_ref_ms']:.0f} ms | 1.0x |"
-            f" {ref_refills:,} |",
-            f"| incremental FDS (`eps_dg = 0`, bit-identical) | unit |"
-            f" {bench['fds_inc_ms']:.0f} ms |"
-            f" **{bench['fds_speedup']:.1f}x** |"
-            f" {bench['fds_refills_exact']:,} |",
-            f"| incremental FDS (`eps_dg = {bench['fds_eps_dg']}`,"
-            f" same latency) | unit |"
-            f" {bench['fds_eps_ms']:.0f} ms |"
-            f" **{bench['fds_eps_speedup']:.1f}x** |"
-            f" {bench['fds_refills_eps']:,}"
-            f" ({bench['fds_refills_exact'] / bench['fds_refills_eps']:.1f}x"
-            f" fewer) |",
-            f"| incremental FDS (`eps_dg = 0`, vs reference at the same"
-            f" model) | `{bench['fds_table_model']}` |"
-            f" {bench['fds_table_inc_ms']:.0f} ms |"
-            f" **{bench['fds_table_speedup']:.1f}x** |"
-            f" — |",
-            "",
-            f"The bounded-delay row schedules the same DFG annotated with"
-            f" the dyno-style delay table (latency"
-            f" {bench['fds_table_latency']}); its speedup is against the"
-            f" reference engine on that annotated graph"
-            f" ({bench['fds_table_ref_ms'] / 1000.0:.0f} s), and the"
-            f" incremental schedule is bit-identical to the reference"
-            f" there too.",
-        ]
-        + delay_lines()
-        + scale_lines()
-        + serve_lines()
-        + [END]
-    )
+    block = "\n".join([BEGIN] + scale_lines() + serve_lines() + [END])
 
     readme_path = ROOT / "README.md"
     readme = readme_path.read_bytes().decode()
@@ -148,7 +84,8 @@ def main() -> int:
         return 1
     readme = readme[:begin] + block + readme[end + len(END):]
     readme_path.write_bytes(readme.encode())
-    print("README.md perf table regenerated from BENCH_micro.json")
+    print("README.md perf tables regenerated from BENCH_scale.json and "
+          "BENCH_serve.json")
     return 0
 
 
