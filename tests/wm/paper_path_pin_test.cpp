@@ -12,12 +12,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "cdfg/analysis.h"
 #include "dfglib/iir4.h"
 #include "dfglib/mediabench.h"
+#include "sched/enumerate.h"
 
 namespace lwm::wm {
 namespace {
@@ -25,8 +28,7 @@ namespace {
 using cdfg::Graph;
 
 // bench_fig3's plan: root A9 of the parallel IIR filter.
-TEST(PaperPathPinTest, Fig3MotivationalPlan) {
-  const Graph g = dfglib::iir4_parallel();
+std::optional<SchedWatermark> fig3_plan(const Graph& g) {
   const crypto::Signature author("author", "fig3-motivational-key");
   SchedWmOptions opts;
   opts.domain.tau = 6;
@@ -35,7 +37,12 @@ TEST(PaperPathPinTest, Fig3MotivationalPlan) {
   opts.k = 5;
   opts.tau_prime_min = 2;
   opts.epsilon = 0.17;
-  const auto wm = plan_sched_watermark(g, g.find("A9"), author, opts);
+  return plan_sched_watermark(g, g.find("A9"), author, opts);
+}
+
+TEST(PaperPathPinTest, Fig3MotivationalPlan) {
+  const Graph g = dfglib::iir4_parallel();
+  const auto wm = fig3_plan(g);
   ASSERT_TRUE(wm.has_value());
   EXPECT_EQ(wm->subtree.size(), 28u);
   std::vector<std::string> edges;
@@ -43,6 +50,45 @@ TEST(PaperPathPinTest, Fig3MotivationalPlan) {
     edges.push_back(g.node(c.src).name + "->" + g.node(c.dst).name);
   }
   EXPECT_EQ(edges, (std::vector<std::string>{"C8->C7", "C7->C3"}));
+}
+
+// bench_fig3's schedule counts at its latency, the critical path plus
+// one step: the carved subtree's space without and with the mark
+// (EXPERIMENTS.md "Fig. 3"), then each edge's psi_W/psi_N over its two
+// endpoints and over the whole executable subtree.
+TEST(PaperPathPinTest, Fig3ScheduleCounts) {
+  const Graph g = dfglib::iir4_parallel();
+  const auto wm = fig3_plan(g);
+  ASSERT_TRUE(wm.has_value());
+  std::vector<cdfg::NodeId> subset;
+  for (const cdfg::NodeId n : wm->subtree) {
+    if (cdfg::is_executable(g.node(n).kind)) subset.push_back(n);
+  }
+  sched::EnumerationOptions opts;
+  opts.latency = cdfg::critical_path_length(g) + 1;
+  std::vector<sched::ExtraPrecedence> extra;
+  for (const TemporalConstraint& c : wm->constraints) {
+    extra.push_back({c.src, c.dst});
+  }
+  const sched::EnumerationResult free_count =
+      sched::count_schedules(g, subset, {}, opts);
+  const sched::EnumerationResult marked_count =
+      sched::count_schedules(g, subset, extra, opts);
+  EXPECT_EQ(free_count.count, 15488u);
+  EXPECT_EQ(marked_count.count, 724u);
+  EXPECT_FALSE(free_count.saturated);
+  EXPECT_FALSE(marked_count.saturated);
+
+  std::vector<std::string> pair, subtree;
+  for (const TemporalConstraint& c : wm->constraints) {
+    const std::vector<cdfg::NodeId> ends = {c.src, c.dst};
+    const sched::PsiCounts p = sched::psi_counts(g, ends, c.src, c.dst, opts);
+    pair.push_back(std::to_string(p.psi_w) + "/" + std::to_string(p.psi_n));
+    const sched::PsiCounts t = sched::psi_counts(g, subset, c.src, c.dst, opts);
+    subtree.push_back(std::to_string(t.psi_w) + "/" + std::to_string(t.psi_n));
+  }
+  EXPECT_EQ(pair, (std::vector<std::string>{"6/20", "6/16"}));
+  EXPECT_EQ(subtree, (std::vector<std::string>{"4404/15488", "5742/15488"}));
 }
 
 // bench_table1's options and key.
