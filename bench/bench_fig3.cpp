@@ -65,59 +65,53 @@ int main(int argc, char** argv) {
   std::printf("\n");
 
   // Per-edge psi counts over the executable subtree (cf. the paper's
-  // psi_W/psi_N = 10/77 example pair).
+  // psi_W/psi_N = 10/77 example pair), one step of slack past the
+  // critical path.
   std::vector<cdfg::NodeId> subset;
   for (const cdfg::NodeId n : wm->subtree) {
     if (cdfg::is_executable(g.node(n).kind)) subset.push_back(n);
   }
-  sched::EnumerationOptions eopts;
-  eopts.filter = cdfg::EdgeFilter::specification();
-  eopts.latency = cdfg::critical_path_length(g) + 1;  // one slack step
-  eopts.pool = parallel;
+  const cdfg::TimingInfo timing = cdfg::compute_timing(
+      g, cdfg::critical_path_length(g) + 1, cdfg::EdgeFilter::specification());
+  constexpr std::uint64_t kLimit = 1'000'000'000;
 
-  bench::Table per_edge({"edge", "psi_W", "psi_N", "ratio"});
-  for (const auto& c : wm->constraints) {
-    const std::vector<cdfg::NodeId> pair = {c.src, c.dst};
-    const sched::PsiCounts psi = sched::psi_counts(g, pair, c.src, c.dst, eopts);
-    per_edge.add_row({g.node(c.src).name + "->" + g.node(c.dst).name,
-                      bench::fmt_int(static_cast<long long>(psi.psi_w)),
-                      bench::fmt_int(static_cast<long long>(psi.psi_n)),
-                      bench::fmt("%.3f", psi.psi_n == 0
-                                             ? 0.0
-                                             : static_cast<double>(psi.psi_w) /
-                                                   static_cast<double>(psi.psi_n))});
-  }
+  // One row per temporal edge: psi_W (the edge honored) and psi_N (no
+  // mark) over `members`.
+  auto psi_table = [&](const char* w_label, const char* n_label,
+                       auto members_of) {
+    bench::Table t({"edge", w_label, n_label, "ratio"});
+    for (const auto& c : wm->constraints) {
+      const std::vector<cdfg::NodeId> members = members_of(c);
+      const sched::ExtraPrecedence edge[] = {{c.src, c.dst}};
+      const std::uint64_t psi_w =
+          sched::count_schedules(g, timing, members, edge, kLimit).count;
+      const std::uint64_t psi_n =
+          sched::count_schedules(g, timing, members, {}, kLimit).count;
+      t.add_row({g.node(c.src).name + "->" + g.node(c.dst).name,
+                 bench::fmt_int(static_cast<long long>(psi_w)),
+                 bench::fmt_int(static_cast<long long>(psi_n)),
+                 bench::fmt("%.3f", psi_n == 0
+                                        ? 0.0
+                                        : static_cast<double>(psi_w) /
+                                              static_cast<double>(psi_n))});
+    }
+    t.print();
+  };
   std::printf("per-edge schedule counts over the two endpoints "
               "(paper's example pair: psi_W/psi_N = 10/77):\n");
-  per_edge.print();
-
-  // Batched psi over the whole executable subtree: psi_N is enumerated
-  // once and every edge's psi_W is evaluated concurrently.
-  std::vector<sched::ExtraPrecedence> candidate_edges;
-  for (const auto& c : wm->constraints) candidate_edges.push_back({c.src, c.dst});
-  const std::vector<sched::PsiCounts> batch =
-      sched::psi_counts_batch(g, subset, candidate_edges, eopts);
-  bench::Table per_edge_subtree({"edge", "psi_W(T)", "psi_N(T)", "ratio"});
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const auto& c = wm->constraints[i];
-    per_edge_subtree.add_row(
-        {g.node(c.src).name + "->" + g.node(c.dst).name,
-         bench::fmt_int(static_cast<long long>(batch[i].psi_w)),
-         bench::fmt_int(static_cast<long long>(batch[i].psi_n)),
-         bench::fmt("%.3f", batch[i].psi_n == 0
-                                ? 0.0
-                                : static_cast<double>(batch[i].psi_w) /
-                                      static_cast<double>(batch[i].psi_n))});
-  }
+  psi_table("psi_W", "psi_N", [](const auto& c) {
+    return std::vector<cdfg::NodeId>{c.src, c.dst};
+  });
   std::printf("\nper-edge counts over the whole executable subtree "
-              "(psi_counts_batch, one psi_N enumeration):\n");
-  per_edge_subtree.print();
+              "(count_schedules, psi_N per edge):\n");
+  psi_table("psi_W(T)", "psi_N(T)", [&](const auto&) { return subset; });
 
   // Whole-subtree enumeration: the 166-vs-15 analogue.
   std::vector<sched::ExtraPrecedence> extra;
   for (const auto& c : wm->constraints) extra.push_back({c.src, c.dst});
-  const auto free_count = sched::count_schedules(g, subset, {}, eopts);
-  const auto marked_count = sched::count_schedules(g, subset, extra, eopts);
+  const auto free_count = sched::count_schedules(g, timing, subset, {}, kLimit);
+  const auto marked_count =
+      sched::count_schedules(g, timing, subset, extra, kLimit);
 
   std::printf("\nsubtree schedule space (paper: 166 unconstrained, 15 "
               "with watermark, P_c = 15/166 = %.4f):\n", 15.0 / 166.0);

@@ -112,11 +112,15 @@ BENCHMARK(BM_DetectionScan);
 
 void BM_EnumerateSchedules(benchmark::State& state) {
   const cdfg::Graph g = dfglib::make_dsp_design("bm_enum", 8, 24, 13);
-  sched::EnumerationOptions opts;
-  opts.latency = 10;
-  opts.limit = 5'000'000;
+  const cdfg::TimingInfo timing =
+      cdfg::compute_timing(g, 10, cdfg::EdgeFilter::specification());
+  std::vector<cdfg::NodeId> ops;
+  for (const cdfg::NodeId n : g.nodes()) {
+    if (cdfg::is_executable(g.node(n).kind)) ops.push_back(n);
+  }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sched::count_schedules(g, {}, {}, opts));
+    benchmark::DoNotOptimize(
+        sched::count_schedules(g, timing, ops, {}, 5'000'000));
   }
 }
 BENCHMARK(BM_EnumerateSchedules);

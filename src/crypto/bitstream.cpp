@@ -20,7 +20,6 @@ bool Bitstream::next_bit() {
   const bool bit = (buffer_ & 1u) != 0;
   buffer_ >>= 1;
   --bits_left_;
-  ++bits_consumed_;
   return bit;
 }
 

@@ -41,16 +41,12 @@ class Bitstream {
   /// nodes".  Precondition: k <= n.
   std::vector<std::uint32_t> ordered_sample(std::uint32_t n, std::uint32_t k);
 
-  /// Total bits consumed so far (diagnostics / determinism tests).
-  [[nodiscard]] std::uint64_t bits_consumed() const noexcept { return bits_consumed_; }
-
  private:
   std::uint8_t next_byte();
 
   Rc4 cipher_;
   std::uint8_t buffer_ = 0;
   int bits_left_ = 0;
-  std::uint64_t bits_consumed_ = 0;
 };
 
 }  // namespace lwm::crypto

@@ -1,15 +1,10 @@
 #include "sched/enumerate.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdint>
-#include <limits>
 #include <numeric>
 #include <stdexcept>
-#include <unordered_map>
+#include <vector>
 
-#include "exec/parallel.h"
-#include "exec/thread_pool.h"
 #include "obs/obs.h"
 
 namespace lwm::sched {
@@ -21,402 +16,309 @@ using cdfg::NodeId;
 
 namespace {
 
-std::atomic<std::uint64_t> g_enumeration_calls{0};
+// The closure's ceiling: a positive cycle grows its entries, and this
+// keeps them summable without overflow until the diagonal reports it.
+constexpr long long kSeparationCap = -kNoSeparation;
 
-/// `extra` indexed by endpoint, so every per-node loop is O(degree)
-/// instead of a rescan of the whole span (O(V·|extra|) -> O(V+|extra|)).
-struct ExtraAdjacency {
-  std::vector<std::vector<NodeId>> successors;    // by .before
-  std::vector<std::vector<NodeId>> predecessors;  // by .after
+/// Counts one independent component's schedules, stopping once `count`
+/// reaches `limit`.  Members are in DFS order, each with its tightened
+/// window and the ties that bind it to earlier members.  At depth d the
+/// starts of members 0..d-1 are fixed and each tie narrows d's window;
+/// the last level adds its window width instead of visiting each start.
+struct ComponentDfs {
+  struct Tie {
+    std::size_t k;  ///< the earlier member
+    long long s;    ///< its separation to (lower) or from (upper) member d
+  };
+  std::vector<long long> lo, hi;
+  std::vector<std::vector<Tie>> lower, upper;
+  std::vector<long long> start;
+  std::uint64_t limit = 0;
+  std::uint64_t count = 0;
+
+  void run(std::size_t d) {
+    long long first = lo[d];
+    long long last = hi[d];
+    for (const Tie& t : lower[d]) first = std::max(first, start[t.k] + t.s);
+    for (const Tie& t : upper[d]) last = std::min(last, start[t.k] - t.s);
+    if (first > last) return;
+    if (d + 1 == lo.size()) {
+      count += static_cast<std::uint64_t>(last - first + 1);
+      return;
+    }
+    for (long long t = first; t <= last && count < limit; ++t) {
+      start[d] = t;
+      run(d + 1);
+    }
+  }
 };
 
-ExtraAdjacency index_extra(std::size_t node_capacity,
-                           std::span<const ExtraPrecedence> extra) {
-  ExtraAdjacency adj;
-  adj.successors.resize(node_capacity);
-  adj.predecessors.resize(node_capacity);
-  for (const ExtraPrecedence& x : extra) {
-    adj.successors[x.before.value].push_back(x.after);
-    adj.predecessors[x.after.value].push_back(x.before);
-  }
-  return adj;
-}
-
-/// Delay-weighted longest-path separation from `src` to every node over
-/// edges accepted by `filter` plus the extra pairs; -1 if unreachable.
-/// Separation d means: start(dst) >= start(src) + d in any legal schedule.
-std::vector<int> separations_from(const Graph& g, NodeId src,
-                                  const std::vector<NodeId>& order,
-                                  const ExtraAdjacency& adj,
-                                  EdgeFilter filter) {
-  std::vector<int> sep(g.node_capacity(), -1);
-  sep[src.value] = 0;
-  for (NodeId n : order) {
-    if (sep[n.value] < 0) continue;
-    const int out = sep[n.value] + g.node(n).delay;
-    for (EdgeId e : g.fanout(n)) {
-      const cdfg::Edge& ed = g.edge(e);
-      if (!filter.accepts(ed)) continue;
-      sep[ed.dst.value] = std::max(sep[ed.dst.value], out);
-    }
-    for (const NodeId d : adj.successors[n.value]) {
-      sep[d.value] = std::max(sep[d.value], out);
-    }
-  }
-  return sep;
-}
-
-/// Topological order of live nodes under filter + extra; throws on cycle.
-std::vector<NodeId> topo_with_extra(const Graph& g, const ExtraAdjacency& adj,
-                                    EdgeFilter filter) {
-  std::vector<int> indegree(g.node_capacity(), 0);
-  for (NodeId n : g.nodes()) {
-    for (EdgeId e : g.fanin(n)) {
-      if (filter.accepts(g.edge(e))) ++indegree[n.value];
-    }
-    indegree[n.value] += static_cast<int>(adj.predecessors[n.value].size());
-  }
-  std::vector<NodeId> ready;
-  for (NodeId n : g.nodes()) {
-    if (indegree[n.value] == 0) ready.push_back(n);
-  }
-  std::vector<NodeId> order;
-  order.reserve(g.node_count());
-  while (!ready.empty()) {
-    const NodeId n = ready.back();
-    ready.pop_back();
-    order.push_back(n);
-    auto relax = [&](NodeId d) {
-      if (--indegree[d.value] == 0) ready.push_back(d);
-    };
-    for (EdgeId e : g.fanout(n)) {
-      const cdfg::Edge& ed = g.edge(e);
-      if (filter.accepts(ed)) relax(ed.dst);
-    }
-    for (const NodeId d : adj.successors[n.value]) relax(d);
-  }
-  if (order.size() != g.node_count()) {
-    throw std::runtime_error(
-        "count_schedules: combined precedence relation is cyclic");
-  }
-  return order;
-}
-
-constexpr std::uint64_t kUnlimited = std::numeric_limits<std::uint64_t>::max();
-
-std::uint64_t saturating_mul(std::uint64_t a, std::uint64_t b) {
-  if (a == 0 || b == 0) return 0;
-  if (a > kUnlimited / b) return kUnlimited;
-  return a * b;
-}
-
-/// Drains private leaf counts into the shared budget in batches; flips
-/// `stop` once the budget (the saturation limit) is exhausted, which
-/// every in-flight branch observes on its next check.  The total is
-/// clamped to the limit afterwards, so the interleaving of flushes never
-/// shows in the result.
-struct BranchCounter {
-  std::atomic<std::uint64_t>& total;
-  std::atomic<bool>& stop;
-  std::uint64_t limit;  // 0 = unlimited
-  std::uint64_t local = 0;
-  static constexpr std::uint64_t kBatch = 1024;
-
-  bool bump() {
-    if (++local < kBatch) return true;
-    return flush();
-  }
-
-  bool flush() {
-    if (local != 0) {
-      const std::uint64_t t =
-          total.fetch_add(local, std::memory_order_relaxed) + local;
-      local = 0;
-      if (limit != 0 && t >= limit) {
-        stop.store(true, std::memory_order_relaxed);
-        return false;
+/// The schedules of `members` (DFS order, indices into the m-member
+/// windows and closed matrix), counted up to `limit`.
+std::uint64_t count_component(const std::vector<std::size_t>& members,
+                              const std::vector<long long>& lo,
+                              const std::vector<long long>& hi,
+                              const std::vector<long long>& sep,
+                              std::uint64_t limit) {
+  const std::size_t m = lo.size();
+  auto s = [&](std::size_t a, std::size_t b) {
+    return sep[members[a] * m + members[b]];
+  };
+  // A tie between k and d is implied, and skipped, when some j placed
+  // between them is tied to both by a chain at least as long: j's own tie
+  // (or the later one implying it) then bounds d as tightly.
+  auto implied = [&](std::size_t from, std::size_t to, std::size_t k,
+                     std::size_t d) {
+    for (std::size_t j = k + 1; j < d; ++j) {
+      if (s(from, j) != kNoSeparation && s(j, to) != kNoSeparation &&
+          s(from, j) + s(j, to) >= s(from, to)) {
+        return true;
       }
     }
-    return !stop.load(std::memory_order_relaxed);
-  }
-};
-
-/// One independent precedence component, windows already tightened.
-struct Component {
-  std::vector<std::size_t> members;  // indices into `nodes`, topo order
-};
-
-struct ComponentCount {
-  std::uint64_t count = 0;
-  bool capped = false;  ///< counting stopped at the limit
-};
-
-/// DFS over the component's nodes in topo order; at depth d the lower
-/// bound from every already-assigned predecessor is explicit via the
-/// separation sub-matrix.  Returns false iff counting was cut short.
-bool component_dfs(std::size_t depth, std::size_t m,
-                   const std::vector<int>& sep, const std::vector<int>& lo,
-                   const std::vector<int>& hi, std::vector<int>& assigned,
-                   BranchCounter& counter) {
-  if (depth == m) return counter.bump();
-  if (counter.stop.load(std::memory_order_relaxed)) return false;
-  int earliest = lo[depth];
-  for (std::size_t j = 0; j < depth; ++j) {
-    const int s = sep[j * m + depth];
-    if (s >= 0) earliest = std::max(earliest, assigned[j] + s);
-  }
-  for (int t = earliest; t <= hi[depth]; ++t) {
-    assigned[depth] = t;
-    if (!component_dfs(depth + 1, m, sep, lo, hi, assigned, counter)) {
-      return false;
+    return false;
+  };
+  ComponentDfs dfs;
+  dfs.lower.resize(members.size());
+  dfs.upper.resize(members.size());
+  for (std::size_t d = 0; d < members.size(); ++d) {
+    dfs.lo.push_back(lo[members[d]]);
+    dfs.hi.push_back(hi[members[d]]);
+    for (std::size_t k = 0; k < d; ++k) {
+      if (s(k, d) != kNoSeparation && !implied(k, d, k, d)) {
+        dfs.lower[d].push_back({k, s(k, d)});
+      }
+      if (s(d, k) != kNoSeparation && !implied(d, k, k, d)) {
+        dfs.upper[d].push_back({k, s(d, k)});
+      }
     }
   }
-  return true;
-}
-
-ComponentCount count_component(const Component& comp,
-                               const std::vector<std::vector<int>>& sep,
-                               const std::vector<int>& lo,
-                               const std::vector<int>& hi, std::uint64_t limit,
-                               exec::ThreadPool* pool) {
-  const std::size_t m = comp.members.size();
-  // Component-local copies: separation sub-matrix (flattened) + windows.
-  std::vector<int> csep(m * m, -1);
-  std::vector<int> clo(m), chi(m);
-  for (std::size_t a = 0; a < m; ++a) {
-    clo[a] = lo[comp.members[a]];
-    chi[a] = hi[comp.members[a]];
-    for (std::size_t b = 0; b < m; ++b) {
-      csep[a * m + b] = sep[comp.members[a]][comp.members[b]];
-    }
-  }
-
-  std::atomic<std::uint64_t> total{0};
-  std::atomic<bool> stop{false};
-
-  const int first_width = chi[0] - clo[0] + 1;
-  const bool parallel = pool != nullptr && pool->concurrency() > 1 &&
-                        first_width > 1 && m >= 2;
-  if (!parallel) {
-    BranchCounter counter{total, stop, limit};
-    std::vector<int> assigned(m, 0);
-    (void)component_dfs(0, m, csep, clo, chi, assigned, counter);
-    (void)counter.flush();
-  } else {
-    // Split the first enumeration level: one task per start step of the
-    // first node; each keeps a private counter drained into `total`.
-    exec::parallel_for(pool, static_cast<std::size_t>(first_width),
-                       [&](std::size_t b) {
-                         if (stop.load(std::memory_order_relaxed)) return;
-                         BranchCounter counter{total, stop, limit};
-                         std::vector<int> assigned(m, 0);
-                         assigned[0] = clo[0] + static_cast<int>(b);
-                         (void)component_dfs(1, m, csep, clo, chi, assigned,
-                                             counter);
-                         (void)counter.flush();
-                       });
-  }
-
-  const std::uint64_t grand = total.load(std::memory_order_relaxed);
-  ComponentCount result;
-  result.capped = limit != 0 && grand >= limit;
-  result.count = result.capped ? limit : grand;
-  return result;
+  dfs.start.assign(members.size(), 0);
+  dfs.limit = limit;
+  dfs.run(0);
+  return dfs.count;
 }
 
 }  // namespace
 
-std::uint64_t enumeration_calls() noexcept {
-  return g_enumeration_calls.load(std::memory_order_relaxed);
-}
-
-EnumerationResult count_schedules(const Graph& g,
-                                  std::span<const NodeId> subset,
-                                  std::span<const ExtraPrecedence> extra,
-                                  const EnumerationOptions& opts) {
-  g_enumeration_calls.fetch_add(1, std::memory_order_relaxed);
+EnumerationResult count_separated(std::span<const long long> lo_in,
+                                  std::span<const long long> hi_in,
+                                  std::span<const long long> sep_in,
+                                  std::uint64_t limit) {
   LWM_SPAN("sched/enumerate");
   LWM_COUNT("sched/enum_calls", 1);
-
-  // Windows from the *constrained* relation (filter + extra), so ASAP/ALAP
-  // already account for the watermark edges under consideration.
-  const ExtraAdjacency adj = index_extra(g.node_capacity(), extra);
-  const std::vector<NodeId> order = topo_with_extra(g, adj, opts.filter);
-
-  // ASAP over filter + extra.
-  std::vector<int> asap(g.node_capacity(), 0);
-  int cp = 0;
-  for (NodeId n : order) {
-    int lo = 0;
-    for (EdgeId e : g.fanin(n)) {
-      const cdfg::Edge& ed = g.edge(e);
-      if (!opts.filter.accepts(ed)) continue;
-      lo = std::max(lo, asap[ed.src.value] + g.node(ed.src).delay);
-    }
-    for (const NodeId p : adj.predecessors[n.value]) {
-      lo = std::max(lo, asap[p.value] + g.node(p).delay);
-    }
-    asap[n.value] = lo;
-    cp = std::max(cp, lo + g.node(n).delay);
-  }
-  int latency = opts.latency;
-  if (latency < 0) {
-    // Paper semantics: the latency bound is the critical path of the
-    // *original* specification; the watermark must not lengthen it.
-    latency = cdfg::critical_path_length(g, opts.filter);
-  }
-  if (cp > latency) {
-    LWM_COUNT("sched/enum_pruned_infeasible", 1);
-    return EnumerationResult{0, false};  // constraints unschedulable in bound
-  }
-  // ALAP over filter + extra.
-  std::vector<int> alap(g.node_capacity(), 0);
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const NodeId n = *it;
-    int hi = latency - g.node(n).delay;
-    for (EdgeId e : g.fanout(n)) {
-      const cdfg::Edge& ed = g.edge(e);
-      if (!opts.filter.accepts(ed)) continue;
-      hi = std::min(hi, alap[ed.dst.value] - g.node(n).delay);
-    }
-    for (const NodeId d : adj.successors[n.value]) {
-      hi = std::min(hi, alap[d.value] - g.node(n).delay);
-    }
-    alap[n.value] = hi;
+  const std::size_t m = lo_in.size();
+  if (hi_in.size() != m || sep_in.size() != m * m) {
+    throw std::invalid_argument(
+        "count_separated: need m windows and m * m separations");
   }
 
-  // Node set to enumerate, in topological order.
-  std::vector<NodeId> nodes;
-  if (subset.empty()) {
-    for (NodeId n : order) {
-      if (cdfg::is_executable(g.node(n).kind)) nodes.push_back(n);
-    }
-  } else {
-    std::vector<bool> in_subset(g.node_capacity(), false);
-    for (NodeId n : subset) {
-      if (!g.is_live(n)) {
-        throw std::out_of_range("count_schedules: dead node in subset");
+  // Close the matrix: sep(i, j) becomes the longest chain of separations
+  // from i to j through members.  A positive diagonal entry is a cycle
+  // no schedule can honor.
+  std::vector<long long> sep(sep_in.begin(), sep_in.end());
+  for (std::size_t k = 0; k < m; ++k) {
+    for (std::size_t i = 0; i < m; ++i) {
+      const long long ik = sep[i * m + k];
+      if (ik == kNoSeparation) continue;
+      for (std::size_t j = 0; j < m; ++j) {
+        const long long kj = sep[k * m + j];
+        if (kj == kNoSeparation) continue;
+        long long& ij = sep[i * m + j];
+        ij = std::max(ij, std::min(ik + kj, kSeparationCap));
       }
-      in_subset[n.value] = true;
-    }
-    for (NodeId n : order) {
-      if (in_subset[n.value]) nodes.push_back(n);
     }
   }
-  if (nodes.empty()) return EnumerationResult{1, false};
+  for (std::size_t i = 0; i < m; ++i) {
+    if (sep[i * m + i] > 0) {
+      LWM_COUNT("sched/enum_pruned_infeasible", 1);
+      return EnumerationResult{0, false};
+    }
+  }
 
-  // Pairwise separations among enumerated nodes (earlier topo -> later),
-  // rows computed independently across the pool.
-  const std::size_t k = nodes.size();
-  std::vector<std::vector<int>> sep(k, std::vector<int>(k, -1));
-  exec::parallel_for(opts.pool, k, [&](std::size_t i) {
-    const std::vector<int> d =
-        separations_from(g, nodes[i], order, adj, opts.filter);
-    for (std::size_t j = 0; j < k; ++j) {
-      if (i != j) sep[i][j] = d[nodes[j].value];
-    }
-  });
-
-  // Prune 1 — window tightening.  The separation matrix is transitively
-  // closed (longest paths), so one forward and one backward sweep reach
-  // the fixed point: lo[j] >= lo[i] + sep(i,j) and hi[i] <= hi[j] -
-  // sep(i,j) for every related pair.  This lets the DFS fail at the
-  // shallowest depth a conflict is implied instead of deep in the tree.
-  std::vector<int> lo(k), hi(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    lo[i] = asap[nodes[i].value];
-    hi[i] = alap[nodes[i].value];
-  }
-  for (std::size_t j = 0; j < k; ++j) {
-    for (std::size_t i = 0; i < j; ++i) {
-      if (sep[i][j] >= 0) lo[j] = std::max(lo[j], lo[i] + sep[i][j]);
+  // Prune 1 — window tightening.  Over the closed matrix one pass over
+  // all pairs reaches the fixed point: lo(j) >= lo(i) + sep(i, j) and
+  // hi(i) <= hi(j) - sep(i, j).  The DFS then fails at the shallowest
+  // depth a conflict is implied instead of deep in the tree.
+  std::vector<long long> lo(lo_in.begin(), lo_in.end());
+  std::vector<long long> hi(hi_in.begin(), hi_in.end());
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < m; ++j) {
+      const long long s = sep[i * m + j];
+      if (i == j || s == kNoSeparation) continue;
+      lo[j] = std::max(lo[j], lo_in[i] + s);
+      hi[i] = std::min(hi[i], hi_in[j] - s);
     }
   }
-  for (std::size_t i = k; i-- > 0;) {
-    for (std::size_t j = i + 1; j < k; ++j) {
-      if (sep[i][j] >= 0) hi[i] = std::min(hi[i], hi[j] - sep[i][j]);
-    }
-  }
-  for (std::size_t i = 0; i < k; ++i) {
+  for (std::size_t i = 0; i < m; ++i) {
     if (lo[i] > hi[i]) {
       LWM_COUNT("sched/enum_pruned_window", 1);
       return EnumerationResult{0, false};
     }
   }
 
-  // Prune 2 — factor the subset into independent precedence components;
-  // unrelated components multiply, so the DFS depth collapses from k to
-  // the largest component size.
-  std::vector<std::size_t> parent(k);
-  std::iota(parent.begin(), parent.end(), 0);
+  // Prune 2 — factor the members into independent components; unrelated
+  // components multiply, so the DFS depth collapses from m to the
+  // largest component size.  Each component's members go in DFS order:
+  // by tightened earliest start, then index, so predecessors come first.
+  std::vector<std::size_t> root(m);
+  std::iota(root.begin(), root.end(), 0);
   auto find = [&](std::size_t a) {
-    while (parent[a] != a) {
-      parent[a] = parent[parent[a]];
-      a = parent[a];
-    }
+    while (root[a] != a) a = root[a] = root[root[a]];
     return a;
   };
-  for (std::size_t i = 0; i < k; ++i) {
-    for (std::size_t j = i + 1; j < k; ++j) {
-      if (sep[i][j] >= 0 || sep[j][i] >= 0) parent[find(i)] = find(j);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = i + 1; j < m; ++j) {
+      if (sep[i * m + j] != kNoSeparation || sep[j * m + i] != kNoSeparation) {
+        root[find(i)] = find(j);
+      }
     }
   }
-  std::vector<Component> components;
-  std::unordered_map<std::size_t, std::size_t> component_of_root;
-  for (std::size_t i = 0; i < k; ++i) {
-    const std::size_t root = find(i);
-    auto [it, inserted] = component_of_root.try_emplace(root, components.size());
-    if (inserted) components.emplace_back();
-    components[it->second].members.push_back(i);  // ascending => topo order
-  }
-
-  // Count per component under the shared limit; the product saturates at
-  // the limit exactly like the sequential enumeration did.  A zero
-  // component zeroes the product regardless of caps elsewhere.
+  std::vector<std::size_t> order(m);
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) { return lo[a] < lo[b]; });
+  std::vector<std::vector<std::size_t>> components(m);
+  for (const std::size_t i : order) components[find(i)].push_back(i);
+  std::erase_if(components, [](const auto& c) { return c.empty(); });
   LWM_HIST("sched/enum_components", components.size());
+
+  // The product saturates at the limit; a zero component zeroes it
+  // regardless of caps elsewhere.
   std::uint64_t product = 1;
-  bool capped = false;
-  for (const Component& comp : components) {
-    const ComponentCount c =
-        count_component(comp, sep, lo, hi, opts.limit, opts.pool);
-    if (c.count == 0) return EnumerationResult{0, false};
-    capped = capped || c.capped;
-    product = saturating_mul(product, c.count);
+  for (const std::vector<std::size_t>& members : components) {
+    const std::uint64_t c =
+        std::min(count_component(members, lo, hi, sep, limit), limit);
+    if (c == 0) return EnumerationResult{0, false};
+    product = product > limit / c ? limit : std::min(product * c, limit);
   }
-  if (opts.limit != 0 && (capped || product >= opts.limit)) {
-    return EnumerationResult{opts.limit, true};
-  }
+  if (product >= limit) return EnumerationResult{limit, true};
   return EnumerationResult{product, false};
 }
 
-PsiCounts psi_counts(const Graph& g, std::span<const NodeId> subset,
-                     NodeId src, NodeId dst, const EnumerationOptions& opts) {
-  const ExtraPrecedence edge[] = {{src, dst}};
-  return psi_counts_batch(g, subset, edge, opts).front();
-}
+EnumerationResult count_schedules(const Graph& g,
+                                  const cdfg::TimingInfo& timing,
+                                  std::span<const NodeId> subset,
+                                  std::span<const ExtraPrecedence> extra,
+                                  std::uint64_t limit) {
+  // Index the members (first occurrence wins) and the largest member
+  // ASAP: a node on a path between two members starts no later than the
+  // later of them, so no walk needs to enter a node past it.
+  thread_local cdfg::NodeMarks marks;
+  marks.begin(g.node_capacity());
+  std::vector<NodeId> region;  // members first, then nodes the walks may reach
+  int horizon = 0;
+  for (const NodeId n : subset) {
+    if (!g.is_live(n)) {
+      throw std::out_of_range("count_schedules: dead node in subset");
+    }
+    if (!marks.mark(n)) continue;
+    marks.slots[n.value].value = static_cast<std::uint32_t>(region.size());
+    region.push_back(n);
+    horizon = std::max(horizon, timing.asap[n.value]);
+  }
+  const std::size_t m = region.size();
+  const EdgeFilter spec = EdgeFilter::specification();
+  for (std::size_t head = 0; head < region.size(); ++head) {
+    for (const EdgeId e : g.fanout(region[head])) {
+      const cdfg::Edge& ed = g.edge(e);
+      if (!spec.accepts(ed) || timing.asap[ed.dst.value] > horizon) continue;
+      if (!marks.mark(ed.dst)) continue;
+      marks.slots[ed.dst.value].value =
+          static_cast<std::uint32_t>(region.size());
+      region.push_back(ed.dst);
+    }
+  }
+  auto local = [&](NodeId n) { return marks.slots[n.value].value; };
+  auto in_region = [&](const cdfg::Edge& ed) {
+    return spec.accepts(ed) && marks.has(ed.dst);
+  };
 
-std::vector<PsiCounts> psi_counts_batch(const Graph& g,
-                                        std::span<const NodeId> subset,
-                                        std::span<const ExtraPrecedence> edges,
-                                        const EnumerationOptions& opts) {
-  std::vector<PsiCounts> out(edges.size());
-  if (edges.empty()) return out;
-  // psi_N depends only on (subset, options): enumerate it once and share
-  // it across the whole batch.
-  LWM_COUNT("wm/psi_evals", edges.size() + 1);  // psi_N once + psi_W per edge
-  const EnumerationResult no_mark = count_schedules(g, subset, {}, opts);
-  // The batch parallelizes across edges; the nested enumerations run
-  // serially so the pool's lanes aren't oversubscribed.
-  EnumerationOptions inner = opts;
-  inner.pool = nullptr;
-  exec::parallel_for(opts.pool, edges.size(), [&](std::size_t i) {
-    const ExtraPrecedence one[] = {edges[i]};
-    const EnumerationResult with_mark = count_schedules(g, subset, one, inner);
-    out[i].psi_w = with_mark.count;
-    out[i].psi_n = no_mark.count;
-    out[i].saturated = no_mark.saturated || with_mark.saturated;
-  });
-  return out;
+  // The region in topological order (Kahn), for the longest-path walks.
+  const std::size_t r = region.size();
+  std::vector<std::uint32_t> indegree(r, 0);
+  for (const NodeId n : region) {
+    for (const EdgeId e : g.fanout(n)) {
+      if (in_region(g.edge(e))) ++indegree[local(g.edge(e).dst)];
+    }
+  }
+  std::vector<std::uint32_t> topo;
+  topo.reserve(r);
+  for (std::uint32_t i = 0; i < r; ++i) {
+    if (indegree[i] == 0) topo.push_back(i);
+  }
+  for (std::size_t head = 0; head < topo.size(); ++head) {
+    for (const EdgeId e : g.fanout(region[topo[head]])) {
+      const cdfg::Edge& ed = g.edge(e);
+      if (in_region(ed) && --indegree[local(ed.dst)] == 0) {
+        topo.push_back(local(ed.dst));
+      }
+    }
+  }
+
+  // One forward longest-path walk per member over the region.
+  std::vector<long long> sep(m * m, kNoSeparation);
+  std::vector<long long> dist(r);
+  [[maybe_unused]] std::uint64_t touched = 0;
+  for (std::size_t i = 0; i < m; ++i) {
+    std::fill(dist.begin(), dist.end(), kNoSeparation);
+    dist[i] = 0;
+    for (const std::uint32_t u : topo) {
+      if (dist[u] == kNoSeparation) continue;
+      ++touched;
+      const long long out = dist[u] + g.node(region[u]).delay;
+      for (const EdgeId e : g.fanout(region[u])) {
+        const cdfg::Edge& ed = g.edge(e);
+        if (!in_region(ed)) continue;
+        long long& d = dist[local(ed.dst)];
+        d = std::max(d, out);
+      }
+    }
+    for (std::size_t j = 0; j < m; ++j) {
+      if (j != i) sep[i * m + j] = dist[j];
+    }
+  }
+  LWM_COUNT("sched/enum_walk_nodes", touched);
+
+  auto member = [&](NodeId n) {
+    return g.is_live(n) && marks.has(n) && local(n) < m;
+  };
+  for (const ExtraPrecedence& x : extra) {
+    if (!member(x.before) || !member(x.after)) {
+      throw std::invalid_argument(
+          "count_schedules: extra precedence endpoint outside the subset");
+    }
+    long long& s = sep[local(x.before) * m + local(x.after)];
+    s = std::max(s, static_cast<long long>(g.node(x.before).delay));
+  }
+  // The extras must keep the members' precedence relation acyclic.
+  std::vector<std::uint32_t> pending(m, 0);
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < m; ++j) {
+      if (sep[i * m + j] != kNoSeparation) ++pending[j];
+    }
+  }
+  std::vector<std::size_t> ready;
+  for (std::size_t j = 0; j < m; ++j) {
+    if (pending[j] == 0) ready.push_back(j);
+  }
+  for (std::size_t head = 0; head < ready.size(); ++head) {
+    for (std::size_t j = 0; j < m; ++j) {
+      if (sep[ready[head] * m + j] != kNoSeparation && --pending[j] == 0) {
+        ready.push_back(j);
+      }
+    }
+  }
+  if (ready.size() != m) {
+    throw std::runtime_error(
+        "count_schedules: combined precedence relation is cyclic");
+  }
+
+  std::vector<long long> lo(m), hi(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    lo[i] = timing.asap[region[i].value];
+    hi[i] = timing.alap[region[i].value];
+  }
+  return count_separated(lo, hi, sep, limit);
 }
 
 }  // namespace lwm::sched

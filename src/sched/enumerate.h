@@ -7,36 +7,43 @@
 // with them, hence P_c = 15/166; a single temporal edge's odds are
 // psi_W/psi_N = 10/77.  This module reproduces that machinery.
 //
-// Semantics.  A *schedule of a node set S* assigns each node in S a start
-// step inside its [ASAP, ALAP] window (windows computed on the whole
-// graph against a latency bound), such that every precedence between two
-// members of S — including transitive precedence through nodes outside S —
-// is honored with the correct delay-weighted separation.  Counting over S
-// rather than the whole graph is what makes the subtree-local numbers of
-// the paper well defined.
+// The counter.  count_separated is the one psi counter, for flat and
+// periodic schedule spaces alike.  Its input is m members, each with a
+// start window [lo, hi], and an m x m separation matrix: sep[i*m + j] is
+// the least start(j) - start(i) every schedule keeps, or kNoSeparation
+// when the pair is unconstrained.  A schedule is one start per member,
+// inside its window, honoring every separation.  The counter (a) closes
+// the matrix over paths through members, (b) tightens every window once
+// over all pairs, (c) factors the members into independent components
+// whose counts multiply, and (d) runs one serial DFS per component that
+// checks only the separations a transitive reduction keeps, counts its
+// last level in closed form and stops at `limit`.
 //
-// Performance.  The counter (a) factors S into independent precedence
-// components and multiplies their counts, (b) tightens every window to
-// the fixed point of the pairwise separation matrix before descending,
-// and (c) optionally splits the first enumeration level across a
-// work-stealing thread pool (`EnumerationOptions::pool`), each branch
-// keeping a private counter that drains into a shared atomic saturation
-// budget.  Results — counts *and* saturation flags — are identical at
-// every thread count.
+// Flat semantics.  count_schedules is the flat front end.  A *schedule
+// of a node set S* assigns each node in S a start step inside its
+// [ASAP, ALAP] window (the caller's specification windows, computed on
+// the whole graph against a latency bound), such that every precedence
+// between two members of S — including transitive precedence through
+// nodes outside S — is honored with the correct delay-weighted
+// separation.  Counting over S rather than the whole graph is what makes
+// the subtree-local numbers of the paper well defined.
 #pragma once
 
+#include <climits>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "cdfg/analysis.h"
 #include "cdfg/graph.h"
 
-namespace lwm::exec {
-class ThreadPool;
-}
-
 namespace lwm::sched {
+
+/// The separation-matrix sentinel: the pair is unconstrained.  Far from
+/// LLONG_MIN, so adding a finite separation cannot overflow.
+inline constexpr long long kNoSeparation = LLONG_MIN / 4;
+
+/// The default stop of a count: the exact P_c budget of one mark.
+inline constexpr std::uint64_t kExactLimit = 1'000'000;
 
 /// Extra precedence used for "what if this temporal edge existed"
 /// counting without mutating the graph.
@@ -45,58 +52,34 @@ struct ExtraPrecedence {
   cdfg::NodeId after;
 };
 
-struct EnumerationOptions {
-  /// Latency bound; -1 means the graph's critical path.
-  int latency = -1;
-  /// Which existing edges constrain schedules.  specification() counts an
-  /// unwatermarked flow; all() includes embedded temporal edges.
-  cdfg::EdgeFilter filter = cdfg::EdgeFilter::specification();
-  /// Counting stops (saturates) at this many solutions; 0 = unlimited.
-  std::uint64_t limit = 1'000'000'000;
-  /// Non-owning; null runs serially.  With a pool, the separation matrix
-  /// and the first enumeration level are computed across its lanes.
-  exec::ThreadPool* pool = nullptr;
-};
-
 struct EnumerationResult {
   std::uint64_t count = 0;
-  bool saturated = false;  ///< true if `limit` was hit
+  bool saturated = false;  ///< true if the count reached `limit`
 };
 
-/// Counts schedules of `subset` (empty span = all executable nodes of g).
-/// `extra` adds precedence constraints on top of the filtered edges; the
-/// combined relation must be acyclic.
+/// Counts the schedules of m = lo.size() members: starts t with lo[i] <=
+/// t[i] <= hi[i] and t[j] >= t[i] + sep[i*m + j] wherever that entry is
+/// not kNoSeparation (`sep` holds m * m entries; its diagonal may carry
+/// a cycle's weight, and a positive one admits nothing).  Counting stops
+/// once it reaches `limit` (> 0); a saturated result reports `limit`.
+/// No members is one (empty) schedule.
+[[nodiscard]] EnumerationResult count_separated(
+    std::span<const long long> lo, std::span<const long long> hi,
+    std::span<const long long> sep, std::uint64_t limit = kExactLimit);
+
+/// Counts the flat schedules of `subset` (its distinct live nodes)
+/// inside the windows of `timing`, which must be
+/// compute_timing(g, latency, EdgeFilter::specification()) for some
+/// latency bound.  Separations come from one forward walk per member over
+/// specification edges; `extra` adds start(after) >= start(before) +
+/// delay(before) between two members.  Throws std::out_of_range on a
+/// dead node in `subset`, std::invalid_argument on an extra endpoint
+/// outside it, and std::runtime_error when the extras make the
+/// precedence relation cyclic.
 [[nodiscard]] EnumerationResult count_schedules(
-    const cdfg::Graph& g, std::span<const cdfg::NodeId> subset,
+    const cdfg::Graph& g, const cdfg::TimingInfo& timing,
+    std::span<const cdfg::NodeId> subset,
     std::span<const ExtraPrecedence> extra = {},
-    const EnumerationOptions& opts = {});
-
-/// Total count_schedules invocations in this process (monotonic, relaxed).
-/// Exposed so tests can assert how many enumerations an API performed —
-/// e.g. that psi_counts_batch computes psi_N exactly once per batch.
-[[nodiscard]] std::uint64_t enumeration_calls() noexcept;
-
-/// psi counts for one candidate temporal edge e(src -> dst) over `subset`:
-/// psi_n — schedules with no watermark constraints; psi_w — schedules in
-/// which src finishes before dst starts (i.e. the edge is satisfied).
-struct PsiCounts {
-  std::uint64_t psi_w = 0;
-  std::uint64_t psi_n = 0;
-  bool saturated = false;
-};
-[[nodiscard]] PsiCounts psi_counts(const cdfg::Graph& g,
-                                   std::span<const cdfg::NodeId> subset,
-                                   cdfg::NodeId src, cdfg::NodeId dst,
-                                   const EnumerationOptions& opts = {});
-
-/// Batched psi counts for K candidate edges over one (subset, options)
-/// pair: the unconstrained count psi_N is enumerated exactly once and
-/// shared, and the K constrained counts are evaluated concurrently on
-/// `opts.pool` (results index-aligned with `edges`, identical at every
-/// thread count).  This is the P_c ≈ Π psi_W(e_i)/psi_N(e_i) hot path.
-[[nodiscard]] std::vector<PsiCounts> psi_counts_batch(
-    const cdfg::Graph& g, std::span<const cdfg::NodeId> subset,
-    std::span<const ExtraPrecedence> edges,
-    const EnumerationOptions& opts = {});
+    std::uint64_t limit = kExactLimit);
 
 }  // namespace lwm::sched

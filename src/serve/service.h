@@ -47,7 +47,7 @@ class Service {
   [[nodiscard]] Frame handle(const Frame& request);
 
   /// Decode-then-handle convenience for callers holding raw bytes (the
-  /// fuzz target and `lwm-scan`): a frame that fails to decode gets the
+  /// frame fuzz target): a frame that fails to decode gets the
   /// kErrBadFrame error frame the server would send.  Partial frames
   /// (kNeedMore) are reported as kErrBadFrame too — this entry point is
   /// for whole captured frames, not for stream reassembly.

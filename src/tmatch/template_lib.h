@@ -28,8 +28,6 @@ struct Template {
   std::string name;
   std::vector<TemplateOp> ops;  ///< ops[0] is the root
   double area = 1.0;            ///< relative area cost of one instance
-
-  [[nodiscard]] int op_count() const { return static_cast<int>(ops.size()); }
 };
 
 /// An ordered collection of templates; index = template id.

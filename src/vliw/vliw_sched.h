@@ -20,11 +20,6 @@ struct VliwResult {
   sched::Schedule schedule;  ///< issue cycle per operation
   int cycles = 0;            ///< total execution cycles
   long long issued_ops = 0;  ///< operations issued (sanity/statistics)
-
-  /// Average instructions per cycle.
-  [[nodiscard]] double ipc() const {
-    return cycles == 0 ? 0.0 : static_cast<double>(issued_ops) / cycles;
-  }
 };
 
 /// Packs all executable nodes of `g` onto `m`.  Loads take

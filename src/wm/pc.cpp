@@ -1,7 +1,6 @@
 #include "wm/pc.h"
 
 #include <algorithm>
-#include <climits>
 #include <cmath>
 #include <cstdint>
 #include <optional>
@@ -28,12 +27,13 @@ namespace {
 // The policy of sched_pc_auto.  Above kPoissonNodeThreshold graph nodes
 // the exact path is skipped outright; 2048 keeps every design of the
 // original experiment suite (<= ~1.8k ops) on it while mega-designs go
-// straight to the closed form.  kExactLimit bounds each exact count, and
-// with it the work of one mark: counting stops there and the mark takes
-// the Poisson model.  At 1e6 a mark costs at most about 0.1 s on a
-// 1,957-node mega design where one unbounded count ran past a minute.
+// straight to the closed form.  sched::kExactLimit bounds each exact
+// count, and with it the work of one mark: counting stops there and the
+// mark takes the Poisson model.  At 1e6 a mark costs at most about 0.1 s
+// on a 1,957-node mega design where one unbounded count ran past a
+// minute.
 constexpr std::size_t kPoissonNodeThreshold = 2048;
-constexpr std::uint64_t kExactLimit = 1'000'000;
+using sched::kExactLimit;
 
 /// The caller's specification windows, or a fresh pass into `own`.
 const cdfg::TimingInfo& spec_windows(const Graph& g,
@@ -129,27 +129,41 @@ std::vector<NodeId> executable_subtree(const Graph& g,
   return subset;
 }
 
+/// The mark's temporal constraints between two distinct members of
+/// `subset`, each taken in the flat sense start(dst) >= start(src) +
+/// delay(src).  Constraints with an endpoint outside the subset are
+/// skipped: they can only shrink psi_w, so skipping over-reports P_c, the
+/// safe direction.
+std::vector<sched::ExtraPrecedence> member_precedences(
+    const SchedWatermark& wm, std::span<const NodeId> subset) {
+  auto member = [&](NodeId n) {
+    return std::find(subset.begin(), subset.end(), n) != subset.end();
+  };
+  std::vector<sched::ExtraPrecedence> extra;
+  for (const TemporalConstraint& c : wm.constraints) {
+    if (c.src != c.dst && member(c.src) && member(c.dst)) {
+      extra.push_back(sched::ExtraPrecedence{c.src, c.dst});
+    }
+  }
+  return extra;
+}
+
 /// Exact flat P_c of one mark, or nullopt when psi_n reaches kExactLimit
-/// or is empty.  The enumeration's latency bound is the specification
-/// critical path, read from `spec`.  psi_w counts a subset of psi_n's
-/// space, so it is enumerated only once psi_n is known to fit.
+/// or is empty.  The counts read the specification windows `spec`.
+/// psi_w counts a subset of psi_n's space, so it is enumerated only once
+/// psi_n is known to fit.  A subtree without executable members has one
+/// (empty) schedule either way: an exact ratio of 1, counted by nothing.
 std::optional<PcEstimate> flat_exact(const Graph& g, const SchedWatermark& wm,
                                      const cdfg::TimingInfo& spec) {
   const std::vector<NodeId> subset = executable_subtree(g, wm);
-  sched::EnumerationOptions eopts;
-  eopts.limit = kExactLimit;
-  eopts.latency = spec.critical_path;
+  if (subset.empty()) return exact_ratio(1, 1);
   LWM_COUNT("wm/psi_evals", 1);
   const sched::EnumerationResult denom =
-      sched::count_schedules(g, subset, {}, eopts);
+      sched::count_schedules(g, spec, subset, {}, kExactLimit);
   if (denom.saturated || denom.count == 0) return std::nullopt;
-  std::vector<sched::ExtraPrecedence> extra;
-  for (const TemporalConstraint& c : wm.constraints) {
-    extra.push_back(sched::ExtraPrecedence{c.src, c.dst});
-  }
   LWM_COUNT("wm/psi_evals", 1);
-  const sched::EnumerationResult numer =
-      sched::count_schedules(g, subset, extra, eopts);
+  const sched::EnumerationResult numer = sched::count_schedules(
+      g, spec, subset, member_precedences(wm, subset), kExactLimit);
   if (numer.saturated) return std::nullopt;
   return exact_ratio(numer.count, denom.count);
 }
@@ -177,8 +191,6 @@ long long edge_weight(const Graph& g, const cdfg::Edge& ed, int ii) {
   return static_cast<long long>(g.node(ed.src).delay) -
          static_cast<long long>(ii) * ed.tokens;
 }
-
-constexpr long long kNegInf = LLONG_MIN / 4;
 
 /// Periodic start windows at interval `ii` as a TimingInfo: asap / alap
 /// are the earliest / latest flat starts within the minimum feasible flat
@@ -251,12 +263,12 @@ cdfg::TimingInfo periodic_windows(const Graph& g, int ii) {
   return t;
 }
 
-// Longest token-weighted distance from `src` to every node, or kNegInf
-// when unconstrained.  Bellman-Ford over live edges; converges within
-// node_count passes because periodic_windows has already certified that
-// no positive-weight cycle exists at this II.
+// Longest token-weighted distance from `src` to every node, or
+// sched::kNoSeparation when unconstrained.  Bellman-Ford over live
+// edges; converges within node_count passes because periodic_windows
+// has already certified that no positive-weight cycle exists at this II.
 std::vector<long long> longest_from(const Graph& g, NodeId src, int ii) {
-  std::vector<long long> dist(g.node_capacity(), kNegInf);
+  std::vector<long long> dist(g.node_capacity(), sched::kNoSeparation);
   dist[src.value] = 0;
   const std::size_t passes = g.node_count() + 1;
   for (std::size_t pass = 0; pass < passes; ++pass) {
@@ -264,7 +276,7 @@ std::vector<long long> longest_from(const Graph& g, NodeId src, int ii) {
     for (EdgeId e : g.edges()) {
       const cdfg::Edge& ed = g.edge(e);
       if (!kPeriodicCounting.accepts(ed)) continue;
-      if (dist[ed.src.value] == kNegInf) continue;
+      if (dist[ed.src.value] == sched::kNoSeparation) continue;
       const long long cand = dist[ed.src.value] + edge_weight(g, ed, ii);
       if (cand > dist[ed.dst.value]) {
         dist[ed.dst.value] = cand;
@@ -288,82 +300,38 @@ std::optional<PcEstimate> periodic_exact(const Graph& g,
   const std::vector<NodeId> subset = executable_subtree(g, wm);
   if (subset.empty()) return exact_ratio(1, 1);
 
-  // Pairwise token-weighted separation matrix over the subset: sep[i][j]
-  // is the minimum required start(j) - start(i), kNegInf when the graph
-  // leaves the pair free.  Paths through nodes outside the subset are
-  // captured here, so the DFS below needs only direct pairwise checks.
+  // Windows and the pairwise token-weighted separation matrix over the
+  // subset: sep[i*m + j] is the minimum required start(j) - start(i).
+  // Paths through nodes outside the subset are captured here.
   const std::size_t m = subset.size();
-  std::vector<std::vector<long long>> sep(m);
-  std::vector<std::size_t> index_of(g.node_capacity(), m);
-  for (std::size_t i = 0; i < m; ++i) index_of[subset[i].value] = i;
+  std::vector<long long> lo(m), hi(m);
+  std::vector<long long> sep(m * m, sched::kNoSeparation);
   for (std::size_t i = 0; i < m; ++i) {
+    lo[i] = windows.asap[subset[i].value];
+    hi[i] = windows.alap[subset[i].value];
     const std::vector<long long> dist = longest_from(g, subset[i], ii);
-    sep[i].resize(m, kNegInf);
     for (std::size_t j = 0; j < m; ++j) {
-      if (j == i) continue;
-      sep[i][j] = dist[subset[j].value];
+      if (j != i) sep[i * m + j] = dist[subset[j].value];
     }
   }
 
-  // The mark's temporal constraints as flat separations start(dst) >=
-  // start(src) + delay(src).  Constraints with an endpoint outside the
-  // subset are skipped (they can only shrink psi_w; skipping over-reports
-  // P_c, the safe direction).  Every member gets a start, so each hop of
-  // a chain is checked directly, with no transitive closure.
-  std::vector<std::vector<long long>> wsep = sep;
-  for (const TemporalConstraint& c : wm.constraints) {
-    const std::size_t i = index_of[c.src.value];
-    const std::size_t j = index_of[c.dst.value];
-    if (i >= m || j >= m || i == j) continue;
-    wsep[i][j] = std::max(wsep[i][j],
-                          static_cast<long long>(g.node(c.src).delay));
-  }
-
-  // Deterministic DFS order: by (earliest start, id).
-  std::vector<std::size_t> order(m);
-  for (std::size_t i = 0; i < m; ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    const int ea = windows.asap[subset[a].value];
-    const int eb = windows.asap[subset[b].value];
-    if (ea != eb) return ea < eb;
-    return subset[a] < subset[b];
-  });
-
-  std::vector<long long> start(m, 0);
-  // Counts assignments of flat starts to `order[pos..]` given the starts
-  // already fixed for order[0..pos); stops at kExactLimit.
-  auto count = [&](const std::vector<std::vector<long long>>& s,
-                   auto&& self, std::size_t pos,
-                   std::uint64_t acc) -> std::uint64_t {
-    if (pos == m) return acc + 1;
-    const std::size_t cur = order[pos];
-    const NodeId n = subset[cur];
-    long long lo = windows.asap[n.value];
-    long long hi = windows.alap[n.value];
-    for (std::size_t k = 0; k < pos; ++k) {
-      const std::size_t prev = order[k];
-      if (s[prev][cur] != kNegInf) {
-        lo = std::max(lo, start[prev] + s[prev][cur]);
-      }
-      if (s[cur][prev] != kNegInf) {
-        hi = std::min(hi, start[prev] - s[cur][prev]);
-      }
-    }
-    for (long long tstep = lo; tstep <= hi; ++tstep) {
-      start[cur] = tstep;
-      acc = self(s, self, pos + 1, acc);
-      if (acc >= kExactLimit) return acc;
-    }
-    return acc;
+  LWM_COUNT("wm/psi_evals", 1);
+  const sched::EnumerationResult psi_n =
+      sched::count_separated(lo, hi, sep, kExactLimit);
+  if (psi_n.saturated || psi_n.count == 0) return std::nullopt;
+  const auto index = [&](NodeId n) {
+    return static_cast<std::size_t>(
+        std::find(subset.begin(), subset.end(), n) - subset.begin());
   };
-
+  for (const sched::ExtraPrecedence& x : member_precedences(wm, subset)) {
+    long long& s = sep[index(x.before) * m + index(x.after)];
+    s = std::max(s, static_cast<long long>(g.node(x.before).delay));
+  }
   LWM_COUNT("wm/psi_evals", 1);
-  const std::uint64_t psi_n = count(sep, count, 0, 0);
-  if (psi_n >= kExactLimit || psi_n == 0) return std::nullopt;
-  LWM_COUNT("wm/psi_evals", 1);
-  const std::uint64_t psi_w = count(wsep, count, 0, 0);
-  if (psi_w >= kExactLimit) return std::nullopt;
-  return exact_ratio(psi_w, psi_n);
+  const sched::EnumerationResult psi_w =
+      sched::count_separated(lo, hi, sep, kExactLimit);
+  if (psi_w.saturated) return std::nullopt;
+  return exact_ratio(psi_w.count, psi_n.count);
 }
 
 }  // namespace

@@ -112,12 +112,18 @@ TEST(BitstreamTest, OrderedSampleValidation) {
 }
 
 TEST(BitstreamTest, BitsConsumedMonotonic) {
+  // A twin stream advanced bit by bit counts what `s` consumed: after one
+  // bit and next_uint(8), which takes exactly 3 bits for a power-of-two
+  // bound (MSB first), the two streams read on in lockstep.
   Bitstream s = make("count");
-  EXPECT_EQ(s.bits_consumed(), 0u);
-  (void)s.next_bit();
-  EXPECT_EQ(s.bits_consumed(), 1u);
-  (void)s.next_uint(8);  // exactly 3 bits for a power-of-two bound
-  EXPECT_EQ(s.bits_consumed(), 4u);
+  Bitstream twin = make("count");
+  EXPECT_EQ(s.next_bit(), twin.next_bit());
+  std::uint32_t v = 0;
+  for (int k = 0; k < 3; ++k) v = (v << 1) | (twin.next_bit() ? 1u : 0u);
+  EXPECT_EQ(s.next_uint(8), v);
+  for (int i = 0; i < 64; ++i) {
+    ASSERT_EQ(s.next_bit(), twin.next_bit()) << "bit " << i;
+  }
 }
 
 }  // namespace

@@ -46,7 +46,6 @@ known_type	building block of the frame decoder, tested directly
 append_frame	building block of the frame encoder, tested directly
 response_type	small helper the frame tests use
 write_trace_events	building block of write_chrome_trace, pinned by a golden test
-enumeration_calls	building block of the exact P_c enumerator, tested directly
 EOF
 )
 

@@ -176,10 +176,12 @@ TEST_P(DspDesignProperties, PsiRatioIsAProbability) {
   }
   if (!a.valid() || !b.valid()) GTEST_SKIP() << "no slack pair in this design";
   const std::vector<NodeId> subset = {a, b};
-  const sched::PsiCounts psi = sched::psi_counts(g, subset, a, b);
-  ASSERT_GT(psi.psi_n, 0u);
-  EXPECT_LE(psi.psi_w, psi.psi_n);
-  EXPECT_GT(psi.psi_w, 0u);
+  const sched::ExtraPrecedence edge[] = {{a, b}};
+  const std::uint64_t psi_n = sched::count_schedules(g, t, subset).count;
+  const std::uint64_t psi_w = sched::count_schedules(g, t, subset, edge).count;
+  ASSERT_GT(psi_n, 0u);
+  EXPECT_LE(psi_w, psi_n);
+  EXPECT_GT(psi_w, 0u);
 }
 
 TEST_P(DspDesignProperties, RegisterBindingInvariants) {

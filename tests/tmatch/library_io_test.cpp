@@ -13,12 +13,12 @@ TEST(LibraryIoTest, StandardRoundTripsExactly) {
   for (int i = 0; i < lib.size(); ++i) {
     EXPECT_EQ(back.at(i).name, lib.at(i).name);
     EXPECT_DOUBLE_EQ(back.at(i).area, lib.at(i).area);
-    ASSERT_EQ(back.at(i).op_count(), lib.at(i).op_count());
-    for (int o = 0; o < lib.at(i).op_count(); ++o) {
-      EXPECT_EQ(back.at(i).ops[static_cast<std::size_t>(o)].kind,
-                lib.at(i).ops[static_cast<std::size_t>(o)].kind);
-      EXPECT_EQ(back.at(i).ops[static_cast<std::size_t>(o)].children,
-                lib.at(i).ops[static_cast<std::size_t>(o)].children);
+    ASSERT_EQ(back.at(i).ops.size(), lib.at(i).ops.size());
+    for (std::size_t o = 0; o < lib.at(i).ops.size(); ++o) {
+      EXPECT_EQ(back.at(i).ops[o].kind,
+                lib.at(i).ops[o].kind);
+      EXPECT_EQ(back.at(i).ops[o].children,
+                lib.at(i).ops[o].children);
     }
   }
   EXPECT_EQ(library_to_text(back), text);
@@ -36,7 +36,7 @@ TEST(LibraryIoTest, HandWrittenLibraryParses) {
       "op not\n").value();
   ASSERT_EQ(lib.size(), 2);
   EXPECT_EQ(lib.at(0).name, "madd3");
-  EXPECT_EQ(lib.at(0).op_count(), 3);
+  EXPECT_EQ(lib.at(0).ops.size(), 3u);
   EXPECT_EQ(lib.at(0).ops[0].children, (std::vector<int>{1, 2}));
   EXPECT_EQ(lib.at(1).ops[0].kind, cdfg::OpKind::kNot);
 }

@@ -14,7 +14,7 @@ TEST(TemplateLibTest, StandardContainsComposites) {
   for (int i = 0; i < lib.size(); ++i) {
     if (lib.at(i).name == "add2") {
       has_add2 = true;
-      EXPECT_EQ(lib.at(i).op_count(), 2);
+      EXPECT_EQ(lib.at(i).ops.size(), 2u);
       EXPECT_EQ(lib.at(i).ops[0].kind, OpKind::kAdd);
       EXPECT_EQ(lib.at(i).ops[1].kind, OpKind::kAdd);
     }
@@ -27,7 +27,7 @@ TEST(TemplateLibTest, StandardContainsComposites) {
 TEST(TemplateLibTest, PrimitiveIsSingleOpOnly) {
   const TemplateLibrary lib = TemplateLibrary::primitive();
   for (int i = 0; i < lib.size(); ++i) {
-    EXPECT_EQ(lib.at(i).op_count(), 1) << lib.at(i).name;
+    EXPECT_EQ(lib.at(i).ops.size(), 1u) << lib.at(i).name;
   }
 }
 
@@ -77,7 +77,7 @@ TEST(TemplateLibTest, ThreeOpTreeAccepted) {
   t.ops = {TemplateOp{OpKind::kAdd, {1, 2}}, TemplateOp{OpKind::kMul, {}},
            TemplateOp{OpKind::kMul, {}}};
   const int id = lib.add(t);
-  EXPECT_EQ(lib.at(id).op_count(), 3);
+  EXPECT_EQ(lib.at(id).ops.size(), 3u);
 }
 
 }  // namespace

@@ -64,28 +64,34 @@ TEST(PaperPathPinTest, Fig3ScheduleCounts) {
   for (const cdfg::NodeId n : wm->subtree) {
     if (cdfg::is_executable(g.node(n).kind)) subset.push_back(n);
   }
-  sched::EnumerationOptions opts;
-  opts.latency = cdfg::critical_path_length(g) + 1;
+  const cdfg::TimingInfo timing = cdfg::compute_timing(
+      g, cdfg::critical_path_length(g) + 1, cdfg::EdgeFilter::specification());
   std::vector<sched::ExtraPrecedence> extra;
   for (const TemporalConstraint& c : wm->constraints) {
     extra.push_back({c.src, c.dst});
   }
   const sched::EnumerationResult free_count =
-      sched::count_schedules(g, subset, {}, opts);
+      sched::count_schedules(g, timing, subset);
   const sched::EnumerationResult marked_count =
-      sched::count_schedules(g, subset, extra, opts);
+      sched::count_schedules(g, timing, subset, extra);
   EXPECT_EQ(free_count.count, 15488u);
   EXPECT_EQ(marked_count.count, 724u);
   EXPECT_FALSE(free_count.saturated);
   EXPECT_FALSE(marked_count.saturated);
 
+  // psi_W / psi_N of one edge over `members`, as "w/n".
+  auto ratio = [&](const std::vector<cdfg::NodeId>& members,
+                   const TemporalConstraint& c) {
+    const sched::ExtraPrecedence edge[] = {{c.src, c.dst}};
+    return std::to_string(
+               sched::count_schedules(g, timing, members, edge).count) +
+           "/" +
+           std::to_string(sched::count_schedules(g, timing, members).count);
+  };
   std::vector<std::string> pair, subtree;
   for (const TemporalConstraint& c : wm->constraints) {
-    const std::vector<cdfg::NodeId> ends = {c.src, c.dst};
-    const sched::PsiCounts p = sched::psi_counts(g, ends, c.src, c.dst, opts);
-    pair.push_back(std::to_string(p.psi_w) + "/" + std::to_string(p.psi_n));
-    const sched::PsiCounts t = sched::psi_counts(g, subset, c.src, c.dst, opts);
-    subtree.push_back(std::to_string(t.psi_w) + "/" + std::to_string(t.psi_n));
+    pair.push_back(ratio({c.src, c.dst}, c));
+    subtree.push_back(ratio(subset, c));
   }
   EXPECT_EQ(pair, (std::vector<std::string>{"6/20", "6/16"}));
   EXPECT_EQ(subtree, (std::vector<std::string>{"4404/15488", "5742/15488"}));

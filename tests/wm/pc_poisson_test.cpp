@@ -125,8 +125,10 @@ double enumerated_log10_ratio(const Graph& g, const SchedWatermark& m) {
   for (const TemporalConstraint& c : m.constraints) {
     extra.push_back({c.src, c.dst});
   }
-  const auto denom = sched::count_schedules(g, subset);
-  const auto numer = sched::count_schedules(g, subset, extra);
+  const cdfg::TimingInfo timing = spec_timing(g);
+  constexpr std::uint64_t kUnbounded = 1'000'000'000;
+  const auto denom = sched::count_schedules(g, timing, subset, {}, kUnbounded);
+  const auto numer = sched::count_schedules(g, timing, subset, extra, kUnbounded);
   return std::log10(static_cast<double>(numer.count)) -
          std::log10(static_cast<double>(denom.count));
 }

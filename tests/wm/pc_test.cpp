@@ -99,10 +99,10 @@ TEST(SchedPcTest, ExactMatchesEnumeratedRatio) {
   for (const TemporalConstraint& c : wm->constraints) {
     extra.push_back({c.src, c.dst});
   }
-  sched::EnumerationOptions eopts;
-  eopts.filter = cdfg::EdgeFilter::specification();
-  const auto denom = sched::count_schedules(g, subset, {}, eopts);
-  const auto numer = sched::count_schedules(g, subset, extra, eopts);
+  const cdfg::TimingInfo timing =
+      cdfg::compute_timing(g, -1, cdfg::EdgeFilter::specification());
+  const auto denom = sched::count_schedules(g, timing, subset);
+  const auto numer = sched::count_schedules(g, timing, subset, extra);
   ASSERT_GT(denom.count, 0u);
   ASSERT_GT(numer.count, 0u);
   EXPECT_NEAR(est.log10_pc,

@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <string>
+#include <utility>
 
 #include "cdfg/graph.h"
 
@@ -20,13 +21,20 @@ namespace lwm::wm {
 /// The size above which sched_pc_auto skips the exact path (pc.h).
 inline constexpr std::size_t kDocumentedPoissonThreshold = 2048;
 
-/// `g` plus isolated input nodes until it has more nodes than the exact
-/// threshold.
-inline cdfg::Graph past_exact_threshold(cdfg::Graph g) {
-  for (int i = 0; g.node_count() <= kDocumentedPoissonThreshold; ++i) {
+/// `g` plus `count` isolated input nodes.
+inline cdfg::Graph with_isolated_inputs(cdfg::Graph g, std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) {
     (void)g.add_node(cdfg::OpKind::kInput, "poisson_pad_" + std::to_string(i));
   }
   return g;
+}
+
+/// `g` plus isolated input nodes until it has more nodes than the exact
+/// threshold.
+inline cdfg::Graph past_exact_threshold(cdfg::Graph g) {
+  const std::size_t n = g.node_count();
+  if (n > kDocumentedPoissonThreshold) return g;
+  return with_isolated_inputs(std::move(g), kDocumentedPoissonThreshold + 1 - n);
 }
 
 }  // namespace lwm::wm
